@@ -89,15 +89,20 @@ class PotentialSpec:
 class NonlinearitySpec:
     """Nonlinearity f with antiderivative F (F(0) = 0).
 
-    ``C0`` is the declared growth constant of |f(t)| <= C0 (1 + |t|^{2*-1});
-    when None it is fitted on samples by :func:`check_F`.  ``s0`` is an
-    optional declared witness for F(s0) > (V_inf/2) s0^2.
+    ``f_scalar`` is f on one Python float, for the shooting integrator's
+    per-step calls; it must agree with ``float(f(t))`` bit for bit (nan
+    where f gives nan), so the scalar and vectorised code paths produce
+    the same profiles.  ``C0`` is the declared growth constant of
+    |f(t)| <= C0 (1 + |t|^{2*-1}); when None it is fitted on samples by
+    :func:`check_F`.  ``s0`` is an optional declared witness for
+    F(s0) > (V_inf/2) s0^2.
     """
 
     family: str
     params: dict
     f: Callable[[np.ndarray], np.ndarray]
     F: Callable[[np.ndarray], np.ndarray]
+    f_scalar: Callable[[float], float]
     C0: Optional[float] = None
     s0: Optional[float] = None
 
@@ -210,7 +215,18 @@ def power_nonlinearity(p: float, coeff: float = 1.0) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return coeff * np.abs(t) ** p / p
 
-    return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff}, f=f, F=F)
+    q = p - 2.0
+
+    def f_scalar(t):
+        try:
+            return coeff * abs(t) ** q * t
+        except (ZeroDivisionError, OverflowError):
+            # float ** raises where numpy returns inf (0 ** q for p < 2,
+            # overflow); the vectorised form gives the IEEE result
+            return float(f(t))
+
+    return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff},
+                            f=f, F=F, f_scalar=f_scalar)
 
 
 def saturating_nonlinearity(c: float) -> NonlinearitySpec:
@@ -230,7 +246,13 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return 0.5 * c * (t**2 - np.log1p(t**2))
 
-    return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F)
+    def f_scalar(t):
+        # numpy's t**3 may differ from libm pow by an ulp (SIMD loop); the
+        # ufunc on a float runs that same loop, and numpy's t**2 is t*t
+        return c * float(np.power(t, 3.0)) / (1.0 + t * t)
+
+    return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F,
+                            f_scalar=f_scalar)
 
 
 def zero_nonlinearity() -> NonlinearitySpec:
@@ -239,6 +261,7 @@ def zero_nonlinearity() -> NonlinearitySpec:
         params={},
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         F=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        f_scalar=lambda t: 0.0,
     )
 
 

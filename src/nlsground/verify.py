@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NlsgroundError, PreconditionError
 from .functionals import (
     FunctionalContext,
     fiber_values,
@@ -252,7 +252,7 @@ def _solution_checks(ctx, solution: SolveReport, bumps, opts) -> tuple:
         checks.append(CheckResult(
             "domination", "level-domination", gap >= -tol_dom, float(gap),
             1, tol_dom, {}))
-    except Exception as exc:   # pragma: no cover - diagnostic path
+    except NlsgroundError as exc:
         checks.append(CheckResult(
             "domination", "level-domination", False, -np.inf, 0, 1e-6,
             {"error": repr(exc)}))

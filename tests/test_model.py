@@ -1,8 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     DomainError,
+    NonlinearitySpec,
     PotentialSpec,
     check_F,
     check_H,
@@ -18,6 +24,7 @@ from nlsground import (
     run_condition_suite,
     saturating_nonlinearity,
     well_potential,
+    zero_nonlinearity,
 )
 
 
@@ -201,3 +208,67 @@ def test_condition_report_serializes():
     d = rep.to_dict()
     assert set(d) >= {"condition", "pass", "witness", "margin", "samples",
                       "tolerance"}
+
+
+# ----------------------------------------------------------------------
+# scalar form of the nonlinearity
+# ----------------------------------------------------------------------
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_TINY = 2.2250738585072014e-308    # smallest normal double
+_SCALAR_ARGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, 1.0, -1.0]),
+    st.floats(min_value=-_TINY, max_value=_TINY),                # subnormals
+    st.floats(min_value=1.0 - 1e-6, max_value=1.0 + 1e-6),
+    st.floats(min_value=-1.0 - 1e-6, max_value=-1.0 + 1e-6),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+def _assert_scalar_matches(spec: NonlinearitySpec, t: float):
+    got = spec.f_scalar(t)
+    want = float(spec.f(t))
+    assert type(got) is float
+    assert _same_float(got, want), (spec.family, spec.params, t, got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.floats(min_value=1.0, max_value=6.0, exclude_min=True),
+       coeff=st.floats(min_value=0.05, max_value=20.0),
+       t=_SCALAR_ARGS)
+def test_power_f_scalar_bit_identical(p, coeff, t):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _assert_scalar_matches(power_nonlinearity(p, coeff), t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.sampled_from([0.5, 1.0, 2.0, 3.7, 10.0]), t=_SCALAR_ARGS)
+def test_saturating_f_scalar_bit_identical(c, t):
+    _assert_scalar_matches(saturating_nonlinearity(c), t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_SCALAR_ARGS)
+def test_zero_f_scalar_bit_identical(t):
+    _assert_scalar_matches(zero_nonlinearity(), t)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.999])
+def test_power_f_scalar_nan_at_zero_below_two(p):
+    # numpy gives |0|^{p-2} * 0 = inf * 0 = nan; float ** would raise
+    spec = power_nonlinearity(p, 1.7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert math.isnan(spec.f_scalar(0.0))
+        assert math.isnan(spec.f_scalar(-0.0))
+
+
+def test_power_f_scalar_overflow_is_inf():
+    spec = power_nonlinearity(4.0, 1.0)
+    with np.errstate(over="ignore"):
+        assert spec.f_scalar(1e200) == math.inf
+        assert spec.f_scalar(-1e200) == -math.inf

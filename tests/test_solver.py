@@ -11,6 +11,7 @@ from nlsground import (
     PositivityBallError,
     PreconditionError,
     SolveOptions,
+    StiffIntegrationError,
     constant_potential,
     fiber_values,
     h1_norm_sq,
@@ -22,9 +23,11 @@ from nlsground import (
     solve_fiber_descent,
     solve_limit_BL,
     sweep_lambda,
+    power_nonlinearity,
     well_potential,
     zero_nonlinearity,
 )
+from nlsground import solver
 from conftest import CUBIC_M, CUBIC_U0, random_bumps
 
 
@@ -71,6 +74,15 @@ def test_shooting_lambda_scaling(grid4096, f_cubic, rep_shoot):
     assert 0.8 * rep.energy == pytest.approx(rep_shoot.energy, rel=1e-8)
     assert rep.u_at_zero == pytest.approx(rep_shoot.u_at_zero / math.sqrt(0.8),
                                           rel=1e-8)
+
+
+def test_shot_step_nan_is_stiff_error():
+    # for 1 < p < 2, f(0) = |0|^{p-2} * 0 is nan; the step must end in the
+    # documented StiffIntegrationError, not in a float ** exception
+    f = power_nonlinearity(1.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(StiffIntegrationError):
+            solver._integrate_shot(0.0, 1.0, f.f_scalar, 3, 1.0, 1e-3, 1.0, 10.0)
 
 
 def test_bl_route(rep_bl, rep_shoot):
@@ -154,6 +166,30 @@ def test_sweep_respects_requested_grid(ctx_well):
     kept = [row["lambda"] for row in report.rows]
     assert kept == [0.999, 1.0]
     assert all(row["margin"] > 0.0 for row in report.rows)
+
+
+def test_sweep_reuses_lambda_one_shot(ctx_well, rep_shoot, monkeypatch):
+    calls = []
+    real = solver.shoot_oracle
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("lam"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "shoot_oracle", counting)
+    report = sweep_lambda(ctx_well)
+    # u1 plus the two rows below lam = 1; the lam = 1 row reuses u1
+    assert len(calls) == 3
+    assert calls.count(1.0) == 1
+    row1 = [row for row in report.rows if row["lambda"] == 1.0]
+    assert len(row1) == 1
+    assert row1[0]["m_inf"] == rep_shoot.energy   # standalone lam = 1 shot
+
+    calls.clear()
+    report = sweep_lambda(ctx_well, [0.9, 0.95, 0.999, 1.0])
+    assert [row["lambda"] for row in report.rows] == [0.999, 1.0]
+    assert calls == [1.0, 0.999]
+    assert report.rows[1]["m_inf"] == rep_shoot.energy
 
 
 def test_sweep_rejects_constant_potential(ctx_auto):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlsground import (
+    ConvergenceError,
     FunctionalContext,
     PreconditionError,
     constant_potential,
@@ -9,6 +10,7 @@ from nlsground import (
     saturating_nonlinearity,
     well_potential,
 )
+from nlsground import verify
 
 
 def test_suite_with_solution_passes(ctx_auto, rep_fiber):
@@ -104,3 +106,27 @@ def test_report_serialization(ctx_auto):
     for c in d["checks"]:
         assert {"name", "anchor", "pass", "worst_margin", "samples",
                 "tolerance"} <= set(c)
+
+
+def test_domination_solver_error_fails_check_with_witness(ctx_auto, rep_fiber,
+                                                         monkeypatch):
+    def stalled(ctx, opts):
+        raise ConvergenceError("limit solve stalled")
+
+    monkeypatch.setattr(verify, "solve_fiber_descent", stalled)
+    report = run_suite(ctx_auto, rep_fiber, seed=42, n_samples=10)
+    dom = [c for c in report.checks if c.anchor == "level-domination"][0]
+    assert not dom.passed
+    assert not report.overall_pass
+    assert "ConvergenceError" in dom.witness["error"]
+    assert "limit solve stalled" in dom.witness["error"]
+
+
+def test_domination_programming_error_propagates(ctx_auto, rep_fiber,
+                                                 monkeypatch):
+    def broken(ctx, opts):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(verify, "solve_fiber_descent", broken)
+    with pytest.raises(TypeError):
+        run_suite(ctx_auto, rep_fiber, seed=42, n_samples=10)

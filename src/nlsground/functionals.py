@@ -104,7 +104,7 @@ class FiberValues:
     def energy_at(self, t) -> np.ndarray:
         """zeta(t) = energy of u(x/t), potential resampled at t*r."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        pot_t = self._pot_at(t)
+        pot_t = self._pot_at(t, dilation=False)
         N = self.ctx.grid.N
         out = (
             0.5 * t ** (N - 2.0) * self.grad
@@ -117,27 +117,44 @@ class FiberValues:
         """P(u(x/t)) along the fiber; equals t * d/dt energy_at(t)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         N = self.ctx.grid.N
-        w = self.ctx.grid.weights
-        r = self.ctx.grid.r
-        u2 = self.u.values**2
-        vals = np.empty(t.size)
-        for i, ti in enumerate(t):
-            tr = ti * r
-            mid = N * self.ctx.V.V(tr) + tr * self.ctx.V.dV(tr)
-            vals[i] = float(w @ (mid * u2))
+        vals = self._pot_at(t, dilation=True)
         return (
             0.5 * (N - 2.0) * t ** (N - 2.0) * self.grad
             + 0.5 * t**N * vals
             - N * self.ctx.lam * t**N * self.f_int
         )
 
-    def _pot_at(self, t: np.ndarray) -> np.ndarray:
+    def iip_gap(self, t: float) -> float:
+        """Comparison-inequality slack at (u, t); see module-level iip_gap."""
+        if not (t > 0.0):
+            raise DomainError(f"dilation factor must be positive, got {t}")
+        N = self.ctx.grid.N
+        i_u = self.energy()
+        i_ut = float(self.energy_at(t)[0])
+        p_u = self.pohozaev()
+        theta = self.ctx.theta
+        return (
+            i_u
+            - i_ut
+            - (1.0 - t**N) / N * p_u
+            - (1.0 - theta) * g_of_t(t, N) / (2.0 * N) * self.grad
+        )
+
+    def _pot_at(self, t: np.ndarray, dilation: bool) -> np.ndarray:
+        """Potential quadrature at each t: int V(t r) u^2, or with
+        dilation=True int [N V + r V'](t r) u^2, the term of P(u_t)."""
+        N = self.ctx.grid.N
         w = self.ctx.grid.weights
         r = self.ctx.grid.r
+        V = self.ctx.V
         u2 = self.u.values**2
         out = np.empty(t.size)
         for i, ti in enumerate(t):
-            out[i] = float(w @ (self.ctx.V.V(ti * r) * u2))
+            tr = ti * r
+            vals = V.V(tr)
+            if dilation:
+                vals = N * vals + tr * V.dV(tr)
+            out[i] = float(w @ (vals * u2))
         return out
 
 
@@ -216,22 +233,10 @@ def iip_gap(ctx: FunctionalContext, u: RadialFunction, t: float) -> float:
     default resolution interpolation noise (~1e-3 relative) would
     otherwise drown the quadrature-level slack.  Nonnegative up to
     quadrature error whenever the potential satisfies the two-point
-    decay condition with the context's theta.
+    decay condition with the context's theta.  A scan over several t
+    builds fiber_values once and calls FiberValues.iip_gap.
     """
-    if not (t > 0.0):
-        raise DomainError(f"dilation factor must be positive, got {t}")
-    fv = fiber_values(ctx, u)
-    N = ctx.grid.N
-    i_u = fv.energy()
-    i_ut = float(fv.energy_at(t)[0])
-    p_u = fv.pohozaev()
-    theta = ctx.theta
-    return (
-        i_u
-        - i_ut
-        - (1.0 - t**N) / N * p_u
-        - (1.0 - theta) * g_of_t(t, N) / (2.0 * N) * fv.grad
-    )
+    return fiber_values(ctx, u).iip_gap(t)
 
 
 def hardy_gap(u: RadialFunction, N: Optional[int] = None) -> float:

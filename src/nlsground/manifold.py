@@ -3,8 +3,10 @@
 The constraint set M collects nonzero functions with vanishing
 dilation-identity functional P.  For u in the admissible set (those with
 int [V_inf u^2 / 2 - lam F(u)] < 0) the fiber t -> I(u(x/t)) has a unique
-maximizer t_u, found here as the unique sign change of t -> P(u_t) and
-polished by bisection on log t.
+maximizer t_u, found here as the unique sign change of t -> P(u_t) on a
+log-t scan and polished by safeguarded false position (Illinois) on
+log t.  One projection computes the quadratures of u once: admissibility,
+the scan and the polish all read the same FiberValues.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .grid import RadialFunction, dilate, h1_norm_sq
 __all__ = [
     "FiberProjection",
     "lambda_membership",
+    "fiber_membership",
     "fiber_profile",
     "project_to_M",
 ]
@@ -47,16 +50,22 @@ class FiberProjection:
     bracket: tuple
     sign_changes: int
     tolerance: float
+    fiber: FiberValues       # quadratures of the input u along its fiber
 
 
 def lambda_membership(ctx: FunctionalContext, u: RadialFunction):
     """Admissibility of u: returns (member, q) with
     q = int [ (V_inf/2) u^2 - lam F(u) ] and member <=> q < -margin."""
-    if u.is_zero():
+    return fiber_membership(fiber_values(ctx, u))
+
+
+def fiber_membership(fv: FiberValues):
+    """lambda_membership from quadratures already computed for u."""
+    if fv.u.is_zero():
         raise ZeroFunctionError("membership is undefined for the zero function")
-    fv = fiber_values(ctx, u)
+    ctx = fv.ctx
     q = 0.5 * ctx.V.v_inf * fv.mass - ctx.lam * fv.f_int
-    member = q < -LAMBDA_MARGIN * h1_norm_sq(u)
+    member = q < -LAMBDA_MARGIN * h1_norm_sq(fv.u)
     return bool(member), float(q)
 
 
@@ -89,20 +98,56 @@ def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float, points: int):
     return ts, ps, flips
 
 
+def _polish_log_t(fv: FiberValues, lo: float, hi: float, p_lo: float,
+                  p_hi: float) -> tuple:
+    """Shrink a sign-change bracket [lo, hi] of x -> P(u_{exp x}) below
+    BISECT_LOG_TOL by false position with the Illinois modification.
+
+    The trial point stays half a tolerance inside the bracket, so a root
+    next to one end closes the bracket in one step.  When three steps in
+    a row fail to halve the bracket, the next step bisects it, so the
+    polish terminates on any sign change.
+    """
+    edge = 0.5 * BISECT_LOG_TOL
+    kept = 0          # -1: lo survived the last step, +1: hi did
+    widths = [hi - lo]
+    while widths[-1] > BISECT_LOG_TOL:
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (lo + hi)
+        else:
+            x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+        x = min(max(x, lo + edge), hi - edge)
+        p = float(fv.pohozaev_at(np.exp(x))[0])
+        if (p > 0.0) == (p_lo > 0.0):
+            lo, p_lo = x, p
+            if kept == 1:
+                p_hi *= 0.5
+            kept = 1
+        else:
+            hi, p_hi = x, p
+            if kept == -1:
+                p_lo *= 0.5
+            kept = -1
+        widths.append(hi - lo)
+    return lo, hi
+
+
 def project_to_M(ctx: FunctionalContext, u: RadialFunction,
                  t_bracket: tuple = T_BRACKET,
                  scan_points: int = SCAN_POINTS) -> FiberProjection:
     """Dilate u onto the constraint set: find the root of t -> P(u_t).
 
     Requires u admissible (checked).  The root is bracketed by a sign
-    scan on a log grid and polished by bisection to |d log t| < 1e-12;
-    exactly one sign change is demanded, anything else raises.
+    scan on a log grid and polished by safeguarded false position to
+    |d log t| < 1e-12; exactly one sign change is demanded, anything
+    else raises.  The quadratures of u are computed once and returned
+    as the projection's ``fiber``.
     """
-    member, q = lambda_membership(ctx, u)
+    fv = fiber_values(ctx, u)
+    member, q = fiber_membership(fv)
     if not member:
         raise NotInLambdaError(
             f"u is not admissible (q = {q:.6g} >= 0); no fiber maximizer exists")
-    fv = fiber_values(ctx, u)
     ts, ps, flips = _scan_bracket(fv, t_bracket[0], t_bracket[1], scan_points)
     if flips.size == 0:
         raise NoSignChangeError(
@@ -112,16 +157,8 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
             f"P(u_t) changes sign {flips.size} times on the bracket; "
             "refine the grid instead of picking a root")
     i = int(flips[0])
-    lo, hi = np.log(ts[i]), np.log(ts[i + 1])
-    p_lo = ps[i]
-    while hi - lo > BISECT_LOG_TOL:
-        mid = 0.5 * (lo + hi)
-        p_mid = float(fv.pohozaev_at(np.exp(mid))[0])
-        if (p_mid > 0.0) == (p_lo > 0.0):
-            lo = mid
-            p_lo = p_mid
-        else:
-            hi = mid
+    lo, hi = _polish_log_t(fv, np.log(ts[i]), np.log(ts[i + 1]),
+                           ps[i], ps[i + 1])
     t_u = float(np.exp(0.5 * (lo + hi)))
     projected = dilate(u, t_u)
     from .functionals import pohozaev
@@ -135,4 +172,5 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
         bracket=(float(ts[i]), float(ts[i + 1])),
         sign_changes=int(flips.size),
         tolerance=tol,
+        fiber=fv,
     )

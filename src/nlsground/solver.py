@@ -273,7 +273,7 @@ def solve_fiber_descent(ctx: FunctionalContext,
                 left_lambda = True
                 s *= opts.shrink
                 continue
-            new_level = float(fiber_values(ctx, v).energy_at(proj.t_u)[0])
+            new_level = float(proj.fiber.energy_at(proj.t_u)[0])
             if new_level < level:
                 u = proj.projected
                 level = new_level

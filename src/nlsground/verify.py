@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NlsgroundError, PreconditionError
-from .functionals import (
-    FunctionalContext,
-    fiber_values,
-    g_of_t,
-    hardy_gap,
-    iip_gap,
-)
-from .grid import RadialFunction, dilate, h1_norm_sq
-from .manifold import lambda_membership, project_to_M
+from .functionals import FunctionalContext, fiber_values, g_of_t, hardy_gap
+from .grid import RadialFunction, h1_norm_sq
+from .manifold import fiber_membership, project_to_M
 from .model import run_condition_suite
 from .solver import SolveReport, solve_fiber_descent, SolveOptions
 
@@ -127,8 +121,9 @@ def _iip_check(ctx, bumps) -> CheckResult:
     witness = {}
     for k, u in enumerate(bumps):
         scale = 1.0 + h1_norm_sq(u)
+        fv = fiber_values(ctx, u)
         for t in DILATIONS:
-            gap = iip_gap(ctx, u, t) / scale
+            gap = fv.iip_gap(t) / scale
             if gap < worst:
                 worst = gap
                 witness = {"sample": k, "t": t}
@@ -137,21 +132,20 @@ def _iip_check(ctx, bumps) -> CheckResult:
                        float(worst), len(bumps) * len(DILATIONS), tol, witness)
 
 
-def _inclusion_check(ctx, bumps) -> CheckResult:
+def _inclusion_check(ctx, fibers) -> CheckResult:
     """Nonzero u with P(u) <= 0 or P_inf(u) <= 0 must be admissible."""
     worst = np.inf
     witness = {}
     checked = 0
-    for k, u in enumerate(bumps):
-        fv = fiber_values(ctx, u)
+    for k, fv in enumerate(fibers):
         N = ctx.grid.N
         p_inf = (0.5 * (N - 2.0) * fv.grad + 0.5 * N * ctx.V.v_inf * fv.mass
                  - N * ctx.lam * fv.f_int)
         if min(fv.pohozaev(), p_inf) > 0.0:
             continue
         checked += 1
-        _, q = lambda_membership(ctx, u)
-        margin = -q / (1.0 + h1_norm_sq(u))
+        _, q = fiber_membership(fv)
+        margin = -q / (1.0 + h1_norm_sq(fv.u))
         if margin < worst:
             worst = margin
             witness = {"sample": k, "q": q}
@@ -163,7 +157,7 @@ def _inclusion_check(ctx, bumps) -> CheckResult:
                        float(worst), checked, tol, witness)
 
 
-def _norm_equivalence_check(ctx, bumps) -> CheckResult:
+def _norm_equivalence_check(ctx, fibers) -> CheckResult:
     """Sampled constants of the quadratic-form sandwich around ||u||^2."""
     N = ctx.grid.N
     theta = ctx.theta
@@ -171,10 +165,9 @@ def _norm_equivalence_check(ctx, bumps) -> CheckResult:
     hi_bound = N - 2.0 + 2.0 * theta + N * ctx.V.v_inf
     g1 = np.inf
     g2 = -np.inf
-    for u in bumps:
-        fv = fiber_values(ctx, u)
+    for fv in fibers:
         quad = (N - 2.0) * fv.grad + N * fv.pot + fv.pot_w
-        ratio = quad / h1_norm_sq(u)
+        ratio = quad / h1_norm_sq(fv.u)
         g1 = min(g1, ratio)
         g2 = max(g2, ratio)
     tol = 1e-6 * (1.0 + hi_bound)
@@ -182,12 +175,12 @@ def _norm_equivalence_check(ctx, bumps) -> CheckResult:
     worst = min(g1 - lo_bound, hi_bound - g2)
     return CheckResult(
         "norm-equivalence", "quadratic-form-sandwich", bool(ok), float(worst),
-        len(bumps), tol,
+        len(fibers), tol,
         {"gamma1_hat": float(g1), "gamma2_hat": float(g2),
          "gamma1_bound": float(lo_bound), "gamma2_bound": float(hi_bound)})
 
 
-def _solution_checks(ctx, solution: SolveReport, bumps, opts) -> tuple:
+def _solution_checks(ctx, solution: SolveReport, fibers, opts) -> tuple:
     checks = []
     constants = {}
     u = solution.u_star
@@ -199,15 +192,12 @@ def _solution_checks(ctx, solution: SolveReport, bumps, opts) -> tuple:
         poho_rel <= solution.poho_tol, float(solution.poho_tol - poho_rel),
         1, solution.poho_tol, {"poho_rel": float(poho_rel)}))
 
-    # fiber maximum: the solution dominates its own dilations
+    # fiber maximum: the solution dominates its own dilations, evaluated
+    # by change of variables like every other fiber quantity
     tol = 1e-3 * (1.0 + scale)
     tgrid = np.geomspace(0.25, 4.0, 64)
     m_hat = fv.energy()
-    worst = np.inf
-    from .functionals import energy as energy_of
-
-    for t in tgrid:
-        worst = min(worst, m_hat - energy_of(ctx, dilate(u, float(t))))
+    worst = float(np.min(m_hat - fv.energy_at(tgrid)))
     checks.append(CheckResult(
         "fiber-maximum", "fiber-maximum-property", worst >= -tol,
         float(worst), tgrid.size, tol, {}))
@@ -219,13 +209,13 @@ def _solution_checks(ctx, solution: SolveReport, bumps, opts) -> tuple:
     floor = np.inf
     level_floor = np.inf
     n_adm = 0
-    for k, b in enumerate(bumps):
-        member, _ = lambda_membership(ctx, b)
+    for k, fv_b in enumerate(fibers):
+        member, _ = fiber_membership(fv_b)
         if not member:
             continue
         n_adm += 1
-        proj = project_to_M(ctx, b)
-        zmax = float(fiber_values(ctx, b).energy_at(proj.t_u)[0])
+        proj = project_to_M(ctx, fv_b.u)
+        zmax = float(proj.fiber.energy_at(proj.t_u)[0])
         gap = zmax - m_hat
         if gap < worst_mm:
             worst_mm = gap
@@ -283,12 +273,15 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
     iip_bumps = sample_bumps(ctx.grid, rng, n_samples,
                              width_range=(0.5, 2.0), center_max=1.5)
 
+    # one quadrature pass per bump, shared by every check that reads it
+    fibers = [fiber_values(ctx, u) for u in bumps]
+
     checks = [
         _g_positivity_check(),
         _hardy_check(ctx.grid, bumps),
         _iip_check(ctx, iip_bumps),
-        _inclusion_check(ctx, bumps),
-        _norm_equivalence_check(ctx, bumps),
+        _inclusion_check(ctx, fibers),
+        _norm_equivalence_check(ctx, fibers),
     ]
     constants = {
         "theta": float(ctx.theta),
@@ -301,7 +294,7 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
     if solution is not None:
         if not solution.u_star.grid.same_mesh(ctx.grid):
             raise PreconditionError("solution grid does not match context grid")
-        sol_checks, sol_constants = _solution_checks(ctx, solution, bumps, opts)
+        sol_checks, sol_constants = _solution_checks(ctx, solution, fibers, opts)
         checks.extend(sol_checks)
         constants.update(sol_constants)
 

@@ -16,9 +16,11 @@ from nlsground import (
     hardy_gap,
     iip_gap,
     make_grid,
+    perturbed_potential,
     pohozaev,
     pohozaev_limit,
     psi,
+    well_potential,
 )
 from conftest import gaussian_bump, random_bumps
 
@@ -183,3 +185,74 @@ def test_lambda_weight_enters_functionals(grid4096, f_cubic):
         pohozaev(ctx1, u) + 3.0 * 0.5 * fv.f_int, rel=1e-12)
     with pytest.raises(DomainError):
         FunctionalContext(grid4096, constant_potential(1.0), f_cubic, 1.5)
+
+
+# ----------------------------------------------------------------------
+# the fiber layer: one potential loop behind energy_at and pohozaev_at
+# ----------------------------------------------------------------------
+
+_FIBER_POTENTIALS = [
+    constant_potential(1.0),
+    well_potential(1.0, 0.2, 2.0),
+    well_potential(2.0, 0.7, 3.0),
+    perturbed_potential(1.0, 0.5, "lorentzian"),
+    perturbed_potential(1.0, 0.5, "gaussian"),
+]
+_FIBER_T = np.geomspace(0.05, 8.0, 37)
+
+
+def _separate_loops(fv, t):
+    """energy_at and pohozaev_at as two independent loops over t (the
+    layout before they shared one potential quadrature)."""
+    N = fv.ctx.grid.N
+    w, r = fv.ctx.grid.weights, fv.ctx.grid.r
+    u2 = fv.u.values**2
+    pot_t = np.empty(t.size)
+    for i, ti in enumerate(t):
+        pot_t[i] = float(w @ (fv.ctx.V.V(ti * r) * u2))
+    mid_t = np.empty(t.size)
+    for i, ti in enumerate(t):
+        tr = ti * r
+        mid = N * fv.ctx.V.V(tr) + tr * fv.ctx.V.dV(tr)
+        mid_t[i] = float(w @ (mid * u2))
+    zeta = (0.5 * t ** (N - 2.0) * fv.grad + 0.5 * t**N * pot_t
+            - fv.ctx.lam * t**N * fv.f_int)
+    poho = (0.5 * (N - 2.0) * t ** (N - 2.0) * fv.grad + 0.5 * t**N * mid_t
+            - N * fv.ctx.lam * t**N * fv.f_int)
+    return zeta, poho
+
+
+@pytest.mark.parametrize("V", _FIBER_POTENTIALS, ids=lambda V: V.family)
+def test_fiber_scans_match_separate_loops(V, grid4096, f_cubic):
+    ctx = FunctionalContext(grid4096, V, f_cubic, 0.8)
+    rng = np.random.default_rng(12)
+    for u in random_bumps(grid4096, rng, 4):
+        fv = fiber_values(ctx, u)
+        zeta, poho = _separate_loops(fv, _FIBER_T)
+        assert np.array_equal(fv.energy_at(_FIBER_T), zeta)
+        assert np.array_equal(fv.pohozaev_at(_FIBER_T), poho)
+        assert fv.energy_at(1.0)[0] == fv.energy()
+
+
+@pytest.mark.parametrize("V", _FIBER_POTENTIALS, ids=lambda V: V.family)
+def test_pohozaev_at_is_fiber_derivative(V, grid4096, f_cubic):
+    # P(u_t) = t d/dt zeta(t), checked by central differences in t
+    ctx = FunctionalContext(grid4096, V, f_cubic)
+    u = gaussian_bump(grid4096, 2.5, 1.2, center=0.7)
+    fv = fiber_values(ctx, u)
+    h = 1e-5
+    t = _FIBER_T
+    slope = (fv.energy_at(t * (1.0 + h)) - fv.energy_at(t * (1.0 - h))) / (2.0 * h)
+    scale = np.abs(fv.energy_at(t)) + t ** (grid4096.N - 2.0) * fv.grad
+    assert np.all(np.abs(fv.pohozaev_at(t) - slope) <= 1e-7 * (1.0 + scale))
+
+
+def test_iip_gap_wrapper_is_fiber_method(ctx_well, grid4096):
+    from nlsground.verify import DILATIONS
+
+    rng = np.random.default_rng(13)
+    for u in random_bumps(grid4096, rng, 5, width_range=(0.5, 2.0),
+                          center_max=1.5):
+        fv = fiber_values(ctx_well, u)
+        for t in DILATIONS:
+            assert iip_gap(ctx_well, u, t) == fv.iip_gap(t)

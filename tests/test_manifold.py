@@ -1,19 +1,35 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
+    FunctionalContext,
+    MultipleSignChangesError,
+    NoSignChangeError,
     NotInLambdaError,
     RadialFunction,
     ZeroFunctionError,
+    constant_potential,
     dilate,
     energy,
     fiber_profile,
+    fiber_values,
     h1_norm_sq,
     lambda_membership,
+    make_grid,
+    perturbed_potential,
     pohozaev,
     pohozaev_limit,
+    power_nonlinearity,
     project_to_M,
+    saturating_nonlinearity,
+    well_potential,
 )
+from nlsground.functionals import FiberValues
+from nlsground.manifold import BISECT_LOG_TOL, SCAN_POINTS, T_BRACKET
 from conftest import gaussian_bump, random_bumps
 
 
@@ -161,3 +177,92 @@ def test_fiber_profile_validates_grid(ctx_auto, grid4096):
         fiber_profile(ctx_auto, u, np.array([2.0, 1.0]))  # not ascending
     with pytest.raises(ValueError):
         fiber_profile(ctx_auto, u, np.array([-1.0, 1.0]))
+
+
+def test_projection_carries_its_fiber(ctx_well, grid4096):
+    u = gaussian_bump(grid4096, 3.0, 1.0, center=0.5)
+    proj = project_to_M(ctx_well, u)
+    ref = fiber_values(ctx_well, u)
+    assert proj.fiber.u is u and proj.fiber.ctx is ctx_well
+    for name in ("grad", "mass", "f_int", "pot", "pot_w"):
+        assert getattr(proj.fiber, name) == getattr(ref, name)
+
+
+# ----------------------------------------------------------------------
+# the false-position polish against a plain bisection of the same scan
+# ----------------------------------------------------------------------
+
+_POLISH_GRID = make_grid(3, 30.0, 1024)
+_POLISH_CONTEXTS = [
+    FunctionalContext(_POLISH_GRID, V, f)
+    for V in (constant_potential(1.0), well_potential(1.0, 0.2, 2.0),
+              perturbed_potential(1.0, 0.5, "gaussian"))
+    for f in (power_nonlinearity(4.0), saturating_nonlinearity(3.0))
+]
+_OUTCOMES = (NotInLambdaError, NoSignChangeError, MultipleSignChangesError)
+
+
+def _bisection_reference(ctx, u):
+    """(outcome, log t_u): the sign scan of project_to_M polished by
+    bisection in log t down to BISECT_LOG_TOL."""
+    member, _ = lambda_membership(ctx, u)
+    if not member:
+        return NotInLambdaError, None
+    fv = fiber_values(ctx, u)
+    ts = np.geomspace(T_BRACKET[0], T_BRACKET[1], SCAN_POINTS)
+    ps = fv.pohozaev_at(ts)
+    sign = np.where(ps == 0.0, 1.0, np.sign(ps))
+    flips = np.nonzero(np.diff(sign))[0]
+    if flips.size == 0:
+        return NoSignChangeError, None
+    if flips.size > 1:
+        return MultipleSignChangesError, None
+    i = int(flips[0])
+    lo, hi, p_lo = np.log(ts[i]), np.log(ts[i + 1]), ps[i]
+    while hi - lo > BISECT_LOG_TOL:
+        mid = 0.5 * (lo + hi)
+        p_mid = float(fv.pohozaev_at(np.exp(mid))[0])
+        if (p_mid > 0.0) == (p_lo > 0.0):
+            lo, p_lo = mid, p_mid
+        else:
+            hi = mid
+    return None, 0.5 * (lo + hi)
+
+
+def _counted_projection(ctx, u):
+    """(outcome, log t_u, P(u_t) points evaluated) of project_to_M."""
+    points = []
+    original = FiberValues.pohozaev_at
+
+    def counting(self, t):
+        points.append(np.atleast_1d(t).size)
+        return original(self, t)
+
+    with mock.patch.object(FiberValues, "pohozaev_at", counting):
+        try:
+            proj = project_to_M(ctx, u)
+        except _OUTCOMES as exc:
+            return type(exc), None, sum(points)
+    return None, float(np.log(proj.t_u)), sum(points)
+
+
+_BUMP_PART = st.tuples(st.floats(-2.0, 1.3),     # log10 amplitude
+                       st.floats(0.3, 5.0),      # width
+                       st.floats(0.0, 5.0))      # center
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.integers(0, len(_POLISH_CONTEXTS) - 1),
+       parts=st.lists(_BUMP_PART, min_size=1, max_size=3))
+def test_polish_matches_bisection(k, parts):
+    ctx = _POLISH_CONTEXTS[k]
+    r = _POLISH_GRID.r
+    vals = sum(10.0**a * np.exp(-(((r - c) / w) ** 2)) for a, w, c in parts)
+    vals[-1] = 0.0
+    u = RadialFunction(_POLISH_GRID, vals)
+    outcome, log_t, points = _counted_projection(ctx, u)
+    ref_outcome, ref_log_t = _bisection_reference(ctx, u)
+    assert outcome is ref_outcome
+    if outcome is None:
+        assert abs(log_t - ref_log_t) <= 2.0 * BISECT_LOG_TOL
+        assert points <= SCAN_POINTS + 12

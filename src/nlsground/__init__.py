@@ -45,7 +45,14 @@ from .grid import (
     make_grid,
     pde_residual,
 )
-from .manifold import FiberProjection, fiber_profile, lambda_membership, project_to_M
+from .manifold import (
+    FiberProjection,
+    fiber_profile,
+    fiber_table,
+    lambda_membership,
+    project_fiber,
+    project_to_M,
+)
 from .model import (
     ConditionReport,
     NonlinearitySpec,

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .functionals import FunctionalContext
 from .grid import RadialFunction, make_grid
-from .manifold import fiber_profile, project_to_M
+from .manifold import fiber_table, project_to_M
 from .model import make_nonlinearity, make_potential, run_condition_suite
 from .solver import (
     SolveOptions,
@@ -433,7 +433,7 @@ def _cmd_project(cfg, out_dir, seed):
     u = initial_bump(ctx, opts.amp, opts.width)
     proj = project_to_M(ctx, u)
     t_grid = np.geomspace(max(proj.t_u / 8.0, 1e-3), proj.t_u * 8.0, 129)
-    rows = fiber_profile(ctx, u, t_grid)
+    rows = fiber_table(proj.fiber, t_grid)
     payload = {
         "t_u": proj.t_u,
         "residual": proj.residual,

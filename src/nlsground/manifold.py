@@ -6,7 +6,8 @@ int [V_inf u^2 / 2 - lam F(u)] < 0) the fiber t -> I(u(x/t)) has a unique
 maximizer t_u, found here as the unique sign change of t -> P(u_t) on a
 log-t scan and polished by safeguarded false position (Illinois) on
 log t.  One projection computes the quadratures of u once: admissibility,
-the scan and the polish all read the same FiberValues.
+the scan and the polish all read the same FiberValues.  The polisher,
+``false_position``, also serves route B's amplitude restore.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from .grid import RadialFunction, dilate, h1_norm_sq
 
 __all__ = [
     "FiberProjection",
+    "false_position",
     "lambda_membership",
     "fiber_membership",
     "fiber_profile",
+    "fiber_table",
+    "project_fiber",
     "project_to_M",
 ]
 
@@ -76,15 +80,17 @@ def fiber_profile(ctx: FunctionalContext, u: RadialFunction,
     Returns an array of shape (len(t_grid), 3).  The finite-difference
     slope of zeta agrees in sign with P(u_t)/t away from the root.
     """
-    if u.is_zero():
+    return fiber_table(fiber_values(ctx, u), t_grid)
+
+
+def fiber_table(fv: FiberValues, t_grid: np.ndarray) -> np.ndarray:
+    """fiber_profile from quadratures already computed for u."""
+    if fv.u.is_zero():
         raise ZeroFunctionError("fiber is undefined for the zero function")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be positive and strictly ascending")
-    fv = fiber_values(ctx, u)
-    zeta = fv.energy_at(t)
-    p = fv.pohozaev_at(t)
-    return np.column_stack([t, zeta, p])
+    return np.column_stack([t, fv.energy_at(t), fv.pohozaev_at(t)])
 
 
 def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float, points: int):
@@ -98,35 +104,41 @@ def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float, points: int):
     return ts, ps, flips
 
 
-def _polish_log_t(fv: FiberValues, lo: float, hi: float, p_lo: float,
-                  p_hi: float) -> tuple:
-    """Shrink a sign-change bracket [lo, hi] of x -> P(u_{exp x}) below
-    BISECT_LOG_TOL by false position with the Illinois modification.
+def false_position(g, lo: float, hi: float, g_lo: float, g_hi: float,
+                   tol: float) -> tuple:
+    """Shrink a sign-change bracket [lo, hi] of the scalar function g
+    below width ``tol`` by false position with the Illinois modification.
 
+    A point x joins the ``lo`` side when g(x) > 0 agrees with g_lo > 0.
     The trial point stays half a tolerance inside the bracket, so a root
     next to one end closes the bracket in one step.  When three steps in
     a row fail to halve the bracket, the next step bisects it, so the
-    polish terminates on any sign change.
+    polish terminates on any sign change; it also stops when no float
+    lies strictly inside the bracket.
     """
-    edge = 0.5 * BISECT_LOG_TOL
+    edge = 0.5 * tol
     kept = 0          # -1: lo survived the last step, +1: hi did
     widths = [hi - lo]
-    while widths[-1] > BISECT_LOG_TOL:
+    while widths[-1] > tol:
         if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
             x = 0.5 * (lo + hi)
         else:
-            x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         x = min(max(x, lo + edge), hi - edge)
-        p = float(fv.pohozaev_at(np.exp(x))[0])
-        if (p > 0.0) == (p_lo > 0.0):
-            lo, p_lo = x, p
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        gx = g(x)
+        if (gx > 0.0) == (g_lo > 0.0):
+            lo, g_lo = x, gx
             if kept == 1:
-                p_hi *= 0.5
+                g_hi *= 0.5
             kept = 1
         else:
-            hi, p_hi = x, p
+            hi, g_hi = x, gx
             if kept == -1:
-                p_lo *= 0.5
+                g_lo *= 0.5
             kept = -1
         widths.append(hi - lo)
     return lo, hi
@@ -143,7 +155,13 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
     else raises.  The quadratures of u are computed once and returned
     as the projection's ``fiber``.
     """
-    fv = fiber_values(ctx, u)
+    return project_fiber(fiber_values(ctx, u), t_bracket, scan_points)
+
+
+def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET,
+                  scan_points: int = SCAN_POINTS) -> FiberProjection:
+    """project_to_M from quadratures already computed for u."""
+    ctx, u = fv.ctx, fv.u
     member, q = fiber_membership(fv)
     if not member:
         raise NotInLambdaError(
@@ -157,8 +175,9 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
             f"P(u_t) changes sign {flips.size} times on the bracket; "
             "refine the grid instead of picking a root")
     i = int(flips[0])
-    lo, hi = _polish_log_t(fv, np.log(ts[i]), np.log(ts[i + 1]),
-                           ps[i], ps[i + 1])
+    lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
+                            np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
+                            BISECT_LOG_TOL)
     t_u = float(np.exp(0.5 * (lo + hi)))
     projected = dilate(u, t_u)
     from .functionals import pohozaev

@@ -39,7 +39,7 @@ from .grid import (
     make_grid,
     pde_residual,
 )
-from .manifold import lambda_membership, project_to_M
+from .manifold import false_position, lambda_membership, project_to_M
 from .model import check_V1V2, estimate_theta_V4
 
 __all__ = [
@@ -324,34 +324,50 @@ def solve_fiber_descent(ctx: FunctionalContext,
 # route B: constrained minimization of the Dirichlet seminorm
 # ----------------------------------------------------------------------
 
+# amplitudes scanned in order for the first crossing C(a) >= target
+AMP_SCAN = np.geomspace(1e-4, 1e4, 81)
+# final bracket width in log a: a few ulp at the scan's ends, |log a| ~ 9.2
+AMP_LOG_TOL = 1e-14
+
+
 def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
                        target: float = 1.0) -> Optional[float]:
     """Scalar a > 0 with C(a*w) = target, where
-    C(v) = int [lam F(v) - (V_inf/2) v^2]; None when unreachable."""
+    C(v) = int [lam F(v) - (V_inf/2) v^2]; None when unreachable.
+
+    Returns the first crossing: the scan stops at the first amplitude
+    with C >= target (C(a)/a^2 need not be monotone, so the scan is not
+    bisected), and the bracket below it is polished by false position
+    in x = log a on (C(a) - target) / a^2.  That has the sign of
+    C(a) - target at every a, so the root is the same; without the
+    quadratic growth of C the polish does not creep in from one end.
+    """
     wt = ctx.grid.weights
-    vinf = ctx.V.v_inf
+    half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
 
     def c_of(a: float) -> float:
-        av = a * w
-        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(av), dtype=float))
-                     - 0.5 * vinf * (wt @ av**2))
+        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
+                     - half_mass * a * a)
 
-    scan = np.geomspace(1e-4, 1e4, 81)
-    vals = np.array([c_of(a) for a in scan])
-    above = np.nonzero(vals >= target)[0]
-    if above.size == 0:
+    def excess(x: float) -> float:
+        a = math.exp(x)
+        return (c_of(a) - target) / (a * a)
+
+    c_prev = None
+    for j, a in enumerate(AMP_SCAN):
+        c = c_of(a)
+        if c >= target:
+            break
+        c_prev = c
+    else:
         return None
-    j = int(above[0])
     if j == 0:
-        return float(scan[0])
-    lo, hi = scan[j - 1], scan[j]
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if c_of(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return float(math.sqrt(lo * hi))
+        return float(AMP_SCAN[0])
+    a_prev = AMP_SCAN[j - 1]
+    lo, hi = false_position(excess, math.log(a_prev), math.log(a),
+                            (c_prev - target) / (a_prev * a_prev),
+                            (c - target) / (a * a), AMP_LOG_TOL)
+    return math.exp(0.5 * (lo + hi))
 
 
 def solve_limit_BL(ctx: FunctionalContext,

@@ -16,6 +16,7 @@ from nlsground import (
     dilate,
     energy,
     fiber_profile,
+    fiber_table,
     fiber_values,
     h1_norm_sq,
     lambda_membership,
@@ -24,12 +25,18 @@ from nlsground import (
     pohozaev,
     pohozaev_limit,
     power_nonlinearity,
+    project_fiber,
     project_to_M,
     saturating_nonlinearity,
     well_potential,
 )
 from nlsground.functionals import FiberValues
-from nlsground.manifold import BISECT_LOG_TOL, SCAN_POINTS, T_BRACKET
+from nlsground.manifold import (
+    BISECT_LOG_TOL,
+    SCAN_POINTS,
+    T_BRACKET,
+    false_position,
+)
 from conftest import gaussian_bump, random_bumps
 
 
@@ -188,6 +195,20 @@ def test_projection_carries_its_fiber(ctx_well, grid4096):
         assert getattr(proj.fiber, name) == getattr(ref, name)
 
 
+def test_project_fiber_matches_project_to_M(ctx_well, grid4096):
+    u = gaussian_bump(grid4096, 3.0, 1.0, center=0.5)
+    fv = fiber_values(ctx_well, u)
+    proj, ref = project_fiber(fv), project_to_M(ctx_well, u)
+    assert proj.fiber is fv
+    for name in ("t_u", "residual", "bracket", "sign_changes", "tolerance"):
+        assert getattr(proj, name) == getattr(ref, name)
+    assert np.array_equal(proj.projected.values, ref.projected.values)
+    t = np.geomspace(proj.t_u / 8.0, proj.t_u * 8.0, 33)
+    assert np.array_equal(fiber_table(fv, t), fiber_profile(ctx_well, u, t))
+    with pytest.raises(ValueError):
+        fiber_table(fv, t[::-1])
+
+
 # ----------------------------------------------------------------------
 # the false-position polish against a plain bisection of the same scan
 # ----------------------------------------------------------------------
@@ -266,3 +287,40 @@ def test_polish_matches_bisection(k, parts):
     if outcome is None:
         assert abs(log_t - ref_log_t) <= 2.0 * BISECT_LOG_TOL
         assert points <= SCAN_POINTS + 12
+
+
+# ----------------------------------------------------------------------
+# the polisher on its own: a root at a bracket end far from x = 0
+# ----------------------------------------------------------------------
+
+_ROOT = float(np.log(1e4))          # |x| ~ 9.2, one ulp ~ 1.8e-15
+
+
+def _step(root, at_hi, calls):
+    """Sign step whose change sits exactly on the bracket end ``root``;
+    it caps the evaluations, so a polish that stops shrinking fails
+    instead of hanging."""
+    def g(x):
+        calls.append(x)
+        assert len(calls) < 500, "polish does not terminate"
+        below = x < root if at_hi else x <= root
+        return -1.0 if below else 1.0
+    return g
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-16, 0.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("at_hi", [True, False])
+def test_false_position_ends_with_root_at_bracket_end(tol, sign, at_hi):
+    width = np.log(10.0) / 10.0       # one cell of route B's amplitude scan
+    root = sign * _ROOT
+    lo, hi = (root - width, root) if at_hi else (root, root + width)
+    calls = []
+    g = _step(root, at_hi, calls)
+    new_lo, new_hi = false_position(g, lo, hi, g(lo), g(hi), tol)
+    assert lo <= new_lo <= root <= new_hi <= hi
+    assert g(new_lo) < 0.0 < g(new_hi)
+    # either the width is below tol or no float lies strictly inside
+    assert (new_hi - new_lo <= tol
+            or not new_lo < 0.5 * (new_lo + new_hi) < new_hi)
+    assert len(calls) <= 2 + 64

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     BracketNotFoundError,
@@ -16,6 +19,7 @@ from nlsground import (
     fiber_values,
     h1_norm_sq,
     lambda_membership,
+    make_grid,
     pohozaev_limit,
     project_to_M,
     saturating_nonlinearity,
@@ -103,6 +107,130 @@ def test_bl_infeasible_constraint(grid4096):
                             saturating_nonlinearity(0.5))
     with pytest.raises(ConstraintInfeasibleError):
         solve_limit_BL(ctx)
+
+
+# ----------------------------------------------------------------------
+# route B's amplitude restore against the full scan plus bisection
+# ----------------------------------------------------------------------
+
+_RESTORE_GRID = make_grid(3, 30.0, 1024)
+
+
+def _counting_context(f):
+    """Constant-potential context whose F counts its full-array passes."""
+    passes = [0]
+
+    def F(t):
+        passes[0] += 1
+        return f.F(t)
+
+    ctx = FunctionalContext(_RESTORE_GRID, constant_potential(1.0),
+                            dataclasses.replace(f, F=F))
+    return ctx, passes
+
+
+def _restore_reference(ctx, w, target=1.0):
+    """(j, a): all 81 scan values, the first index with C >= target, and
+    80 geometric bisection steps of its bracket; (None, None) when no
+    scan point reaches the target."""
+    wt = ctx.grid.weights
+
+    def c_of(a):
+        av = a * w
+        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(av), dtype=float))
+                     - 0.5 * ctx.V.v_inf * (wt @ av**2))
+
+    scan = np.geomspace(1e-4, 1e4, 81)
+    above = np.nonzero(np.array([c_of(a) for a in scan]) >= target)[0]
+    if above.size == 0:
+        return None, None
+    j = int(above[0])
+    if j == 0:
+        return 0, float(scan[0])
+    lo, hi = scan[j - 1], scan[j]
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if c_of(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return j, float(math.sqrt(lo * hi))
+
+
+def _check_restore(f, w):
+    ctx, passes = _counting_context(f)
+    j, a_ref = _restore_reference(ctx, w)
+    passes[0] = 0
+    a = solver._amplitude_restore(ctx, w)
+    scan = np.geomspace(1e-4, 1e4, 81)
+    if j is None:
+        assert a is None
+        assert passes[0] == scan.size
+        return None
+    if j == 0:
+        assert a == scan[0]
+    else:
+        assert scan[j - 1] <= a <= scan[j]
+        assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
+    assert passes[0] <= j + 1 + 12
+    return a
+
+
+_W_PART = st.tuples(st.floats(-4.0, 6.0),       # log10 amplitude
+                    st.booleans(),               # negative lobe
+                    st.floats(0.3, 5.0),         # width
+                    st.floats(0.0, 5.0))         # center
+
+
+# p stays off 2: there lam F and the mass term cancel, and rounding moves
+# the crossing by more than the 1e-13 both restores are held to
+_RESTORE_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
+                       st.floats(1.1, 5.0).map(saturating_nonlinearity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_RESTORE_F, signed=st.booleans(),
+       parts=st.lists(_W_PART, min_size=1, max_size=3))
+def test_amplitude_restore_matches_full_scan(f, signed, parts):
+    r = _RESTORE_GRID.r
+    w = sum((-1.0 if signed and neg else 1.0) * 10.0**lg
+            * np.exp(-(((r - c) / width) ** 2))
+            for lg, neg, width, c in parts)
+    w[-1] = 0.0
+    _check_restore(f, w)
+
+
+def test_amplitude_restore_unreachable():
+    w = np.exp(-_RESTORE_GRID.r**2)
+    w[-1] = 0.0
+    assert _check_restore(power_nonlinearity(4.0), np.zeros_like(w)) is None
+    for c in (0.5, 1.0):       # F(t) <= t^2/2: C(a) <= 0 for every a
+        assert _check_restore(saturating_nonlinearity(c), w) is None
+
+
+def test_amplitude_restore_first_scan_point():
+    w = 1e6 * np.exp(-_RESTORE_GRID.r**2)
+    w[-1] = 0.0
+    assert _check_restore(power_nonlinearity(4.0), w) == 1e-4
+
+
+def test_amplitude_restore_keeps_first_crossing():
+    # p = 1.5: C(a) = A a^1.5 - B a^2 rises, peaks at a* = (3A/4B)^2 and
+    # falls, so it crosses the target twice; the lower crossing is kept
+    f = power_nonlinearity(1.5)
+    r = _RESTORE_GRID.r
+    w = 40.0 * np.exp(-(r / 2.0) ** 2)
+    w[-1] = 0.0
+    wt = _RESTORE_GRID.weights
+    A = float(wt @ f.F(w))
+    B = 0.5 * float(wt @ w**2)
+    a_peak = (0.75 * A / B) ** 2
+    assert A * a_peak**1.5 - B * a_peak**2 > 2.0
+    a = _check_restore(f, w)
+    assert 1e-4 < a < a_peak
+    assert abs(A * a**1.5 - B * a**2 - 1.0) < 1e-9
+    # the second crossing lies above the peak
+    assert A * (4.0 * a_peak) ** 1.5 - B * (4.0 * a_peak) ** 2 < 1.0
 
 
 def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):

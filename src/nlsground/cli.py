@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import (
 from .functionals import FunctionalContext
 from .grid import RadialFunction, make_grid
 from .manifold import fiber_table, project_to_M
-from .model import make_nonlinearity, make_potential, run_condition_suite
+from .model import _F_FACTORIES, _FACTORIES, run_condition_suite
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -56,26 +58,43 @@ __all__ = ["RunConfig", "run", "main"]
 COMMANDS = ("check-conditions", "solve", "solve-limit", "oracle-shoot",
             "project", "verify", "sweep-lambda")
 
-# section -> key -> (type, default); None default means required-if-used
+# the [potential] and [nonlinearity] sections hold a family name plus the
+# parameters of that family's model factory, read off its signature
+_FAMILIES = {"potential": _FACTORIES, "nonlinearity": _F_FACTORIES}
+# default of a factory parameter the config must supply
+_REQUIRED = inspect.Parameter.empty
+
+
+def _factory_keys(factory) -> dict:
+    """key -> (type, default) of a model factory's parameters; Optional[T]
+    reads as T, and a parameter without default gets _REQUIRED."""
+    hints = typing.get_type_hints(factory)
+    keys = {}
+    for name, param in inspect.signature(factory).parameters.items():
+        typ = hints[name]
+        typ = next((t for t in typing.get_args(typ) if t is not type(None)), typ)
+        keys[name] = (typ, param.default)
+    return keys
+
+
+_FAMILY_KEYS = {sec: {fam: _factory_keys(fn) for fam, fn in factories.items()}
+                for sec, factories in _FAMILIES.items()}
+
+
+def _family_section(sec: str, default_family: str) -> dict:
+    """Schema of a family section: the family plus every family's keys."""
+    keys = {"family": (str, default_family)}
+    for fam_keys in _FAMILY_KEYS[sec].values():
+        for key, entry in fam_keys.items():
+            keys.setdefault(key, entry)
+    return keys
+
+
+# section -> key -> (type, default); a blank value leaves a key unset
 _SCHEMA = {
     "grid": {"N": (int, 3), "r_max": (float, 30.0), "n": (int, 4096)},
-    "potential": {
-        "family": (str, "constant"),
-        "value": (float, None),
-        "a": (float, None),
-        "b": (float, None),
-        "alpha": (float, 2.0),
-        "v_inf": (float, None),
-        "eps": (float, None),
-        "shape": (str, "lorentzian"),
-        "theta": (float, None),
-    },
-    "nonlinearity": {
-        "family": (str, "power"),
-        "p": (float, 4.0),
-        "coeff": (float, 1.0),
-        "c": (float, None),
-    },
+    "potential": _family_section("potential", "constant"),
+    "nonlinearity": _family_section("nonlinearity", "power"),
     "solver": {
         "max_iters": (int, 20000),
         "step": (float, 1.0),
@@ -88,17 +107,6 @@ _SCHEMA = {
     },
     "sweep": {"lambda_grid": (str, ""), "t_cap": (float, 64.0)},
     "output": {"dir": (str, "out")},
-}
-
-_POTENTIAL_KEYS = {
-    "constant": {"value"},
-    "well": {"a", "b", "alpha", "theta"},
-    "perturbed": {"v_inf", "eps", "shape", "theta"},
-}
-_NONLINEARITY_KEYS = {
-    "power": {"p", "coeff"},
-    "saturating": {"c"},
-    "zero": set(),
 }
 
 
@@ -116,36 +124,28 @@ class RunConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        sections = {}
+        cfg = RunConfig()
         for sec in parser.sections():
             if sec not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{sec}]")
-            sections[sec] = {}
+            cfg.sections[sec] = {}
             for key, raw in parser.items(sec):
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                sections[sec][key] = _coerce(sec, key, raw)
-        cfg = RunConfig(sections)
+                cfg._store(sec, key, raw)
         cfg.validate()
         return cfg
 
     def validate(self):
-        fam = self.get("potential", "family")
-        if fam not in _POTENTIAL_KEYS:
-            raise ConfigError(f"unknown potential family {fam!r}")
-        given = set(self.sections.get("potential", {})) - {"family"}
-        extra = given - _POTENTIAL_KEYS[fam]
-        if extra:
-            raise ConfigError(
-                f"keys {sorted(extra)} do not apply to potential family {fam!r}")
-        nfam = self.get("nonlinearity", "family")
-        if nfam not in _NONLINEARITY_KEYS:
-            raise ConfigError(f"unknown nonlinearity family {nfam!r}")
-        extra = (set(self.sections.get("nonlinearity", {})) - {"family"}
-                 - _NONLINEARITY_KEYS[nfam])
-        if extra:
-            raise ConfigError(
-                f"keys {sorted(extra)} do not apply to nonlinearity family {nfam!r}")
+        for sec in _FAMILY_KEYS:
+            fam = self.get(sec, "family")
+            if fam not in _FAMILY_KEYS[sec]:
+                raise ConfigError(f"unknown {sec} family {fam!r}")
+            extra = (set(self.sections.get(sec, {})) - {"family"}
+                     - set(_FAMILY_KEYS[sec][fam]))
+            if extra:
+                raise ConfigError(
+                    f"keys {sorted(extra)} do not apply to {sec} family {fam!r}")
         if self.get("grid", "N") < 3:
             raise ConfigError("grid.N must be >= 3")
 
@@ -157,7 +157,23 @@ class RunConfig:
     def set(self, sec: str, key: str, raw: str):
         if sec not in _SCHEMA or key not in _SCHEMA[sec]:
             raise ConfigError(f"unknown config entry {sec}.{key}")
-        self.sections.setdefault(sec, {})[key] = _coerce(sec, key, raw)
+        self._store(sec, key, raw)
+
+    def _store(self, sec: str, key: str, raw):
+        val = _coerce(sec, key, raw)
+        entries = self.sections.setdefault(sec, {})
+        if val is None:
+            entries.pop(key, None)   # blank: the default applies
+        else:
+            entries[key] = val
+
+    def _key_order(self, sec: str) -> list:
+        """Schema order; a family section lists its family's keys first,
+        in the order of the factory's parameters."""
+        if sec not in _FAMILY_KEYS:
+            return list(_SCHEMA[sec])
+        fam_keys = _FAMILY_KEYS[sec].get(self.get(sec, "family"), {})
+        return list(dict.fromkeys(["family", *fam_keys, *_SCHEMA[sec]]))
 
     def to_ini(self) -> str:
         lines = []
@@ -165,7 +181,7 @@ class RunConfig:
             if sec not in self.sections or not self.sections[sec]:
                 continue
             lines.append(f"[{sec}]")
-            for key in _SCHEMA[sec]:
+            for key in self._key_order(sec):
                 if key in self.sections[sec]:
                     lines.append(f"{key} = {_format_value(self.sections[sec][key])}")
             lines.append("")
@@ -180,42 +196,27 @@ class RunConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def build_potential(self):
-        fam = self.get("potential", "family")
+    def _build_family(self, sec: str):
+        """Call the factory of the section's family with the given keys;
+        an unset key takes the factory's default."""
+        fam = self.get(sec, "family")
+        given = self.sections.get(sec, {})
+        params = {}
+        for key, (_, default) in _FAMILY_KEYS[sec][fam].items():
+            if key in given:
+                params[key] = given[key]
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key {sec}.{key}")
         try:
-            if fam == "constant":
-                value = self.get("potential", "value")
-                return make_potential("constant", value=1.0 if value is None else value)
-            if fam == "well":
-                return make_potential(
-                    "well",
-                    a=_required(self, "potential", "a"),
-                    b=_required(self, "potential", "b"),
-                    alpha=self.get("potential", "alpha"),
-                    theta=self.get("potential", "theta"),
-                )
-            return make_potential(
-                "perturbed",
-                v_inf=_required(self, "potential", "v_inf"),
-                eps=_required(self, "potential", "eps"),
-                shape=self.get("potential", "shape"),
-                theta=self.get("potential", "theta"),
-            )
+            return _FAMILIES[sec][fam](**params)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def build_potential(self):
+        return self._build_family("potential")
+
     def build_nonlinearity(self):
-        fam = self.get("nonlinearity", "family")
-        try:
-            if fam == "power":
-                return make_nonlinearity("power", p=self.get("nonlinearity", "p"),
-                                         coeff=self.get("nonlinearity", "coeff"))
-            if fam == "saturating":
-                return make_nonlinearity("saturating",
-                                         c=_required(self, "nonlinearity", "c"))
-            return make_nonlinearity("zero")
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build_family("nonlinearity")
 
     def build_context(self):
         grid = self.build_grid()
@@ -235,7 +236,6 @@ class RunConfig:
                 poho_tol=self.get("solver", "poho_tol"),
                 amp=self.get("solver", "amp"),
                 width=self.get("solver", "width"),
-                seed=self.get("solver", "seed"),
             )
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -265,13 +265,6 @@ def _coerce(sec: str, key: str, raw):
     except ValueError as exc:
         raise ConfigError(f"{sec}.{key}: cannot parse {raw!r} as {typ.__name__}") from exc
     return raw
-
-
-def _required(cfg: RunConfig, sec: str, key: str):
-    val = cfg.get(sec, key)
-    if val is None:
-        raise ConfigError(f"missing required key {sec}.{key}")
-    return val
 
 
 def _format_value(v) -> str:
@@ -366,9 +359,8 @@ def sweep_csv(report) -> str:
 # commands
 # ----------------------------------------------------------------------
 
-def _cmd_check_conditions(cfg, out_dir, seed):
-    ctx = cfg.build_context()
-    suite = run_condition_suite(ctx.V, ctx.f, ctx.grid.N, ctx.grid.r_max)
+def _write_conditions(out_dir, suite):
+    """conditions.json of check-conditions and of a solve whose checks fail."""
     payload = {
         "theta_min": suite["theta_min"],
         "theta_v3": suite["theta_v3"],
@@ -376,55 +368,52 @@ def _cmd_check_conditions(cfg, out_dir, seed):
         "reports": {k: r.to_dict() for k, r in suite["reports"].items()},
     }
     atomic_write(os.path.join(out_dir, "conditions.json"), format_json(payload))
+
+
+def _cmd_check_conditions(cfg, out_dir, seed):
+    ctx = cfg.build_context()
+    suite = run_condition_suite(ctx.V, ctx.f, ctx.grid.N, ctx.grid.r_max)
+    _write_conditions(out_dir, suite)
     status = "pass" if suite["pass"] else "FAIL"
     print(f"check-conditions: {status} theta_min={suite['theta_min']:.6g} "
           f"theta_v3={suite['theta_v3']:.6g}")
     return 0 if suite["pass"] else 3
 
 
-def _solve_common(cfg, out_dir, routine, stem):
-    ctx = cfg.build_context()
-    opts = cfg.build_options()
-    rep = routine(ctx, opts)
+def _solve_common(ctx, cfg, out_dir, routine, stem):
+    rep = routine(ctx, cfg.build_options())
     atomic_write(os.path.join(out_dir, f"{stem}_report.json"),
                  format_json(rep.to_dict()))
     atomic_write(os.path.join(out_dir, f"{stem}_profile.csv"),
                  profile_csv(rep.u_star))
-    print(f"{stem}: converged energy={rep.energy:.10g} "
+    print(f"{stem}: converged energy={rep.energy:.10g} u(0)={rep.u_at_zero:.12g} "
           f"poho={rep.pohozaev_residual:.3e} pde={rep.pde_residual:.3e}")
     return 0
 
 
 def _cmd_solve(cfg, out_dir, seed):
-    suite = run_condition_suite(cfg.build_potential(), cfg.build_nonlinearity(),
-                                cfg.get("grid", "N"), cfg.get("grid", "r_max"))
+    ctx = cfg.build_context()
+    suite = run_condition_suite(ctx.V, ctx.f, ctx.grid.N, ctx.grid.r_max)
     if not suite["pass"]:
-        print("solve: hypothesis checks failed; see conditions in the report")
-        atomic_write(os.path.join(out_dir, "conditions.json"), format_json(
-            {k: r.to_dict() for k, r in suite["reports"].items()}))
+        print("solve: hypothesis checks failed; see conditions.json")
+        _write_conditions(out_dir, suite)
         return 3
-    return _solve_common(cfg, out_dir, solve_fiber_descent, "solve")
+    return _solve_common(ctx, cfg, out_dir, solve_fiber_descent, "solve")
 
 
 def _cmd_solve_limit(cfg, out_dir, seed):
     def routine(ctx, opts):
         return solve_limit_BL(ctx.limit_context(), opts)
 
-    return _solve_common(cfg, out_dir, routine, "solve_limit")
+    return _solve_common(cfg.build_context(), cfg, out_dir, routine, "solve_limit")
 
 
 def _cmd_oracle_shoot(cfg, out_dir, seed):
-    ctx = cfg.build_context()
-    opts = cfg.build_options()
-    rep = shoot_oracle(ctx.V.v_inf, ctx.f, ctx.grid.N, lam=ctx.lam,
-                       grid=ctx.grid, opts=opts)
-    atomic_write(os.path.join(out_dir, "shoot_report.json"),
-                 format_json(rep.to_dict()))
-    atomic_write(os.path.join(out_dir, "shoot_profile.csv"),
-                 profile_csv(rep.u_star))
-    print(f"oracle-shoot: u(0)={rep.u_at_zero:.12g} energy={rep.energy:.10g} "
-          f"poho={rep.pohozaev_residual:.3e}")
-    return 0
+    def routine(ctx, opts):
+        return shoot_oracle(ctx.V.v_inf, ctx.f, ctx.grid.N, lam=ctx.lam,
+                            grid=ctx.grid, opts=opts)
+
+    return _solve_common(cfg.build_context(), cfg, out_dir, routine, "shoot")
 
 
 def _cmd_project(cfg, out_dir, seed):
@@ -581,10 +570,9 @@ def main(argv=None) -> int:
     ap.add_argument("--dump-config", action="store_true",
                     help="print the normalized config and exit")
     args = ap.parse_args(argv)
-    code = run(args.command, args.config, out_dir=args.out, seed=args.seed,
+    return run(args.command, args.config, out_dir=args.out, seed=args.seed,
                overrides=args.set, solution_path=args.solution,
                dump_config=args.dump_config)
-    return code
 
 
 if __name__ == "__main__":

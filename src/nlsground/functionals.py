@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import RadialFunction, RadialGrid, grad_seminorm_sq
-from .model import NonlinearitySpec, PotentialSpec
+from .model import NonlinearitySpec, PotentialSpec, constant_potential
 
 __all__ = [
     "FunctionalContext",
@@ -66,8 +66,6 @@ class FunctionalContext:
 
     def limit_context(self) -> "FunctionalContext":
         """Same problem with V frozen at its value at infinity."""
-        from .model import constant_potential
-
         return FunctionalContext(self.grid, constant_potential(self.V.v_inf),
                                  self.f, self.lam)
 
@@ -98,6 +96,15 @@ class FiberValues:
         return (
             0.5 * (N - 2.0) * self.grad
             + 0.5 * (N * self.pot + self.pot_w)
+            - N * self.ctx.lam * self.f_int
+        )
+
+    def pohozaev_limit(self) -> float:
+        """pohozaev() with V frozen at V_inf."""
+        N = self.ctx.grid.N
+        return (
+            0.5 * (N - 2.0) * self.grad
+            + 0.5 * N * self.ctx.V.v_inf * self.mass
             - N * self.ctx.lam * self.f_int
         )
 
@@ -194,13 +201,7 @@ def pohozaev(ctx: FunctionalContext, u: RadialFunction) -> float:
 
 def pohozaev_limit(ctx: FunctionalContext, u: RadialFunction) -> float:
     """Dilation identity of the constant-potential problem."""
-    fv = fiber_values(ctx, u)
-    N = ctx.grid.N
-    return (
-        0.5 * (N - 2.0) * fv.grad
-        + 0.5 * N * ctx.V.v_inf * fv.mass
-        - N * ctx.lam * fv.f_int
-    )
+    return fiber_values(ctx, u).pohozaev_limit()
 
 
 def psi(ctx: FunctionalContext, u: RadialFunction) -> float:

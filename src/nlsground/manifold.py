@@ -22,7 +22,7 @@ from .errors import (
     NotInLambdaError,
     ZeroFunctionError,
 )
-from .functionals import FiberValues, FunctionalContext, fiber_values
+from .functionals import FiberValues, FunctionalContext, fiber_values, pohozaev
 from .grid import RadialFunction, dilate, h1_norm_sq
 
 __all__ = [
@@ -180,8 +180,6 @@ def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET,
                             BISECT_LOG_TOL)
     t_u = float(np.exp(0.5 * (lo + hi)))
     projected = dilate(u, t_u)
-    from .functionals import pohozaev
-
     residual = abs(pohozaev(ctx, projected))
     tol = 5e-3 * (1.0 + h1_norm_sq(projected))
     return FiberProjection(

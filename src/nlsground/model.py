@@ -13,7 +13,7 @@ witness but cannot certify globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,22 +120,15 @@ class ConditionReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "pass": self.passed,
-            "witness": self.witness,
-            "margin": self.margin,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "notes": self.notes,
-        }
+        # the fields in order, with "passed" written as "pass"
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
 
 # ----------------------------------------------------------------------
 # built-in families
 # ----------------------------------------------------------------------
 
-def constant_potential(value: float) -> PotentialSpec:
+def constant_potential(value: float = 1.0) -> PotentialSpec:
     if value < 0:
         raise DomainError("constant potential must be nonnegative")
     v = float(value)
@@ -201,7 +194,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
     )
 
 
-def power_nonlinearity(p: float, coeff: float = 1.0) -> NonlinearitySpec:
+def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
     """Pure power f(t) = coeff |t|^{p-2} t (subcritical when 2 < p < 2N/(N-2))."""
     if p <= 1:
         raise DomainError("power exponent must exceed 1")

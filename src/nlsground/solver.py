@@ -11,7 +11,7 @@ and certifies the strict level gap used for compactness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     StiffIntegrationError,
 )
-from .functionals import FunctionalContext, fiber_values, g_of_t
+from .functionals import FiberValues, FunctionalContext, energy, fiber_values, g_of_t
 from .grid import (
     RadialFunction,
     RadialGrid,
@@ -40,7 +40,7 @@ from .grid import (
     pde_residual,
 )
 from .manifold import false_position, lambda_membership, project_to_M
-from .model import check_V1V2, estimate_theta_V4
+from .model import check_V1V2, constant_potential, estimate_theta_V4
 
 __all__ = [
     "SolveOptions",
@@ -76,7 +76,6 @@ class SolveOptions:
     poho_tol: Optional[float] = None
     amp: float = 2.0
     width: float = 1.5
-    seed: int = 0
     precond_beta: float = 1.0
     bl_kkt_tol: float = 1e-7
     # shooting controls
@@ -164,16 +163,7 @@ class SweepReport:
     dropped: list
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_bar": self.lambda_bar,
-            "T": self.T,
-            "zeta0": self.zeta0,
-            "x_bar": self.x_bar,
-            "r_bar": self.r_bar,
-            "rows": self.rows,
-            "requested": self.requested,
-            "dropped": self.dropped,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -219,13 +209,50 @@ def _h1_preconditioner(grid: RadialGrid, beta: float):
     return solve
 
 
-def _certificates(ctx: FunctionalContext, u: RadialFunction):
-    """(relative PDE residual, relative dilation-identity residual)."""
-    res = pde_residual(u, ctx.V.V, ctx.f.f, ctx.lam)
-    rel_pde = math.sqrt(max(l2_norm_sq(res), 0.0) / max(l2_norm_sq(u), 1e-300))
+def _rel_residual(res: RadialFunction, u: RadialFunction) -> float:
+    """Relative L2 size ||res||_2 / ||u||_2 of a strong-form residual."""
+    return math.sqrt(max(l2_norm_sq(res), 0.0) / max(l2_norm_sq(u), 1e-300))
+
+
+def _rel_pde(ctx: FunctionalContext, u: RadialFunction) -> float:
+    """Relative strong-form residual of the target equation at u."""
+    return _rel_residual(pde_residual(u, ctx.V.V, ctx.f.f, ctx.lam), u)
+
+
+def _rel_poho(fv: FiberValues) -> float:
+    """Relative dilation-identity residual |P(u)| / ||u||_{H1}^2."""
+    return abs(fv.pohozaev()) / max(h1_norm_sq(fv.u), 1e-300)
+
+
+def _finish(ctx: FunctionalContext, route: str, u: RadialFunction,
+            rel_pde: float, iterations: int, u_at_zero: float, tols,
+            why: str) -> SolveReport:
+    """Certify u and build the route's report; ConvergenceError (carrying
+    the report) unless both residuals meet their tolerances at a
+    positive level."""
+    grad_tol, poho_tol = tols
     fv = fiber_values(ctx, u)
-    rel_poho = abs(fv.pohozaev()) / max(h1_norm_sq(u), 1e-300)
-    return rel_pde, rel_poho, fv
+    rel_poho = _rel_poho(fv)
+    m_hat = fv.energy()
+    converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
+    report = SolveReport(
+        converged=converged,
+        u_star=u,
+        energy=m_hat,
+        pohozaev_residual=rel_poho,
+        pde_residual=rel_pde,
+        iterations=iterations,
+        route=route,
+        u_at_zero=u_at_zero,
+        grad_tol=grad_tol,
+        poho_tol=poho_tol,
+    )
+    if not converged:
+        raise ConvergenceError(
+            f"{why}: pde residual {rel_pde:.3e} (tol {grad_tol:.1e}), "
+            f"dilation-identity residual {rel_poho:.3e} (tol {poho_tol:.1e}), "
+            f"level {m_hat:.6g}", report=report)
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -245,17 +272,15 @@ def solve_fiber_descent(ctx: FunctionalContext,
     Callers are expected to have checked the potential/nonlinearity
     hypotheses; this routine only enforces admissibility of the iterates.
     """
-    grad_tol, poho_tol = opts.tolerances("fiber-descent")
+    grad_tol, poho_tol = tols = opts.tolerances("fiber-descent")
     psolve = _h1_preconditioner(ctx.grid, opts.precond_beta)
     u = project_to_M(ctx, initial_bump(ctx, opts.amp, opts.width)).projected
-    from .functionals import energy as energy_of
-
-    level = energy_of(ctx, u)
+    level = energy(ctx, u)
     s = opts.step
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         res = pde_residual(u, ctx.V.V, ctx.f.f, ctx.lam)
-        rel_pde = math.sqrt(l2_norm_sq(res) / max(l2_norm_sq(u), 1e-300))
+        rel_pde = _rel_residual(res, u)
         if rel_pde <= grad_tol:
             break
         d = psolve(res.values)
@@ -291,33 +316,13 @@ def solve_fiber_descent(ctx: FunctionalContext,
     # proportional to its dilation offset; reprojecting at t ~ 1 contracts
     # the constraint residual to round-off
     for _ in range(12):
-        _, rel_poho, _ = _certificates(ctx, u)
-        if rel_poho <= poho_tol:
+        if _rel_poho(fiber_values(ctx, u)) <= poho_tol:
             break
         u = project_to_M(ctx, u).projected
 
-    rel_pde, rel_poho, fv = _certificates(ctx, u)
-    m_hat = fv.energy()
-    converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
-    report = SolveReport(
-        converged=converged,
-        u_star=u,
-        energy=m_hat,
-        pohozaev_residual=rel_poho,
-        pde_residual=rel_pde,
-        iterations=iters,
-        route="fiber-descent",
-        u_at_zero=float(u.values[0]),
-        grad_tol=grad_tol,
-        poho_tol=poho_tol,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"fiber descent stopped after {iters} iterations with "
-            f"pde residual {rel_pde:.3e} (tol {grad_tol:.1e}), "
-            f"dilation-identity residual {rel_poho:.3e} (tol {poho_tol:.1e})",
-            report=report)
-    return report
+    return _finish(ctx, "fiber-descent", u, _rel_pde(ctx, u), iters,
+                   float(u.values[0]), tols,
+                   f"fiber descent stopped after {iters} iterations")
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +389,6 @@ def solve_limit_BL(ctx: FunctionalContext,
         raise PreconditionError("constrained route requires a constant potential")
     grid = ctx.grid
     N = grid.N
-    grad_tol, poho_tol = opts.tolerances("bl-constrained")
     psolve = _h1_preconditioner(grid, opts.precond_beta)
     wts = grid.weights
 
@@ -461,29 +465,9 @@ def solve_limit_BL(ctx: FunctionalContext,
         lambda s: t2 * ctx.lam * np.asarray(ctx.f.f(s), dtype=float),
         1.0,
     )
-    rel_pde = math.sqrt(l2_norm_sq(res_w) / max(l2_norm_sq(w_hat), 1e-300)) / t2
-    fv = fiber_values(ctx, u_bar)
-    rel_poho = abs(fv.pohozaev()) / max(h1_norm_sq(u_bar), 1e-300)
-    m_hat = fv.energy()
-    converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
-    report = SolveReport(
-        converged=converged,
-        u_star=u_bar,
-        energy=m_hat,
-        pohozaev_residual=rel_poho,
-        pde_residual=rel_pde,
-        iterations=iters,
-        route="bl-constrained",
-        u_at_zero=float(u_bar.values[0]),
-        grad_tol=grad_tol,
-        poho_tol=poho_tol,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"constrained route stopped after {iters} iterations with "
-            f"pde residual {rel_pde:.3e}, dilation-identity residual "
-            f"{rel_poho:.3e}, kkt {kkt:.3e}", report=report)
-    return report
+    return _finish(ctx, "bl-constrained", u_bar, _rel_residual(res_w, w_hat) / t2,
+                   iters, float(u_bar.values[0]), opts.tolerances("bl-constrained"),
+                   f"constrained route stopped after {iters} iterations at kkt {kkt:.3e}")
 
 
 # ----------------------------------------------------------------------
@@ -650,34 +634,9 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     vals[-1] = 0.0
     u_star = RadialFunction(grid, vals)
 
-    grad_tol, poho_tol = opts.tolerances("shooting")
-    ctx = FunctionalContext(grid, _const_spec(v_inf), f, lam)
-    rel_pde, rel_poho, fv = _certificates(ctx, u_star)
-    m_hat = fv.energy()
-    converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
-    report = SolveReport(
-        converged=converged,
-        u_star=u_star,
-        energy=m_hat,
-        pohozaev_residual=rel_poho,
-        pde_residual=rel_pde,
-        iterations=0,
-        route="shooting",
-        u_at_zero=float(a_star),
-        grad_tol=grad_tol,
-        poho_tol=poho_tol,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"shooting profile failed its certificates: pde {rel_pde:.3e}, "
-            f"dilation identity {rel_poho:.3e}", report=report)
-    return report
-
-
-def _const_spec(v_inf: float):
-    from .model import constant_potential
-
-    return constant_potential(v_inf)
+    ctx = FunctionalContext(grid, constant_potential(v_inf), f, lam)
+    return _finish(ctx, "shooting", u_star, _rel_pde(ctx, u_star), 0, float(a_star),
+                   opts.tolerances("shooting"), "shooting profile failed its certificates")
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +671,9 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
 
     u1 = shoot_oracle(ctx.V.v_inf, ctx.f, N, lam=1.0, grid=grid, opts=opts)
     u1f = u1.u_star
-    fv1 = fiber_values(FunctionalContext(grid, ctx.V, ctx.f, 1.0), u1f)
+    # the quadratures of u1 do not depend on the weight: the fiber at any
+    # lam is fv1 with its context's weight replaced
+    fv1 = fiber_values(ctx.with_lambda(1.0), u1f)
     f_int = fv1.f_int
     if f_int <= 0:
         raise PreconditionError("autonomous ground state has nonpositive int F")
@@ -737,10 +698,11 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
 
     requested = (list(lambda_grid) if lambda_grid is not None else None)
 
+    def fiber_at(lam: float) -> FiberValues:
+        return replace(fv1, ctx=ctx.with_lambda(lam))
+
     def path_end_negative(T: float, lams) -> bool:
-        # fv1.energy_at uses lam=1; recompute per-lam via the lam-linearity
-        base = float(fv1.energy_at(T)[0]) + f_int * T**N  # lam-free part
-        return all(base - lam * f_int * T**N < 0.0 for lam in lams)
+        return all(float(fiber_at(lam).energy_at(T)[0]) < 0.0 for lam in lams)
 
     probe = requested if requested is not None else [1.0]
     T = 2.0
@@ -779,11 +741,10 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
     rows = []
     tau = np.geomspace(1e-3 * T, T, 800)
     for lam in lams:
-        row_ctx = FunctionalContext(grid, ctx.V, ctx.f, lam)
         # the lam = 1 row is the shot u1 already made
         m_inf = u1.energy if lam == 1.0 else shoot_oracle(
             ctx.V.v_inf, ctx.f, N, lam=lam, grid=grid, opts=opts).energy
-        fv_lam = fiber_values(row_ctx, u1f)
+        fv_lam = fiber_at(lam)
         zeta = fv_lam.energy_at(tau)
         j = int(np.argmax(zeta))
         lo = tau[max(j - 1, 0)]

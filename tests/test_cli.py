@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from nlsground.cli import RunConfig, format_json, run
+from nlsground.cli import _SCHEMA, RunConfig, format_json, run
 from nlsground.errors import ConfigError
 
 WELL_INI = """\
@@ -197,3 +197,136 @@ def test_format_json_17_digits():
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == pytest.approx(1.0 / 3.0, rel=1e-16)
     assert json.loads(text)["flag"] is True
+
+
+# ----------------------------------------------------------------------
+# the config map: INI keys -> model factories
+# ----------------------------------------------------------------------
+
+POTENTIAL_CASES = {
+    "constant": ({"value": 2.0}, "value = 2.0\n"),
+    "well": ({"a": 1.0, "b": 0.2, "alpha": 3.0, "theta": 0.95},
+             "a = 1.0\nb = 0.2\nalpha = 3.0\ntheta = 0.95\n"),
+    "perturbed": ({"v_inf": 1.0, "eps": 0.25, "shape": "gaussian", "theta": 0.5},
+                  "theta = 0.5\nshape = gaussian\neps = 0.25\nv_inf = 1.0\n"),
+}
+NONLINEARITY_CASES = {
+    "power": ({"p": 3.5, "coeff": 1.5}, "coeff = 1.5\np = 3.5\n"),
+    "saturating": ({"c": 4.0}, "c = 4.0\n"),
+    "zero": ({}, ""),
+}
+
+
+def _family_ini(pot, nl, pot_keys=None, nl_keys=None):
+    pk = POTENTIAL_CASES[pot][1] if pot_keys is None else pot_keys
+    nk = NONLINEARITY_CASES[nl][1] if nl_keys is None else nl_keys
+    return (f"[grid]\nn = 512\n[solver]\nseed = 3\n"
+            f"[potential]\nfamily = {pot}\n{pk}"
+            f"[nonlinearity]\nfamily = {nl}\n{nk}")
+
+
+@pytest.mark.parametrize("nl", sorted(NONLINEARITY_CASES))
+@pytest.mark.parametrize("pot", sorted(POTENTIAL_CASES))
+def test_builders_match_direct_factory_calls(pot, nl):
+    from nlsground.model import make_nonlinearity, make_potential
+
+    cfg = RunConfig.from_ini(_family_ini(pot, nl))
+    V = cfg.build_potential()
+    want_V = make_potential(pot, **POTENTIAL_CASES[pot][0])
+    assert (V.family, V.params, V.theta) == (want_V.family, want_V.params, want_V.theta)
+    f = cfg.build_nonlinearity()
+    want_f = make_nonlinearity(nl, **NONLINEARITY_CASES[nl][0])
+    assert (f.family, f.params) == (want_f.family, want_f.params)
+
+
+def test_constant_value_and_power_p_defaults():
+    cfg = RunConfig.from_ini(_family_ini("constant", "power", "", "coeff = 2.0\n"))
+    assert cfg.build_potential().params == {"value": 1.0}
+    assert cfg.build_nonlinearity().params == {"p": 4.0, "coeff": 2.0}
+
+
+@pytest.mark.parametrize("pot, nl, key", [
+    ("well", "power", "potential.a"),
+    ("perturbed", "power", "potential.eps"),
+    ("constant", "saturating", "nonlinearity.c"),
+])
+def test_missing_required_key_exits_1(tmp_path, capsys, pot, nl, key):
+    sec, _, name = key.partition(".")
+    keys = {"potential": POTENTIAL_CASES[pot][1], "nonlinearity": NONLINEARITY_CASES[nl][1]}
+    keys[sec] = "".join(line + "\n" for line in keys[sec].splitlines()
+                        if not line.startswith(name + " "))
+    path = tmp_path / "cfg.ini"
+    path.write_text(_family_ini(pot, nl, keys["potential"], keys["nonlinearity"]))
+    assert run("check-conditions", str(path), out_dir=str(tmp_path / "o")) == 1
+    assert f"missing required key {key}" in capsys.readouterr().err
+
+
+def test_key_from_another_family_is_config_error():
+    with pytest.raises(ConfigError, match="do not apply to potential family"):
+        RunConfig.from_ini(_family_ini("well", "power", "a = 1.0\nb = 0.2\nvalue = 1.0\n"))
+    with pytest.raises(ConfigError, match="do not apply to nonlinearity family"):
+        RunConfig.from_ini(_family_ini("constant", "zero", nl_keys="p = 3.0\n"))
+
+
+DUMPS = {
+    "constant": "value = 2.0\n",
+    "well": "a = 1.0\nb = 0.2\nalpha = 3.0\ntheta = 0.95\n",
+    # given in reverse; the dump lists them in the factory's order
+    "perturbed": "v_inf = 1.0\neps = 0.25\nshape = gaussian\ntheta = 0.5\n",
+}
+
+
+@pytest.mark.parametrize("pot", sorted(DUMPS))
+def test_dump_config_bytes(tmp_path, capsys, pot):
+    path = tmp_path / "cfg.ini"
+    path.write_text(_family_ini(pot, "power"))
+    assert run("solve", str(path), dump_config=True) == 0
+    assert capsys.readouterr().out == (
+        "[grid]\nn = 512\n\n"
+        f"[potential]\nfamily = {pot}\n{DUMPS[pot]}\n"
+        "[nonlinearity]\nfamily = power\np = 3.5\ncoeff = 1.5\n\n"
+        "[solver]\nseed = 3\n")
+
+
+BLANK_INI = WELL_INI.replace("n = {n}", "n = 1024")
+
+
+@pytest.mark.parametrize("sec, key", [(sec, key) for sec, keys in _SCHEMA.items()
+                                      for key in keys])
+def test_blank_value_means_unset(tmp_path, sec, key):
+    path = tmp_path / "well.ini"
+    path.write_text(BLANK_INI.format(out=tmp_path / "unused"))
+    cfg = RunConfig.from_ini(path.read_text())
+    cfg.set(sec, key, "  ")
+    assert key not in cfg.sections.get(sec, {})
+    # unsetting a well parameter that has no default, or the family (whose
+    # default, constant, takes no well keys), is a configuration error
+    want = 1 if (sec, key) in {("potential", "family"), ("potential", "a"),
+                               ("potential", "b")} else 0
+    assert run("project", str(path), out_dir=str(tmp_path / "o"),
+               overrides=[f"{sec}.{key}="]) == want
+
+
+def test_failing_solve_writes_the_conditions_report(well_cfg, tmp_path):
+    failing = ["potential.b=0.3", "potential.theta="]
+    assert run("solve", well_cfg, out_dir=str(tmp_path / "s"), overrides=failing) == 3
+    assert run("check-conditions", well_cfg, out_dir=str(tmp_path / "c"),
+               overrides=failing) == 3
+    with open(tmp_path / "s" / "conditions.json", "rb") as fh:
+        solve_bytes = fh.read()
+    with open(tmp_path / "c" / "conditions.json", "rb") as fh:
+        assert solve_bytes == fh.read()
+    data = json.loads(solve_bytes)
+    assert list(data) == ["theta_min", "theta_v3", "pass", "reports"]
+    assert data["pass"] is False
+    assert not os.path.exists(tmp_path / "s" / "solve_report.json")
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("Example configuration", 1)[1].split("```ini\n", 1)[1]
+    cfg = RunConfig.from_ini(block.split("```", 1)[0])
+    assert cfg.build_potential().params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
+    assert cfg.lambda_grid() is None

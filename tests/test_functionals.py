@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -256,3 +257,26 @@ def test_iip_gap_wrapper_is_fiber_method(ctx_well, grid4096):
         fv = fiber_values(ctx_well, u)
         for t in DILATIONS:
             assert iip_gap(ctx_well, u, t) == fv.iip_gap(t)
+
+
+def test_fiber_at_another_weight_is_a_context_swap(ctx_well, grid4096):
+    # the quadratures do not depend on lam, so swapping the context's weight
+    # gives the fiber of the same u at that weight, bit for bit
+    u = RadialFunction.sampled(grid4096, lambda r: 3.0 * np.exp(-r**2 / 2.0))
+    fv1 = fiber_values(ctx_well, u)
+    t = np.geomspace(0.1, 4.0, 9)
+    for lam in (0.5, 0.97, 1.0):
+        swapped = dataclasses.replace(fv1, ctx=ctx_well.with_lambda(lam))
+        direct = fiber_values(ctx_well.with_lambda(lam), u)
+        assert np.array_equal(swapped.energy_at(t), direct.energy_at(t))
+        assert swapped.energy() == direct.energy()
+        assert swapped.pohozaev_limit() == direct.pohozaev_limit()
+
+
+def test_pohozaev_limit_is_the_fiber_formula(ctx_well, grid4096):
+    u = RadialFunction.sampled(grid4096, lambda r: 2.0 * np.exp(-r**2))
+    fv = fiber_values(ctx_well, u)
+    N = grid4096.N
+    assert pohozaev_limit(ctx_well, u) == fv.pohozaev_limit() == (
+        0.5 * (N - 2.0) * fv.grad + 0.5 * N * ctx_well.V.v_inf * fv.mass
+        - N * ctx_well.lam * fv.f_int)

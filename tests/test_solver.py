@@ -343,3 +343,22 @@ def test_report_serialization(rep_shoot):
     assert d["route"] == "shooting"
     d2 = rep_shoot.to_dict(include_profile=False)
     assert "u" not in d2
+
+
+@pytest.mark.parametrize("route, opts", [
+    ("fiber-descent", SolveOptions(max_iters=1)),
+    ("bl-constrained", SolveOptions(max_iters=1)),
+    ("shooting", SolveOptions(grad_tol=1e-12)),
+])
+def test_failed_certificates_carry_the_report(ctx_auto, route, opts):
+    routine = {
+        "fiber-descent": solve_fiber_descent,
+        "bl-constrained": solve_limit_BL,
+        "shooting": lambda ctx, o: shoot_oracle(1.0, ctx.f, 3, grid=ctx.grid, opts=o),
+    }[route]
+    with pytest.raises(ConvergenceError) as info:
+        routine(ctx_auto, opts)
+    rep = info.value.report
+    assert rep.route == route
+    assert rep.converged is False
+    assert rep.u_star.grid.same_mesh(ctx_auto.grid)

@@ -8,6 +8,10 @@ CSV profiles, and a stable exit-code contract:
     1  configuration error
     2  solver non-convergence or bracket failure
     3  condition-check or verification failure
+
+A failed check returns 3 from its command.  Every other failure is an
+NlsgroundError, and the code and stderr label live on its class
+(``exit_code``, ``label`` in errors.py); ``run`` only reads them.
 """
 
 from __future__ import annotations
@@ -24,22 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BracketNotFoundError,
-    ConfigError,
-    ConstraintInfeasibleError,
-    ConvergenceError,
-    DomainError,
-    MultipleSignChangesError,
-    NlsgroundError,
-    NoSignChangeError,
-    NotInLambdaError,
-    PositivityBallError,
-    PreconditionError,
-    StiffIntegrationError,
-)
+from .errors import ConfigError, NlsgroundError
 from .functionals import FunctionalContext
-from .grid import RadialFunction, make_grid
+from .grid import RadialFunction, RadialGrid, make_grid
 from .manifold import fiber_table, project_to_M
 from .model import _F_FACTORIES, _FACTORIES, run_condition_suite
 from .solver import (
@@ -54,9 +45,6 @@ from .solver import (
 from .verify import run_suite
 
 __all__ = ["RunConfig", "run", "main"]
-
-COMMANDS = ("check-conditions", "solve", "solve-limit", "oracle-shoot",
-            "project", "verify", "sweep-lambda")
 
 # the [potential] and [nonlinearity] sections hold a family name plus the
 # parameters of that family's model factory, read off its signature
@@ -190,11 +178,8 @@ class RunConfig:
     # ----- builders -------------------------------------------------
 
     def build_grid(self):
-        try:
-            return make_grid(self.get("grid", "N"), self.get("grid", "r_max"),
-                             self.get("grid", "n"))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_grid(self.get("grid", "N"), self.get("grid", "r_max"),
+                         self.get("grid", "n"))
 
     def _build_family(self, sec: str):
         """Call the factory of the section's family with the given keys;
@@ -207,10 +192,7 @@ class RunConfig:
                 params[key] = given[key]
             elif default is _REQUIRED:
                 raise ConfigError(f"missing required key {sec}.{key}")
-        try:
-            return _FAMILIES[sec][fam](**params)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _FAMILIES[sec][fam](**params)
 
     def build_potential(self):
         return self._build_family("potential")
@@ -221,24 +203,18 @@ class RunConfig:
     def build_context(self):
         grid = self.build_grid()
         lam = self.get("solver", "lam")
-        try:
-            return FunctionalContext(grid, self.build_potential(),
-                                     self.build_nonlinearity(), lam)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return FunctionalContext(grid, self.build_potential(),
+                                 self.build_nonlinearity(), lam)
 
     def build_options(self) -> SolveOptions:
-        try:
-            return SolveOptions(
-                max_iters=self.get("solver", "max_iters"),
-                step=self.get("solver", "step"),
-                grad_tol=self.get("solver", "grad_tol"),
-                poho_tol=self.get("solver", "poho_tol"),
-                amp=self.get("solver", "amp"),
-                width=self.get("solver", "width"),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SolveOptions(
+            max_iters=self.get("solver", "max_iters"),
+            step=self.get("solver", "step"),
+            grad_tol=self.get("solver", "grad_tol"),
+            poho_tol=self.get("solver", "poho_tol"),
+            amp=self.get("solver", "amp"),
+            width=self.get("solver", "width"),
+        )
 
     def lambda_grid(self):
         raw = self.get("sweep", "lambda_grid").strip()
@@ -280,7 +256,9 @@ def _format_value(v) -> str:
 # ----------------------------------------------------------------------
 
 def format_json(obj) -> str:
-    """JSON text with every float rendered to 17 significant digits."""
+    """JSON text with every finite float rendered to 17 significant digits
+    and every other float as the token Python's json reads back
+    (Infinity, -Infinity, NaN)."""
     def walk(x):
         if isinstance(x, dict):
             return {k: walk(v) for k, v in x.items()}
@@ -289,7 +267,8 @@ def format_json(obj) -> str:
         if isinstance(x, (bool, np.bool_)):
             return bool(x)
         if isinstance(x, (float, np.floating)):
-            return _RawFloat(format(float(x), ".17g"))
+            x = float(x)
+            return _RawFloat(format(x, ".17g") if np.isfinite(x) else json.dumps(x))
         if isinstance(x, (int, np.integer)):
             return int(x)
         return x
@@ -439,40 +418,18 @@ def _cmd_project(cfg, out_dir, seed):
     return 0
 
 
-def _load_solution(path: str, cfg: RunConfig) -> SolveReport:
+def _load_solution(path: str, grid: RadialGrid) -> SolveReport:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solution file {path}: {exc}") from exc
-    gblock = data.get("grid", {})
-    want = {"N": cfg.get("grid", "N"), "r_max": cfg.get("grid", "r_max"),
-            "n": cfg.get("grid", "n")}
-    if (gblock.get("N"), gblock.get("r_max"), gblock.get("n")) != (
-            want["N"], want["r_max"], want["n"]):
-        raise ConfigError(
-            f"solution grid block {gblock} does not match config grid {want}")
-    if "u" not in data:
-        raise ConfigError("solution file has no profile values")
-    grid = cfg.build_grid()
-    u = RadialFunction(grid, np.asarray(data["u"], dtype=float))
-    return SolveReport(
-        converged=bool(data.get("converged", False)),
-        u_star=u,
-        energy=float(data.get("energy", 0.0)),
-        pohozaev_residual=float(data.get("pohozaev_residual", np.inf)),
-        pde_residual=float(data.get("pde_residual", np.inf)),
-        iterations=int(data.get("iterations", 0)),
-        route=str(data.get("route", "loaded")),
-        u_at_zero=float(data.get("u_at_zero", u.values[0])),
-        grad_tol=float(data.get("grad_tol", np.inf)),
-        poho_tol=float(data.get("poho_tol", np.inf)),
-    )
+    return SolveReport.from_dict(data, grid)
 
 
 def _cmd_verify(cfg, out_dir, seed, solution_path=None):
     ctx = cfg.build_context()
-    solution = _load_solution(solution_path, cfg) if solution_path else None
+    solution = _load_solution(solution_path, ctx.grid) if solution_path else None
     report = run_suite(ctx, solution, seed=seed, opts=cfg.build_options())
     atomic_write(os.path.join(out_dir, "verification.json"),
                  format_json(report.to_dict()))
@@ -502,6 +459,7 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "sweep-lambda": _cmd_sweep,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(command: str, config_path: str, out_dir: str = None, seed: int = None,
@@ -517,12 +475,10 @@ def run(command: str, config_path: str, out_dir: str = None, seed: int = None,
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         for item in overrides:
-            if "=" not in item:
+            key, eq, value = item.partition("=")
+            sec, dot, k = key.partition(".")
+            if not (eq and dot):
                 raise ConfigError(f"--set expects section.key=value, got {item!r}")
-            key, _, value = item.partition("=")
-            if "." not in key:
-                raise ConfigError(f"--set expects section.key=value, got {item!r}")
-            sec, _, k = key.partition(".")
             cfg.set(sec.strip(), k.strip(), value.strip())
         cfg.validate()
         if seed is not None:
@@ -537,20 +493,9 @@ def run(command: str, config_path: str, out_dir: str = None, seed: int = None,
         if command == "verify":
             return _cmd_verify(cfg, out, eff_seed, solution_path)
         return _DISPATCH[command](cfg, out, eff_seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, BracketNotFoundError, StiffIntegrationError,
-            ConstraintInfeasibleError, NotInLambdaError, NoSignChangeError,
-            MultipleSignChangesError) as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, PositivityBallError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
     except NlsgroundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def main(argv=None) -> int:

@@ -93,9 +93,9 @@ def fiber_table(fv: FiberValues, t_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([t, fv.energy_at(t), fv.pohozaev_at(t)])
 
 
-def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float, points: int):
+def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float):
     """Sign-change scan of P along the fiber on a log grid."""
-    ts = np.geomspace(t_lo, t_hi, points)
+    ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
     ps = fv.pohozaev_at(ts)
     sign = np.sign(ps)
     # treat exact zeros as positive side (P > 0 for small t)
@@ -145,8 +145,7 @@ def false_position(g, lo: float, hi: float, g_lo: float, g_hi: float,
 
 
 def project_to_M(ctx: FunctionalContext, u: RadialFunction,
-                 t_bracket: tuple = T_BRACKET,
-                 scan_points: int = SCAN_POINTS) -> FiberProjection:
+                 t_bracket: tuple = T_BRACKET) -> FiberProjection:
     """Dilate u onto the constraint set: find the root of t -> P(u_t).
 
     Requires u admissible (checked).  The root is bracketed by a sign
@@ -155,18 +154,17 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
     else raises.  The quadratures of u are computed once and returned
     as the projection's ``fiber``.
     """
-    return project_fiber(fiber_values(ctx, u), t_bracket, scan_points)
+    return project_fiber(fiber_values(ctx, u), t_bracket)
 
 
-def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET,
-                  scan_points: int = SCAN_POINTS) -> FiberProjection:
+def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProjection:
     """project_to_M from quadratures already computed for u."""
     ctx, u = fv.ctx, fv.u
     member, q = fiber_membership(fv)
     if not member:
         raise NotInLambdaError(
             f"u is not admissible (q = {q:.6g} >= 0); no fiber maximizer exists")
-    ts, ps, flips = _scan_bracket(fv, t_bracket[0], t_bracket[1], scan_points)
+    ts, ps, flips = _scan_bracket(fv, t_bracket[0], t_bracket[1])
     if flips.size == 0:
         raise NoSignChangeError(
             f"P(u_t) has no sign change on [{t_bracket[0]:g}, {t_bracket[1]:g}]")

@@ -39,7 +39,7 @@ from .grid import (
     make_grid,
     pde_residual,
 )
-from .manifold import false_position, lambda_membership, project_to_M
+from .manifold import false_position, lambda_membership, project_fiber, project_to_M
 from .model import check_V1V2, constant_potential, estimate_theta_V4
 
 __all__ = [
@@ -68,20 +68,13 @@ class SolveOptions:
 
     max_iters: int = 20000
     step: float = 1.0
-    step_min: float = 1e-14
-    step_max: float = 8.0
-    shrink: float = 0.5
-    grow: float = 1.3
     grad_tol: Optional[float] = None     # None: per-route default
     poho_tol: Optional[float] = None
     amp: float = 2.0
     width: float = 1.5
-    precond_beta: float = 1.0
-    bl_kkt_tol: float = 1e-7
     # shooting controls
     ode_step: float = 1e-3
     shoot_tol: float = 1e-10
-    blowup_factor: float = 10.0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -99,6 +92,21 @@ class SolveOptions:
         pt = self.poho_tol if self.poho_tol is not None else ROUTE_POHO_TOL[route]
         return gt, pt
 
+
+# line search of routes A and B: the step shrinks on rejection and grows
+# on acceptance within [STEP_MIN, STEP_MAX]
+STEP_MIN = 1e-14
+STEP_MAX = 8.0
+STEP_SHRINK = 0.5
+STEP_GROW = 1.3
+# smoothing weight of the metric M = I - beta * Laplacian of routes A and B
+PRECOND_BETA = 1.0
+# relative KKT residual at which route B stops
+BL_KKT_TOL = 1e-7
+# a shot whose |u| exceeds this multiple of |u(0)| counts as an undershoot
+BLOWUP_FACTOR = 10.0
+# initial_bump doubles the amplitude at most this often
+BUMP_DOUBLINGS = 60
 
 # Residual levels the routes certify at the default n = 4096 grid; all of
 # them shrink ~4x per grid doubling.  The strong-form residual of the
@@ -150,6 +158,32 @@ class SolveReport:
             d["u"] = [float(v) for v in self.u_star.values]
         return d
 
+    @classmethod
+    def from_dict(cls, data: dict, grid: RadialGrid) -> "SolveReport":
+        """Inverse of ``to_dict`` (with the profile) on ``grid``: every key
+        it writes is required and its grid block must describe ``grid``;
+        DomainError otherwise."""
+        try:
+            want = {"N": grid.N, "r_max": grid.r_max, "n": grid.n}
+            if data["grid"] != want:
+                raise DomainError(f"grid block {data['grid']} does not match grid {want}")
+            return cls(
+                converged=bool(data["converged"]),
+                u_star=RadialFunction(grid, np.asarray(data["u"], dtype=float)),
+                energy=float(data["energy"]),
+                pohozaev_residual=float(data["pohozaev_residual"]),
+                pde_residual=float(data["pde_residual"]),
+                iterations=int(data["iterations"]),
+                route=str(data["route"]),
+                u_at_zero=float(data["u_at_zero"]),
+                grad_tol=float(data["grad_tol"]),
+                poho_tol=float(data["poho_tol"]),
+            )
+        except KeyError as exc:
+            raise DomainError(f"solve report has no {exc} entry") from exc
+        except (TypeError, ValueError) as exc:   # DomainError included
+            raise DomainError(f"malformed solve report: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -170,25 +204,25 @@ class SweepReport:
 # shared machinery
 # ----------------------------------------------------------------------
 
-def initial_bump(ctx: FunctionalContext, amp: float, width: float,
-                 growth: float = 2.0, max_doublings: int = 60) -> RadialFunction:
-    """Gaussian bump A exp(-r^2/width^2), amplitude grown geometrically
-    until it enters the admissible set."""
+def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunction:
+    """Gaussian bump A exp(-r^2/width^2), amplitude doubled until it
+    enters the admissible set."""
     a = amp
-    for _ in range(max_doublings):
+    for _ in range(BUMP_DOUBLINGS):
         u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
         member, _ = lambda_membership(ctx, u)
         if member:
             return u
-        a *= growth
+        a *= 2.0
     raise NotInLambdaError(
         "no admissible amplitude found for the initial bump "
         "(superquadraticity of F may fail)")
 
 
-def _h1_preconditioner(grid: RadialGrid, beta: float):
+def _h1_preconditioner(grid: RadialGrid):
     """Banded factors of M = I + beta * (-Laplacian_h), Dirichlet last row."""
     n, h, N, r = grid.n, grid.h, grid.N, grid.r
+    beta = PRECOND_BETA
     diag = np.full(n, 1.0)
     sup = np.zeros(n)
     sub = np.zeros(n)
@@ -224,20 +258,18 @@ def _rel_poho(fv: FiberValues) -> float:
     return abs(fv.pohozaev()) / max(h1_norm_sq(fv.u), 1e-300)
 
 
-def _finish(ctx: FunctionalContext, route: str, u: RadialFunction,
-            rel_pde: float, iterations: int, u_at_zero: float, tols,
-            why: str) -> SolveReport:
-    """Certify u and build the route's report; ConvergenceError (carrying
-    the report) unless both residuals meet their tolerances at a
-    positive level."""
+def _finish(fv: FiberValues, route: str, rel_pde: float, iterations: int,
+            u_at_zero: float, tols, why: str) -> SolveReport:
+    """Certify the profile fv.u and build the route's report;
+    ConvergenceError (carrying the report) unless both residuals meet
+    their tolerances at a positive level."""
     grad_tol, poho_tol = tols
-    fv = fiber_values(ctx, u)
     rel_poho = _rel_poho(fv)
     m_hat = fv.energy()
     converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
     report = SolveReport(
         converged=converged,
-        u_star=u,
+        u_star=fv.u,
         energy=m_hat,
         pohozaev_residual=rel_poho,
         pde_residual=rel_pde,
@@ -273,7 +305,7 @@ def solve_fiber_descent(ctx: FunctionalContext,
     hypotheses; this routine only enforces admissibility of the iterates.
     """
     grad_tol, poho_tol = tols = opts.tolerances("fiber-descent")
-    psolve = _h1_preconditioner(ctx.grid, opts.precond_beta)
+    psolve = _h1_preconditioner(ctx.grid)
     u = project_to_M(ctx, initial_bump(ctx, opts.amp, opts.width)).projected
     level = energy(ctx, u)
     s = opts.step
@@ -287,7 +319,7 @@ def solve_fiber_descent(ctx: FunctionalContext,
         d[-1] = 0.0
         accepted = False
         left_lambda = False
-        while s >= opts.step_min:
+        while s >= STEP_MIN:
             trial = u.values - s * d
             trial[-1] = 0.0
             v = RadialFunction(ctx.grid, trial)
@@ -296,16 +328,16 @@ def solve_fiber_descent(ctx: FunctionalContext,
                 left_lambda = False
             except NotInLambdaError:
                 left_lambda = True
-                s *= opts.shrink
+                s *= STEP_SHRINK
                 continue
             new_level = float(proj.fiber.energy_at(proj.t_u)[0])
             if new_level < level:
                 u = proj.projected
                 level = new_level
                 accepted = True
-                s = min(s * opts.grow, opts.step_max)
+                s = min(s * STEP_GROW, STEP_MAX)
                 break
-            s *= opts.shrink
+            s *= STEP_SHRINK
         if not accepted:
             if left_lambda:
                 raise LeftLambdaError(
@@ -315,12 +347,14 @@ def solve_fiber_descent(ctx: FunctionalContext,
     # polish: the last materialized iterate carries interpolation noise
     # proportional to its dilation offset; reprojecting at t ~ 1 contracts
     # the constraint residual to round-off
+    fv = fiber_values(ctx, u)
     for _ in range(12):
-        if _rel_poho(fiber_values(ctx, u)) <= poho_tol:
+        if _rel_poho(fv) <= poho_tol:
             break
-        u = project_to_M(ctx, u).projected
+        u = project_fiber(fv).projected
+        fv = fiber_values(ctx, u)
 
-    return _finish(ctx, "fiber-descent", u, _rel_pde(ctx, u), iters,
+    return _finish(fv, "fiber-descent", _rel_pde(ctx, u), iters,
                    float(u.values[0]), tols,
                    f"fiber descent stopped after {iters} iterations")
 
@@ -389,7 +423,7 @@ def solve_limit_BL(ctx: FunctionalContext,
         raise PreconditionError("constrained route requires a constant potential")
     grid = ctx.grid
     N = grid.N
-    psolve = _h1_preconditioner(grid, opts.precond_beta)
+    psolve = _h1_preconditioner(grid)
     wts = grid.weights
 
     w0 = None
@@ -428,26 +462,26 @@ def solve_limit_BL(ctx: FunctionalContext,
         d_raw = gL - mu * gC
         kkt = math.sqrt(max(float(wts @ d_raw**2), 0.0)
                         / max(float(wts @ gL**2), 1e-300))
-        if kkt <= opts.bl_kkt_tol:
+        if kkt <= BL_KKT_TOL:
             break
         d = psolve(d_raw)
         d[-1] = 0.0
         accepted = False
-        while s >= opts.step_min:
+        while s >= STEP_MIN:
             trial = w - s * d
             trial[-1] = 0.0
             a = _amplitude_restore(ctx, trial)
             if a is None:
-                s *= opts.shrink
+                s *= STEP_SHRINK
                 continue
             w_new = a * trial
             G_new = grad_seminorm_sq(RadialFunction(grid, w_new))
             if G_new < G:
                 w, G = w_new, G_new
                 accepted = True
-                s = min(s * opts.grow, opts.step_max)
+                s = min(s * STEP_GROW, STEP_MAX)
                 break
-            s *= opts.shrink
+            s *= STEP_SHRINK
         if not accepted:
             break
 
@@ -465,8 +499,9 @@ def solve_limit_BL(ctx: FunctionalContext,
         lambda s: t2 * ctx.lam * np.asarray(ctx.f.f(s), dtype=float),
         1.0,
     )
-    return _finish(ctx, "bl-constrained", u_bar, _rel_residual(res_w, w_hat) / t2,
-                   iters, float(u_bar.values[0]), opts.tolerances("bl-constrained"),
+    return _finish(fiber_values(ctx, u_bar), "bl-constrained",
+                   _rel_residual(res_w, w_hat) / t2, iters, float(u_bar.values[0]),
+                   opts.tolerances("bl-constrained"),
                    f"constrained route stopped after {iters} iterations at kkt {kkt:.3e}")
 
 
@@ -553,7 +588,7 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     # amplified by 1/h^2 in the residual certificate)
     k_sub = max(1, math.ceil(grid.h / opts.ode_step))
     h = grid.h / k_sub
-    r_end, blow = grid.r_max, opts.blowup_factor
+    r_end, blow = grid.r_max, BLOWUP_FACTOR
     f_scalar = f.f_scalar
 
     def classify(a):
@@ -635,8 +670,9 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     u_star = RadialFunction(grid, vals)
 
     ctx = FunctionalContext(grid, constant_potential(v_inf), f, lam)
-    return _finish(ctx, "shooting", u_star, _rel_pde(ctx, u_star), 0, float(a_star),
-                   opts.tolerances("shooting"), "shooting profile failed its certificates")
+    return _finish(fiber_values(ctx, u_star), "shooting", _rel_pde(ctx, u_star), 0,
+                   float(a_star), opts.tolerances("shooting"),
+                   "shooting profile failed its certificates")
 
 
 # ----------------------------------------------------------------------
@@ -739,26 +775,14 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
             raise ConvergenceError("path endpoint not negative on the kept rows")
 
     rows = []
-    tau = np.geomspace(1e-3 * T, T, 800)
     for lam in lams:
         # the lam = 1 row is the shot u1 already made
         m_inf = u1.energy if lam == 1.0 else shoot_oracle(
             ctx.V.v_inf, ctx.f, N, lam=lam, grid=grid, opts=opts).energy
+        # the fiber's unique maximizer is the root of P(u_t); it lies below
+        # T, where the fiber is already negative
         fv_lam = fiber_at(lam)
-        zeta = fv_lam.energy_at(tau)
-        j = int(np.argmax(zeta))
-        lo = tau[max(j - 1, 0)]
-        hi = tau[min(j + 1, tau.size - 1)]
-        for _ in range(60):   # golden-free ternary refinement
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            z1 = float(fv_lam.energy_at(m1)[0])
-            z2 = float(fv_lam.energy_at(m2)[0])
-            if z1 < z2:
-                lo = m1
-            else:
-                hi = m2
-        t_peak = 0.5 * (lo + hi)
+        t_peak = project_fiber(fv_lam).t_u
         c_bar = float(fv_lam.energy_at(t_peak)[0])
         rows.append({
             "lambda": float(lam),

@@ -1,10 +1,15 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+from nlsground import cli, errors
 from nlsground.cli import _SCHEMA, RunConfig, format_json, run
 from nlsground.errors import ConfigError
+from nlsground.grid import RadialFunction, make_grid
+from nlsground.solver import SolveReport
 
 WELL_INI = """\
 [grid]
@@ -119,6 +124,15 @@ def test_solve_and_verify_pipeline(well_cfg, tmp_path):
     assert run("verify", well_cfg, out_dir=vout, seed=11,
                solution_path=report_path) == 0
 
+    # a check that fails without samples reports worst_margin -inf, and the
+    # file stays valid JSON
+    capped = str(tmp_path / "verify-capped")
+    assert run("verify", well_cfg, out_dir=capped, solution_path=report_path,
+               overrides=["solver.max_iters=1"]) == 3
+    with open(os.path.join(capped, "verification.json")) as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert checks["domination"]["worst_margin"] == -math.inf
+
     # byte-identical reports under identical config + seed
     vout2 = str(tmp_path / "verify2")
     assert run("verify", well_cfg, out_dir=vout2, seed=11,
@@ -197,6 +211,112 @@ def test_format_json_17_digits():
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == pytest.approx(1.0 / 3.0, rel=1e-16)
     assert json.loads(text)["flag"] is True
+
+
+def test_format_json_non_finite_floats_load():
+    text = format_json({"inf": math.inf, "ninf": np.float64(-np.inf), "nan": math.nan,
+                        "x": [1.5, -math.inf]})
+    assert '"inf": Infinity' in text and '"ninf": -Infinity' in text
+    back = json.loads(text)
+    assert back["inf"] == math.inf and back["ninf"] == -math.inf
+    assert math.isnan(back["nan"])
+    assert back["x"] == [1.5, -math.inf]
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract: code and stderr label live on the error class
+# ----------------------------------------------------------------------
+
+EXIT_CONTRACT = {
+    "NlsgroundError": (1, "error"),
+    "DomainError": (1, "config error"),
+    "ZeroFunctionError": (1, "config error"),
+    "ConfigError": (1, "config error"),
+    "ConvergenceError": (2, "non-convergence"),
+    "LeftLambdaError": (2, "non-convergence"),
+    "BracketNotFoundError": (2, "non-convergence"),
+    "StiffIntegrationError": (2, "non-convergence"),
+    "ConstraintInfeasibleError": (2, "non-convergence"),
+    "NotInLambdaError": (2, "non-convergence"),
+    "NoSignChangeError": (2, "non-convergence"),
+    "MultipleSignChangesError": (2, "non-convergence"),
+    "PreconditionError": (3, "verification failure"),
+    "PositivityBallError": (3, "verification failure"),
+}
+
+
+def _error_classes(cls=errors.NlsgroundError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+def test_error_class_carries_its_exit_code(cls):
+    # a class missing from the table fails here: document it first
+    assert (cls.exit_code, cls.label) == EXIT_CONTRACT[cls.__name__]
+
+
+@pytest.mark.parametrize("cls, code, prefix", [
+    (errors.NlsgroundError, 1, "error"),
+    (errors.DomainError, 1, "config error"),
+    (errors.ConvergenceError, 2, "non-convergence"),
+    (errors.PreconditionError, 3, "verification failure"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_run_exits_with_the_class_code(well_cfg, tmp_path, capsys, monkeypatch,
+                                       cls, code, prefix):
+    def fail(cfg, out_dir, seed):
+        raise cls("raised inside the command")
+
+    monkeypatch.setitem(cli._DISPATCH, "project", fail)
+    assert run("project", well_cfg, out_dir=str(tmp_path / "o")) == code
+    assert capsys.readouterr().err == f"{prefix}: raised inside the command\n"
+
+
+# ----------------------------------------------------------------------
+# verify --solution reads exactly what SolveReport.to_dict writes
+# ----------------------------------------------------------------------
+
+def _solution_report(grid):
+    vals = np.exp(-grid.r**2)
+    vals[-1] = 0.0
+    return SolveReport(converged=True, u_star=RadialFunction(grid, vals),
+                       energy=1.0 / 3.0, pohozaev_residual=1e-9, pde_residual=1e-3,
+                       iterations=7, route="fiber-descent", u_at_zero=1.0,
+                       grad_tol=5e-3, poho_tol=1e-8)
+
+
+SOLUTION_GRID = make_grid(3, 30.0, 512)
+REPORT_KEYS = list(_solution_report(SOLUTION_GRID).to_dict())
+
+
+def _verify_solution(tmp_path, data):
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_INI.format(n=SOLUTION_GRID.n, out=tmp_path / "unused"))
+    sol = tmp_path / "solution.json"
+    sol.write_text(format_json(data))
+    return run("verify", str(cfg), out_dir=str(tmp_path / "v"), solution_path=str(sol))
+
+
+@pytest.mark.parametrize("key", REPORT_KEYS)
+def test_verify_rejects_a_solution_without_a_report_key(tmp_path, capsys, key):
+    data = _solution_report(SOLUTION_GRID).to_dict()
+    del data[key]
+    assert _verify_solution(tmp_path, data) == 1
+    assert capsys.readouterr().err == f"config error: solve report has no '{key}' entry\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("energy", "high"),
+    ("iterations", None),
+    ("u", [0.0, 0.0]),
+    ("grid", {"N": 3, "r_max": 30.0, "n": 1024}),
+])
+def test_verify_rejects_a_malformed_solution(tmp_path, capsys, key, value):
+    data = _solution_report(SOLUTION_GRID).to_dict()
+    data[key] = value
+    assert _verify_solution(tmp_path, data) == 1
+    assert capsys.readouterr().err.startswith("config error: malformed solve report: ")
 
 
 # ----------------------------------------------------------------------

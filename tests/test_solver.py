@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from nlsground import (
     PositivityBallError,
     PreconditionError,
     SolveOptions,
+    SolveReport,
     StiffIntegrationError,
     constant_potential,
     fiber_values,
@@ -32,6 +34,7 @@ from nlsground import (
     zero_nonlinearity,
 )
 from nlsground import solver
+from nlsground.cli import format_json
 from conftest import CUBIC_M, CUBIC_U0, random_bumps
 
 
@@ -243,6 +246,24 @@ def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):
     assert abs(m["A"] - m["C"]) / m["C"] < 1e-2
 
 
+def test_fiber_descent_certifies_its_last_fiber_pass(ctx_well, rep_fiber_well,
+                                                    monkeypatch):
+    calls = []
+    real = solver.fiber_values
+
+    def counting(ctx, u):
+        calls.append(u)
+        return real(ctx, u)
+
+    monkeypatch.setattr(solver, "fiber_values", counting)
+    rep = solve_fiber_descent(ctx_well)
+    # one failing polish check, one reprojection, one passing check whose
+    # quadratures the report is certified from
+    assert len(calls) == 2
+    assert rep.u_star is calls[-1]
+    assert rep.to_dict() == rep_fiber_well.to_dict()
+
+
 def test_fiber_descent_iteration_cap(ctx_auto):
     with pytest.raises(ConvergenceError):
         solve_fiber_descent(ctx_auto, SolveOptions(max_iters=1))
@@ -343,6 +364,17 @@ def test_report_serialization(rep_shoot):
     assert d["route"] == "shooting"
     d2 = rep_shoot.to_dict(include_profile=False)
     assert "u" not in d2
+    # from_dict inverts to_dict, also through the JSON text the CLI writes
+    grid = rep_shoot.u_star.grid
+    for data in (d, json.loads(format_json(d))):
+        back = SolveReport.from_dict(data, grid)
+        for f in dataclasses.fields(SolveReport):
+            want, got = getattr(rep_shoot, f.name), getattr(back, f.name)
+            if f.name == "u_star":
+                assert got.grid is grid
+                assert np.array_equal(got.values, want.values)
+            else:
+                assert got == want, f.name
 
 
 @pytest.mark.parametrize("route, opts", [

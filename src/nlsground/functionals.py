@@ -91,6 +91,20 @@ class FiberValues:
     def energy(self) -> float:
         return 0.5 * (self.grad + self.pot) - self.ctx.lam * self.f_int
 
+    def energy_limit(self) -> float:
+        """energy() with V frozen at V_inf."""
+        return 0.5 * (self.grad + self.ctx.V.v_inf * self.mass) - self.ctx.lam * self.f_int
+
+    def psi(self) -> float:
+        """(1/N) ||grad u||^2 - 1/(2N) int (r V') u^2 = energy - pohozaev/N."""
+        N = self.ctx.grid.N
+        return self.grad / N - self.pot_w / (2.0 * N)
+
+    def admissibility(self) -> float:
+        """q = (V_inf/2) ||u||^2 - lam int F(u); the fiber of u has a
+        maximizer when q < 0."""
+        return 0.5 * self.ctx.V.v_inf * self.mass - self.ctx.lam * self.f_int
+
     def pohozaev(self) -> float:
         N = self.ctx.grid.N
         return (
@@ -189,8 +203,7 @@ def energy(ctx: FunctionalContext, u: RadialFunction) -> float:
 
 def energy_limit(ctx: FunctionalContext, u: RadialFunction) -> float:
     """Energy with V frozen at V_inf."""
-    fv = fiber_values(ctx, u)
-    return 0.5 * (fv.grad + ctx.V.v_inf * fv.mass) - ctx.lam * fv.f_int
+    return fiber_values(ctx, u).energy_limit()
 
 
 def pohozaev(ctx: FunctionalContext, u: RadialFunction) -> float:
@@ -209,9 +222,7 @@ def psi(ctx: FunctionalContext, u: RadialFunction) -> float:
 
     Equals energy - pohozaev/N up to round-off (same quadratures).
     """
-    fv = fiber_values(ctx, u)
-    N = ctx.grid.N
-    return fv.grad / N - fv.pot_w / (2.0 * N)
+    return fiber_values(ctx, u).psi()
 
 
 def g_of_t(t: float, N: int) -> float:

@@ -8,6 +8,18 @@ log-t scan and polished by safeguarded false position (Illinois) on
 log t.  One projection computes the quadratures of u once: admissibility,
 the scan and the polish all read the same FiberValues.  The polisher,
 ``false_position``, also serves route B's amplitude restore.
+
+The scan evaluates P(u_t) only where its sign is not already proven.
+With A = (N-2)/2 ||grad u||^2, P(u_t) / t^{N-2} = A + t^2 (W(t)/2 -
+N lam int F(u)), where the dilation term W(t) = int [N V + s V'](t r) u^2
+lies in [w_lo, w_hi] ||u||^2 whenever the potential declares
+``dilation_bounds`` (w_lo, w_hi).  So P > 0 below one edge and P < 0
+above another; the scan evaluates the points between the edges, widened
+by a relative 1e-6, plus one certified point on each side, and fills the
+rest with their certified sign.  Without declared bounds, or when an
+evaluated point contradicts its certificate, all SCAN_POINTS points are
+evaluated.  When the declared range holds, the scan returns the grid,
+the values at evaluated points and the sign changes of the full scan.
 """
 
 from __future__ import annotations
@@ -42,6 +54,12 @@ LAMBDA_MARGIN = 1e-10
 T_BRACKET = (1e-3, 1e3)
 SCAN_POINTS = 97
 BISECT_LOG_TOL = 1e-12
+# relative widening of the certified window's edges, so that P evaluated in
+# floats at a skipped scan point has its certified sign
+WINDOW_MARGIN = 1e-6
+# an edge is used only when its denominator exceeds this fraction of the
+# terms that cancel in it; below that, round-off could move the edge
+WINDOW_CONDITION = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,7 @@ def fiber_membership(fv: FiberValues):
     """lambda_membership from quadratures already computed for u."""
     if fv.u.is_zero():
         raise ZeroFunctionError("membership is undefined for the zero function")
-    ctx = fv.ctx
-    q = 0.5 * ctx.V.v_inf * fv.mass - ctx.lam * fv.f_int
+    q = fv.admissibility()
     member = q < -LAMBDA_MARGIN * h1_norm_sq(fv.u)
     return bool(member), float(q)
 
@@ -93,15 +110,57 @@ def fiber_table(fv: FiberValues, t_grid: np.ndarray) -> np.ndarray:
     return np.column_stack([t, fv.energy_at(t), fv.pohozaev_at(t)])
 
 
-def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float):
-    """Sign-change scan of P along the fiber on a log grid."""
-    ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
-    ps = fv.pohozaev_at(ts)
+def _certified_signs(fv: FiberValues, ts: np.ndarray):
+    """+1 / -1 at the points of ts where the potential's dilation bounds
+    prove the sign of P(u_t), 0 elsewhere; None when nothing is proven."""
+    if fv.ctx.V.dilation_bounds is None:
+        return None
+    N = fv.ctx.grid.N
+    w_lo, w_hi = fv.ctx.V.dilation_bounds(N)
+    a = 0.5 * (N - 2.0) * fv.grad
+    nf = N * fv.ctx.lam * fv.f_int
+    # P(u_t) / t^{N-2} lies in [a - t^2 d_lo, a - t^2 d_hi]
+    d_lo = nf - 0.5 * w_lo * fv.mass
+    d_hi = nf - 0.5 * w_hi * fv.mass
+    floor = WINDOW_CONDITION * (abs(nf) + 0.5 * max(abs(w_lo), abs(w_hi)) * fv.mass)
+    if not (w_lo <= w_hi and a > 0.0 and np.isfinite(floor)):
+        return None
+    if d_lo > floor:
+        t_pos = np.sqrt(a / d_lo) * (1.0 - WINDOW_MARGIN)
+    else:
+        t_pos = np.inf if d_lo < -floor else 0.0
+    t_neg = np.sqrt(a / d_hi) * (1.0 + WINDOW_MARGIN) if d_hi > floor else np.inf
+    return np.where(ts < t_pos, 1.0, np.where(ts > t_neg, -1.0, 0.0))
+
+
+def _signs(ps: np.ndarray) -> np.ndarray:
     sign = np.sign(ps)
     # treat exact zeros as positive side (P > 0 for small t)
     sign[sign == 0.0] = 1.0
-    flips = np.nonzero(np.diff(sign) != 0.0)[0]
-    return ts, ps, flips
+    return sign
+
+
+def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float):
+    """Sign-change scan of P along the fiber on a log grid.
+
+    Returns (ts, ps, flips).  A point whose sign is certified and that is
+    not next to an uncertified one is skipped: ps holds its sign, +1 or
+    -1, there and P(u_t) everywhere else.  The flips, and ps on both
+    sides of each, are those of the full scan.
+    """
+    ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
+    cert = _certified_signs(fv, ts)
+    if cert is not None:
+        # the uncertified points and one certified neighbour on each side
+        i = max(int(np.count_nonzero(cert > 0)) - 1, 0)
+        j = min(SCAN_POINTS - int(np.count_nonzero(cert < 0)), SCAN_POINTS - 1)
+        ps = cert.copy()
+        ps[i:j + 1] = fv.pohozaev_at(ts[i:j + 1])
+        sign = _signs(ps)
+        if np.array_equal(sign[cert != 0.0], cert[cert != 0.0]):
+            return ts, ps, np.nonzero(np.diff(sign) != 0.0)[0]
+    ps = fv.pohozaev_at(ts)
+    return ts, ps, np.nonzero(np.diff(_signs(ps)) != 0.0)[0]
 
 
 def false_position(g, lo: float, hi: float, g_lo: float, g_hi: float,

@@ -62,6 +62,16 @@ class PotentialSpec:
     ``theta`` is the declared decay parameter (None means: estimate it
     from the derivative bound when a dimension is available, see
     :func:`estimate_theta_V4`).
+
+    ``dilation_bounds`` maps a dimension N to (w_lo, w_hi) with
+    w_lo <= N V(s) + s V'(s) <= w_hi for every s >= 0: a proven range of
+    the integrand of the dilation term of P(u_t), up to round-off in
+    evaluating V and V'.  The built-in factories set it; the fiber
+    projection uses it to skip scan points whose sign of P(u_t) it
+    certifies.  None (a hand-built spec) means every scan point is
+    evaluated.  A declared range that does not hold voids that
+    certificate; the scan falls back to evaluating every point only when
+    a point it evaluates contradicts its certified sign.
     """
 
     family: str
@@ -70,6 +80,7 @@ class PotentialSpec:
     dV: Callable[[np.ndarray], np.ndarray]
     v_inf: float
     theta: Optional[float] = None
+    dilation_bounds: Optional[Callable[[int], tuple]] = None
 
     def __post_init__(self):
         if self.theta is not None and not (0.0 <= self.theta < 1.0):
@@ -139,6 +150,7 @@ def constant_potential(value: float = 1.0) -> PotentialSpec:
         dV=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         v_inf=v,
         theta=0.0,
+        dilation_bounds=lambda N: (N * v, N * v),
     )
 
 
@@ -157,20 +169,37 @@ def well_potential(a: float, b: float, alpha: float = 2.0,
 
     def dV(r):
         r = np.asarray(r, dtype=float)
-        return b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
+        # inf / inf where r^(alpha-1) overflows; the quotient there is
+        # below the smallest float
+        return np.where(np.isnan(out), 0.0, out)
+
+    def dilation_bounds(N):
+        # N V + s V' = N a - b (1 - x)(N - alpha x) with x = s^alpha / (1 + s^alpha)
+        # in [0, 1): least at x = 0; greatest as x -> 1 when alpha <= N, else
+        # at the vertex x = (N + alpha) / (2 alpha) of the quadratic
+        top = N * a if alpha <= N else N * a + b * (alpha - N) ** 2 / (4.0 * alpha)
+        return N * (a - b), top
 
     return PotentialSpec(family="well", params={"a": a, "b": b, "alpha": alpha},
-                         V=V, dV=dV, v_inf=a, theta=theta)
+                         V=V, dV=dV, v_inf=a, theta=theta,
+                         dilation_bounds=dilation_bounds)
 
 
+# shape -> (h, h', N -> range of N h(s) + s h'(s) over s >= 0)
 _PERTURBATIONS = {
+    # (1 - y)(N - 2 y) with y = s^2 / (1 + s^2) in [0, 1)
     "lorentzian": (
         lambda r: 1.0 / (1.0 + r**2),
         lambda r: -2.0 * r / (1.0 + r**2) ** 2,
+        lambda N: (0.0, float(N)),
     ),
+    # e^{-z} (N - 2 z) with z = s^2, least at z = (N + 2) / 2
     "gaussian": (
         lambda r: np.exp(-(r**2)),
         lambda r: -2.0 * r * np.exp(-(r**2)),
+        lambda N: (-2.0 * np.exp(-(N + 2.0) / 2.0), float(N)),
     ),
 }
 
@@ -182,8 +211,13 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
         raise DomainError(f"unknown perturbation shape {shape!r}")
     if eps < 0 or v_inf < eps:
         raise DomainError("need 0 <= eps <= v_inf for nonnegativity")
-    h, dh = _PERTURBATIONS[shape]
+    h, dh, h_range = _PERTURBATIONS[shape]
     v_inf, eps = float(v_inf), float(eps)
+
+    def dilation_bounds(N):
+        k_lo, k_hi = h_range(N)
+        return N * v_inf - eps * k_hi, N * v_inf - eps * k_lo
+
     return PotentialSpec(
         family="perturbed",
         params={"v_inf": v_inf, "eps": eps, "shape": shape},
@@ -191,6 +225,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
         dV=lambda r: -eps * dh(np.asarray(r, dtype=float)),
         v_inf=v_inf,
         theta=theta,
+        dilation_bounds=dilation_bounds,
     )
 
 

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import cli, errors
 from nlsground.cli import _SCHEMA, RunConfig, format_json, run
@@ -450,3 +452,37 @@ def test_readme_example_config_parses():
     cfg = RunConfig.from_ini(block.split("```", 1)[0])
     assert cfg.build_potential().params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
     assert cfg.lambda_grid() is None
+
+
+_FAMILY_PAIRS = [(pf, nf) for pf in cli._FAMILY_KEYS["potential"]
+                 for nf in cli._FAMILY_KEYS["nonlinearity"]]
+_INI_VALUES = {
+    float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    int: st.integers(-10**6, 10**6).map(str),
+    str: st.sampled_from(("lorentzian", "gaussian")),
+}
+
+
+@st.composite
+def _family_section(draw, sec, family):
+    """INI lines of a family section: each key given, blank or absent."""
+    lines = [f"[{sec}]", f"family = {family}"]
+    for key, (typ, _) in cli._FAMILY_KEYS[sec][family].items():
+        choice = draw(st.sampled_from(("value", "blank", "absent")))
+        if choice == "value":
+            lines.append(f"{key} = {draw(_INI_VALUES[typ])}")
+        elif choice == "blank":
+            lines.append(f"{key} =")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=90, deadline=None)
+@given(data=st.data(), pair=st.sampled_from(_FAMILY_PAIRS))
+def test_config_round_trip_every_family_pair(data, pair):
+    text = (data.draw(_family_section("potential", pair[0]))
+            + data.draw(_family_section("nonlinearity", pair[1]))
+            + f"[grid]\nN = {data.draw(st.integers(3, 6))}\n")
+    cfg = RunConfig.from_ini(text)
+    again = RunConfig.from_ini(cfg.to_ini())
+    assert again.sections == cfg.sections
+    assert again.to_ini() == cfg.to_ini()

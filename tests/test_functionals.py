@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     DomainError,
@@ -20,7 +22,9 @@ from nlsground import (
     perturbed_potential,
     pohozaev,
     pohozaev_limit,
+    power_nonlinearity,
     psi,
+    saturating_nonlinearity,
     well_potential,
 )
 from conftest import gaussian_bump, random_bumps
@@ -280,3 +284,39 @@ def test_pohozaev_limit_is_the_fiber_formula(ctx_well, grid4096):
     assert pohozaev_limit(ctx_well, u) == fv.pohozaev_limit() == (
         0.5 * (N - 2.0) * fv.grad + 0.5 * N * ctx_well.V.v_inf * fv.mass
         - N * ctx_well.lam * fv.f_int)
+
+
+def test_fiber_formulas_are_the_methods(ctx_well, grid4096):
+    # energy_limit, psi and admissibility are the expressions they replaced,
+    # bit for bit
+    from nlsground.manifold import fiber_membership
+
+    rng = np.random.default_rng(14)
+    for u in random_bumps(grid4096, rng, 5):
+        fv = fiber_values(ctx_well, u)
+        ctx, N = ctx_well, grid4096.N
+        assert energy_limit(ctx, u) == fv.energy_limit() == (
+            0.5 * (fv.grad + ctx.V.v_inf * fv.mass) - ctx.lam * fv.f_int)
+        assert psi(ctx, u) == fv.psi() == fv.grad / N - fv.pot_w / (2.0 * N)
+        assert fiber_membership(fv)[1] == fv.admissibility() == (
+            0.5 * ctx.V.v_inf * fv.mass - ctx.lam * fv.f_int)
+
+
+_PSI_GRIDS = {N: make_grid(N, 30.0, 1024) for N in (3, 4, 5)}
+_PSI_NONLINEARITIES = [power_nonlinearity(4.0), power_nonlinearity(3.0, 2.0),
+                       saturating_nonlinearity(3.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from((3, 4, 5)),
+       k_V=st.integers(0, len(_FIBER_POTENTIALS) - 1),
+       k_f=st.integers(0, len(_PSI_NONLINEARITIES) - 1),
+       lam=st.floats(0.0, 1.0),
+       amp=st.floats(0.05, 5.0), width=st.floats(0.3, 4.0), center=st.floats(0.0, 5.0))
+def test_psi_is_energy_minus_pohozaev_over_N(N, k_V, k_f, lam, amp, width, center):
+    grid = _PSI_GRIDS[N]
+    ctx = FunctionalContext(grid, _FIBER_POTENTIALS[k_V], _PSI_NONLINEARITIES[k_f], lam)
+    u = gaussian_bump(grid, amp, width, center)
+    fv = fiber_values(ctx, u)
+    scale = fv.grad + abs(fv.pot) + abs(fv.pot_w) + N * abs(lam * fv.f_int)
+    assert abs(psi(ctx, u) - (energy(ctx, u) - pohozaev(ctx, u) / N)) <= 1e-14 * scale

@@ -10,6 +10,7 @@ from nlsground import (
     MultipleSignChangesError,
     NoSignChangeError,
     NotInLambdaError,
+    PotentialSpec,
     RadialFunction,
     ZeroFunctionError,
     constant_potential,
@@ -35,8 +36,10 @@ from nlsground.manifold import (
     BISECT_LOG_TOL,
     SCAN_POINTS,
     T_BRACKET,
+    _scan_bracket,
     false_position,
 )
+from nlsground.solver import initial_bump
 from conftest import gaussian_bump, random_bumps
 
 
@@ -223,6 +226,15 @@ _POLISH_CONTEXTS = [
 _OUTCOMES = (NotInLambdaError, NoSignChangeError, MultipleSignChangesError)
 
 
+def _full_scan(fv, t_bracket):
+    """The sign scan at every one of its SCAN_POINTS points: (ts, ps, flips)."""
+    ts = np.geomspace(t_bracket[0], t_bracket[1], SCAN_POINTS)
+    ps = fv.pohozaev_at(ts)
+    sign = np.where(ps == 0.0, 1.0, np.sign(ps))
+    flips = np.nonzero(np.diff(sign))[0]
+    return ts, ps, flips
+
+
 def _bisection_reference(ctx, u):
     """(outcome, log t_u): the sign scan of project_to_M polished by
     bisection in log t down to BISECT_LOG_TOL."""
@@ -230,10 +242,7 @@ def _bisection_reference(ctx, u):
     if not member:
         return NotInLambdaError, None
     fv = fiber_values(ctx, u)
-    ts = np.geomspace(T_BRACKET[0], T_BRACKET[1], SCAN_POINTS)
-    ps = fv.pohozaev_at(ts)
-    sign = np.where(ps == 0.0, 1.0, np.sign(ps))
-    flips = np.nonzero(np.diff(sign))[0]
+    ts, ps, flips = _full_scan(fv, T_BRACKET)
     if flips.size == 0:
         return NoSignChangeError, None
     if flips.size > 1:
@@ -324,3 +333,164 @@ def test_false_position_ends_with_root_at_bracket_end(tol, sign, at_hi):
     assert (new_hi - new_lo <= tol
             or not new_lo < 0.5 * (new_lo + new_hi) < new_hi)
     assert len(calls) <= 2 + 64
+
+
+# ----------------------------------------------------------------------
+# the certified scan window against the full SCAN_POINTS scan
+# ----------------------------------------------------------------------
+
+_WINDOW_GRIDS = {(N, n): make_grid(N, 30.0, n) for N in (3, 4, 5) for n in (512, 1024)}
+_WINDOW_POTENTIALS = [
+    constant_potential(1.0),
+    well_potential(1.0, 0.2, 2.0),           # alpha <= N
+    well_potential(1.0, 0.5, 7.0),           # alpha > N for every N drawn
+    well_potential(1.0, 1.0, 30.0),          # alpha > N, double roots
+    perturbed_potential(1.0, 0.5, "lorentzian"),
+    perturbed_potential(1.0, 0.5, "gaussian"),
+]
+_WINDOW_NONLINEARITIES = [power_nonlinearity(4.0), saturating_nonlinearity(3.0)]
+_WINDOW_BRACKETS = [T_BRACKET, (1e-2, 10.0), (0.05, 0.5), (1.5, 40.0)]
+
+
+def _scan_outcome(flips):
+    if flips.size == 0:
+        return NoSignChangeError
+    return MultipleSignChangesError if flips.size > 1 else None
+
+
+def _recorded_scan(fv, t_bracket):
+    """_scan_bracket, and every t at which it evaluated P(u_t)."""
+    evaluated = []
+    original = FiberValues.pohozaev_at
+
+    def recording(self, t):
+        evaluated.extend(np.atleast_1d(t).tolist())
+        return original(self, t)
+
+    with mock.patch.object(FiberValues, "pohozaev_at", recording):
+        ts, ps, flips = _scan_bracket(fv, *t_bracket)
+    return ts, ps, flips, evaluated
+
+
+def _projection_outcome(fv, t_bracket):
+    try:
+        proj = project_fiber(fv, t_bracket)
+    except _OUTCOMES as exc:
+        return type(exc), None
+    return None, (proj.t_u, proj.bracket, proj.sign_changes, proj.residual)
+
+
+def _assert_window_matches_full_scan(fv, t_bracket):
+    ts, ps, flips, evaluated = _recorded_scan(fv, t_bracket)
+    # a built-in potential's certificates hold at the points next to them,
+    # so the window never falls back to the full scan
+    assert len(evaluated) <= SCAN_POINTS
+    ref_ts, ref_ps, ref_flips = _full_scan(fv, t_bracket)
+    assert np.array_equal(ts, ref_ts)
+    assert np.array_equal(flips, ref_flips)
+    assert _scan_outcome(flips) is _scan_outcome(ref_flips)
+    at = np.isin(ts, evaluated)
+    assert np.array_equal(ps[at], ref_ps[at])
+    # a skipped point holds its sign, which is the full scan's sign there
+    assert np.array_equal(ps[~at], np.where(ref_ps[~at] == 0.0, 1.0, np.sign(ref_ps[~at])))
+    for i in flips:
+        assert at[i] and at[i + 1]
+    # the projection reads the same bracket as with the full scan
+    with mock.patch("nlsground.manifold._scan_bracket",
+                    lambda fv_, lo, hi: _full_scan(fv_, (lo, hi))):
+        ref = _projection_outcome(fv, t_bracket)
+    assert _projection_outcome(fv, t_bracket) == ref
+    return int(at.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.sampled_from((3, 4, 5)),
+       n=st.sampled_from((512, 1024)),
+       k_V=st.integers(0, len(_WINDOW_POTENTIALS) - 1),
+       k_f=st.integers(0, len(_WINDOW_NONLINEARITIES) - 1),
+       k_t=st.integers(0, len(_WINDOW_BRACKETS) - 1),
+       parts=st.lists(_BUMP_PART, min_size=1, max_size=3))
+def test_scan_window_matches_full_scan(N, n, k_V, k_f, k_t, parts):
+    grid = _WINDOW_GRIDS[(N, n)]
+    ctx = FunctionalContext(grid, _WINDOW_POTENTIALS[k_V], _WINDOW_NONLINEARITIES[k_f])
+    vals = sum(10.0**a * np.exp(-(((grid.r - c) / w) ** 2)) for a, w, c in parts)
+    vals[-1] = 0.0
+    _assert_window_matches_full_scan(fiber_values(ctx, RadialFunction(grid, vals)),
+                                     _WINDOW_BRACKETS[k_t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from((3, 4)),
+       n=st.sampled_from((512, 1024)),
+       k_f=st.integers(0, len(_WINDOW_NONLINEARITIES) - 1),
+       amp=st.floats(1.8, 4.0),
+       width=st.floats(0.2, 0.5))
+def test_scan_window_matches_full_scan_near_double_roots(N, n, k_f, amp, width):
+    # a narrow bump under the overshooting alpha = 30 well: P(u_t) changes
+    # sign three times on the default bracket for part of this range
+    grid = _WINDOW_GRIDS[(N, n)]
+    ctx = FunctionalContext(grid, _WINDOW_POTENTIALS[3], _WINDOW_NONLINEARITIES[k_f])
+    vals = amp * np.exp(-((grid.r / width) ** 2))
+    vals[-1] = 0.0
+    _assert_window_matches_full_scan(fiber_values(ctx, RadialFunction(grid, vals)),
+                                     T_BRACKET)
+
+
+def test_scan_window_outcomes_and_savings():
+    grid = _WINDOW_GRIDS[(3, 1024)]
+    narrow = np.exp(-((grid.r / 0.3) ** 2))
+    narrow[-1] = 0.0
+    cases = [
+        # (potential, amplitude, bracket, outcome of the full scan)
+        (well_potential(1.0, 0.2, 2.0), 3.0, T_BRACKET, None),
+        (well_potential(1.0, 0.2, 2.0), 0.1, T_BRACKET, NoSignChangeError),
+        (well_potential(1.0, 0.2, 2.0), 3.0, (1e-3, 0.05), NoSignChangeError),
+        (well_potential(1.0, 0.2, 2.0), 3.0, (10.0, 1e3), NoSignChangeError),
+        (well_potential(1.0, 1.0, 30.0), 2.56, T_BRACKET, MultipleSignChangesError),
+        # (t r)^alpha overflows on the upper scan points
+        (well_potential(1.0, 0.2, 100.0), 10.0, T_BRACKET, None),
+    ]
+    for V, amp, bracket, outcome in cases:
+        fv = fiber_values(FunctionalContext(grid, V, power_nonlinearity(4.0)),
+                          RadialFunction(grid, amp * narrow))
+        assert _scan_outcome(_full_scan(fv, bracket)[2]) is outcome
+        _assert_window_matches_full_scan(fv, bracket)
+    # a single root on the constant potential is pinned to two scan points
+    fv = fiber_values(FunctionalContext(grid, constant_potential(1.0),
+                                        power_nonlinearity(4.0)),
+                      RadialFunction(grid, 3.0 * narrow))
+    assert _assert_window_matches_full_scan(fv, T_BRACKET) <= 3
+
+
+@pytest.mark.parametrize("claimed", [5.0, 0.1, 0.0])
+def test_wrong_declared_bounds_fall_back_to_full_scan(claimed):
+    # the well's V and V', declared with a range that N V + s V' leaves
+    true = well_potential(1.0, 0.2, 2.0)
+    liar = PotentialSpec("custom", {}, V=true.V, dV=true.dV, v_inf=1.0,
+                         dilation_bounds=lambda N: (N * claimed, N * claimed))
+    grid = _WINDOW_GRIDS[(3, 1024)]
+    u = gaussian_bump(grid, 3.0, 1.0)
+    fv = fiber_values(FunctionalContext(grid, liar, power_nonlinearity(4.0)), u)
+    _, ps, flips, evaluated = _recorded_scan(fv, T_BRACKET)
+    assert len(evaluated) > SCAN_POINTS          # window tried, then the full scan
+    _, ref_ps, ref_flips = _full_scan(fv, T_BRACKET)
+    assert np.array_equal(ps, ref_ps)
+    assert np.array_equal(flips, ref_flips) and flips.size == 1
+
+
+def test_undeclared_bounds_scan_every_point():
+    true = well_potential(1.0, 0.2, 2.0)
+    plain = PotentialSpec("custom", {}, V=true.V, dV=true.dV, v_inf=1.0)
+    grid = _WINDOW_GRIDS[(3, 1024)]
+    fv = fiber_values(FunctionalContext(grid, plain, power_nonlinearity(4.0)),
+                      gaussian_bump(grid, 3.0, 1.0))
+    _, ps, _, evaluated = _recorded_scan(fv, T_BRACKET)
+    assert len(evaluated) == SCAN_POINTS
+    assert np.array_equal(ps, _full_scan(fv, T_BRACKET)[1])
+
+
+def test_readme_projection_evaluates_few_points(ctx_well):
+    # the README config's start: the full scan alone is SCAN_POINTS points
+    u = initial_bump(ctx_well, 2.0, 1.5)
+    points = _counted_projection(ctx_well, u)[2]
+    assert points <= 20

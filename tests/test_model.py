@@ -20,6 +20,7 @@ from nlsground import (
     estimate_theta_V4,
     make_nonlinearity,
     make_potential,
+    perturbed_potential,
     power_nonlinearity,
     run_condition_suite,
     saturating_nonlinearity,
@@ -272,3 +273,46 @@ def test_power_f_scalar_overflow_is_inf():
     with np.errstate(over="ignore"):
         assert spec.f_scalar(1e200) == math.inf
         assert spec.f_scalar(-1e200) == -math.inf
+
+
+# ----------------------------------------------------------------------
+# declared dilation bounds: N V(s) + s V'(s) over a dense lattice
+# ----------------------------------------------------------------------
+
+_S_LATTICE = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 200001)])
+
+# alpha in [1.5, 30] keeps both bounds within 1e-6 of the lattice: the
+# well's N a is approached like s^-alpha, and its peak for alpha > N
+# narrows in log s as alpha grows
+
+_BUILT_IN_POTENTIALS = st.one_of(
+    st.builds(constant_potential, st.floats(0.0, 5.0)),
+    st.floats(0.1, 5.0).flatmap(lambda a: st.builds(
+        well_potential, st.just(a), st.floats(0.0, a), st.floats(1.5, 30.0))),
+    st.floats(0.1, 5.0).flatmap(lambda v: st.builds(
+        perturbed_potential, st.just(v), st.floats(0.0, v),
+        st.sampled_from(("lorentzian", "gaussian")))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(V=_BUILT_IN_POTENTIALS, N=st.sampled_from((3, 4, 5)))
+def test_declared_dilation_bounds_hold_and_are_sharp(V, N):
+    w_lo, w_hi = V.dilation_bounds(N)
+    vals = N * V.V(_S_LATTICE) + _S_LATTICE * V.dV(_S_LATTICE)
+    scale = max(abs(w_lo), abs(w_hi), 1e-300)
+    # inside, up to round-off in evaluating V and V'
+    assert vals.min() >= w_lo - 1e-13 * scale
+    assert vals.max() <= w_hi + 1e-13 * scale
+    # and neither bound is loose
+    assert vals.min() <= w_lo + 1e-6 * scale
+    assert vals.max() >= w_hi - 1e-6 * scale
+
+
+def test_well_derivative_is_zero_where_r_alpha_overflows():
+    # r^(alpha-1) overflows at r = 1e4 for alpha = 100; V' there is below
+    # the smallest float, and N V + r V' is its limit N a
+    V = well_potential(1.0, 0.2, 100.0)
+    r = np.array([1e4, 1e300])
+    assert np.array_equal(V.dV(r), [0.0, 0.0])
+    assert np.array_equal(3.0 * V.V(r) + r * V.dV(r), [3.0, 3.0])

@@ -165,7 +165,9 @@ def well_potential(a: float, b: float, alpha: float = 2.0,
 
     def V(r):
         r = np.asarray(r, dtype=float)
-        return a - b / (1.0 + r**alpha)
+        # r^alpha overflows to inf far out, where b / inf = 0 gives V = a
+        with np.errstate(over="ignore"):
+            return a - b / (1.0 + r**alpha)
 
     def dV(r):
         r = np.asarray(r, dtype=float)

@@ -105,6 +105,11 @@ PRECOND_BETA = 1.0
 BL_KKT_TOL = 1e-7
 # a shot whose |u| exceeds this multiple of |u(0)| counts as an undershoot
 BLOWUP_FACTOR = 10.0
+# radius at which route C reads the growing-mode coefficient of a shot
+SHOOT_R = 12.0
+# factor by which route C's certifying probes step away from that
+# coefficient's root while they still land on one side
+SHOOT_WIDEN = 8.0
 # initial_bump doubles the amplitude at most this often
 BUMP_DOUBLINGS = 60
 
@@ -510,24 +515,27 @@ def solve_limit_BL(ctx: FunctionalContext,
 # ----------------------------------------------------------------------
 
 def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
-                    h: float, r_end: float, blow: float, record: bool = False):
-    """RK4 on u'' = V_inf u - lam f(u) - (N-1)/r u' from r = 0.
+                    h: float, r_end: float, blow: float,
+                    record: Optional[list] = None):
+    """RK4 on u'' = V_inf u - lam f(u) - (N-1)/r u' from r = 0 to r_end.
 
-    Returns (classification, r_stop[, arrays]) with classification in
+    Returns (classification, r, u, v) at the stop, with classification in
     {"cross", "turn", "decay"}.  "cross": the profile passed through
     zero (amplitude too large).  "turn": it started moving away from
     zero again while still sign-definite, or exceeded blow*|a|
     (amplitude too small; for bounded nonlinearities such trajectories
     settle at a positive rest point rather than diverging, so the turn
-    is the reliable signature).
+    is the reliable signature).  "decay": neither happened before r_end.
+    ``record``, when given, receives u after every step.
+
+    A state with u' = 0 and u'' = 0 exactly is a fixed point of the
+    discrete step at every r, so a shot that reaches one returns its
+    "decay" at once, with the r the remaining steps would accumulate.
     """
     n_steps = int(round(r_end / h))
     u, v, r = a, 0.0, 0.0
     sgn = 1.0 if a >= 0 else -1.0
     thresh = blow * abs(a)
-    us = [u] if record else None
-    if record:
-        rs = [0.0]
     # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
     # the four stages; at r = 0 the symmetric limit gives (V_inf u - lam f(u))/N.
     # Only the first stage of the first step sits at r = 0.
@@ -538,7 +546,18 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     for k in range(n_steps):
         k1u = v
         fu = v_inf * u - lam * f_scalar(u)
-        k1v = fu / N if r == 0.0 else fu - n1 / r * v
+        if r == 0.0:
+            k1v = fu / N
+        elif fu == 0.0 and v == 0.0:
+            # rest point, already past the event checks: every further
+            # step leaves (u, v) as it is
+            for _ in range(k, n_steps):
+                r += h
+            if record is not None:
+                record.extend([u] * (n_steps - k))
+            return "decay", r, u, v
+        else:
+            k1v = fu - n1 / r * v
         rh = r + hh
         k2u = v + hh * k1v
         uu = u + hh * k1u
@@ -559,14 +578,75 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
         if not (math.isfinite(u) and math.isfinite(v)):
             raise StiffIntegrationError(
                 f"shooting integration produced non-finite values at r={r:.3g}")
-        if record:
-            us.append(u)
-            rs.append(r)
+        if record is not None:
+            record.append(u)
         if u * sgn <= 0.0:          # crossed through zero
-            return ("cross", r, u) if not record else ("cross", r, rs, us)
+            return "cross", r, u, v
         if v * sgn > 0.0 or abs(u) > thresh:
-            return ("turn", r, u) if not record else ("turn", r, rs, us)
-    return ("decay", r, u) if not record else ("decay", r, rs, us)
+            return "turn", r, u, v
+    return "decay", r, u, v
+
+
+def _bisect_classes(classify, lo: float, hi: float, lo_class: str,
+                    tol: float) -> float:
+    """Halve [lo, hi] by classification to width <= tol and return its
+    midpoint; a "decay" shot is taken as the separatrix itself."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        c = classify(mid)
+        if c == "decay":
+            return mid
+        if c == lo_class:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _separatrix_amplitude(classify, growth, lo: float, hi: float,
+                          lo_class: str, tol: float) -> float:
+    """Amplitude between the classes of a scan bracket [lo, hi].
+
+    The functional stage brackets a sign change of the continuous
+    ``growth`` by false position and takes the midpoint a_g.  The
+    classification stage then probes a_g - tol/2; when that lands on the
+    ``lo_class`` side it probes a_g + tol/2, a_g + SHOOT_WIDEN tol/2, ...
+    until a probe lands on the other side, otherwise a_g - SHOOT_WIDEN
+    tol/2, ... until one lands on the ``lo_class`` side.  Every probe
+    only narrows [lo, hi], and the result is the midpoint of that bracket
+    halved by classification to width <= tol, so the functional only
+    decides how many shots the certificate costs.  Without a sign change
+    of ``growth`` on [lo, hi] the whole bracket is halved by
+    classification.
+    """
+    g_lo, g_hi = growth(lo), growth(hi)
+    if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
+        return _bisect_classes(classify, lo, hi, lo_class, tol)
+    g_root_lo, g_root_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
+    a_g = 0.5 * (g_root_lo + g_root_hi)
+    # a_g -/+ d round to floats at most tol apart, so a first pair that
+    # straddles the separatrix needs no further halving
+    d, side, first = max(0.5 * tol - math.ulp(a_g), 0.25 * tol), -1.0, True
+    x = a_g - d
+    while lo < x < hi:
+        c = classify(x)
+        if c == "decay":
+            return x
+        if c == lo_class:
+            lo, toward = x, 1.0
+        else:
+            hi, toward = x, -1.0
+        if toward == side:
+            d *= SHOOT_WIDEN
+        elif first:
+            side = toward
+        else:
+            break
+        first = False
+        x = a_g + side * d
+    return _bisect_classes(classify, lo, hi, lo_class, tol)
 
 
 def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
@@ -574,10 +654,20 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                  opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Autonomous ground state by shooting in the initial amplitude.
 
-    Bisects u(0) between undershoot (the profile turns and grows past
-    10 u(0)) and overshoot (the profile crosses zero); the separatrix is
-    the monotone decaying ground state.  Independent of the quadrature
-    and descent code paths: fixed-step RK4 on the radial ODE.
+    Shots are fixed-step RK4 on the radial ODE, independent of the
+    quadrature and descent code paths, and are classified as undershoot
+    (the profile turns, or grows past 10 u(0)) or overshoot (it crosses
+    zero); the separatrix between them is the monotone decaying ground
+    state.  A scan over u(0) = 1, 2, 1/2, 4, ... finds one amplitude of
+    each class.  Inside that bracket the root of the growing-mode
+    coefficient 1/2 (w + w'/kappa) e^{-kappa r} of w = r^{(N-1)/2} u,
+    kappa = sqrt(V_inf), read at r = SHOOT_R or at the shot's event if
+    that comes first, is found by false position; it changes sign
+    smoothly at the ground state.  Classification shots next to that
+    root then narrow the bracket, which is halved by classification to
+    opts.shoot_tol (see ``_separatrix_amplitude``).  The reported u(0)
+    is the midpoint of an undershoot/overshoot bracket no wider than
+    opts.shoot_tol whichever way the functional points.
     """
     if v_inf <= 0:
         raise DomainError("shooting requires V_inf > 0")
@@ -590,14 +680,22 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     h = grid.h / k_sub
     r_end, blow = grid.r_max, BLOWUP_FACTOR
     f_scalar = f.f_scalar
+    kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
 
     def classify(a):
-        kind, _, u_end = _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_end, blow)
+        kind, _, u_end, _ = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
+                                            r_end, blow)
         if kind == "decay" and abs(u_end) > 0.5 * abs(a):
             # the trajectory never left the neighborhood of a rest point
             # of the autonomous flow: the amplitude is too small
             return "turn"
         return kind
+
+    def growth(a):
+        # w = r^m u and w' = r^m (u' + m u / r)
+        _, r, u, v = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
+                                     SHOOT_R, blow)
+        return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
 
     a_lo = a_hi = None   # lo: turn side, hi: cross side
     a = 1.0
@@ -624,23 +722,13 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
 
     if a_lo != a_hi:
         lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-        lo_class = seen[a_lo] if a_lo < a_hi else seen[a_hi]
-        while hi - lo > opts.shoot_tol:
-            mid = 0.5 * (lo + hi)
-            c = classify(mid)
-            if c == "decay":
-                lo = hi = mid
-                break
-            if c == lo_class:
-                lo = mid
-            else:
-                hi = mid
-        a_star = 0.5 * (lo + hi)
+        a_star = _separatrix_amplitude(classify, growth, lo, hi, seen[lo],
+                                       opts.shoot_tol)
     else:
         a_star = a_lo
 
-    kind, r_stop, rs, us = _integrate_shot(
-        a_star, v_inf, f_scalar, N, lam, h, r_end, blow, record=True)
+    us = [a_star]
+    _integrate_shot(a_star, v_inf, f_scalar, N, lam, h, r_end, blow, record=us)
     full = np.zeros((grid.n - 1) * k_sub + 1)
     full[: len(us)] = us
     sgn = 1.0 if a_star > 0 else -1.0
@@ -661,7 +749,7 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     if w >= 2 and full[c - w] > full[c] > 0.0:
         rate = math.log(full[c - w] / full[c]) / (w * h)
     else:
-        rate = math.sqrt(v_inf)
+        rate = kappa
     ext = np.arange(1, full.size - c)
     full[c + 1 :] = full[c] * np.exp(-rate * h * ext)
     full *= sgn

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -316,3 +317,15 @@ def test_well_derivative_is_zero_where_r_alpha_overflows():
     r = np.array([1e4, 1e300])
     assert np.array_equal(V.dV(r), [0.0, 0.0])
     assert np.array_equal(3.0 * V.V(r) + r * V.dV(r), [3.0, 3.0])
+
+
+def test_well_value_is_silent_where_r_alpha_overflows():
+    # r^alpha overflows at r = 1e4 for alpha = 100: V is its limit a there,
+    # with no numpy overflow warning, and unchanged where r^alpha is finite
+    V = well_potential(1.0, 0.2, 100.0)
+    r = np.array([0.5, 1.0, 1.5, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = V.V(r)
+    assert got[-1] == 1.0
+    assert np.array_equal(got[:-1], 1.0 - 0.2 / (1.0 + r[:-1] ** 100.0))

@@ -107,6 +107,14 @@ class NonlinearitySpec:
     |f(t)| <= C0 (1 + |t|^{2*-1}); when None it is fitted on samples by
     :func:`check_F`.  ``s0`` is an optional declared witness for
     F(s0) > (V_inf/2) s0^2.
+
+    ``F_ratio_nondecreasing`` declares the proven fact that F(s)/s^2 is
+    nondecreasing in |s|.  The built-in factories set it on the parameter
+    ranges where they prove it; route B's amplitude restore then knows
+    that the amplitudes a with C(a w) >= target > 0 form an up-set, and
+    starts its scan at a = 1.  False (a hand-built spec) means the scan
+    starts at its low end.  A declared fact that does not hold voids the
+    first-crossing guarantee of that restore.
     """
 
     family: str
@@ -116,6 +124,7 @@ class NonlinearitySpec:
     f_scalar: Callable[[float], float]
     C0: Optional[float] = None
     s0: Optional[float] = None
+    F_ratio_nondecreasing: bool = False
 
 
 @dataclass
@@ -255,8 +264,10 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
             # overflow); the vectorised form gives the IEEE result
             return float(f(t))
 
+    # F(s)/s^2 = coeff |s|^{p-2} / p
     return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff},
-                            f=f, F=F, f_scalar=f_scalar)
+                            f=f, F=F, f_scalar=f_scalar,
+                            F_ratio_nondecreasing=p >= 2.0 and coeff >= 0.0)
 
 
 def saturating_nonlinearity(c: float) -> NonlinearitySpec:
@@ -281,8 +292,10 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
         # ufunc on a float runs that same loop, and numpy's t**2 is t*t
         return c * float(np.power(t, 3.0)) / (1.0 + t * t)
 
+    # F(s)/s^2 = (c/2) (1 - log1p(z)/z) with z = s^2, and log1p(z)/z
+    # decreases in z
     return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F,
-                            f_scalar=f_scalar)
+                            f_scalar=f_scalar, F_ratio_nondecreasing=c >= 0.0)
 
 
 def zero_nonlinearity() -> NonlinearitySpec:
@@ -292,6 +305,7 @@ def zero_nonlinearity() -> NonlinearitySpec:
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         F=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         f_scalar=lambda t: 0.0,
+        F_ratio_nondecreasing=True,
     )
 
 

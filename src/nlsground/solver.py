@@ -110,7 +110,8 @@ SHOOT_R = 12.0
 # factor by which route C's certifying probes step away from that
 # coefficient's root while they still land on one side
 SHOOT_WIDEN = 8.0
-# initial_bump doubles the amplitude at most this often
+# initial_bump and route B's starting profile double the amplitude at most
+# this often
 BUMP_DOUBLINGS = 60
 
 # Residual levels the routes certify at the default n = 4096 grid; all of
@@ -370,6 +371,8 @@ def solve_fiber_descent(ctx: FunctionalContext,
 
 # amplitudes scanned in order for the first crossing C(a) >= target
 AMP_SCAN = np.geomspace(1e-4, 1e4, 81)
+# index of a = 1 in AMP_SCAN, where a restore declared to cross once starts
+AMP_START = int(np.searchsorted(AMP_SCAN, 1.0))
 # final bracket width in log a: a few ulp at the scan's ends, |log a| ~ 9.2
 AMP_LOG_TOL = 1e-14
 
@@ -379,12 +382,22 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     """Scalar a > 0 with C(a*w) = target, where
     C(v) = int [lam F(v) - (V_inf/2) v^2]; None when unreachable.
 
-    Returns the first crossing: the scan stops at the first amplitude
-    with C >= target (C(a)/a^2 need not be monotone, so the scan is not
-    bisected), and the bracket below it is polished by false position
-    in x = log a on (C(a) - target) / a^2.  That has the sign of
+    Returns the first crossing: the first scan amplitude with
+    C >= target, and the bracket below it polished by false position in
+    x = log a on (C(a) - target) / a^2.  That has the sign of
     C(a) - target at every a, so the root is the same; without the
     quadratic growth of C the polish does not creep in from one end.
+
+    In general C(a)/a^2 need not be monotone (power 1 < p < 2 rises and
+    falls), so the scan is walked, not bisected: down while the point
+    below still reaches the target, then up while the target is not
+    reached.  A NaN value counts as not reached.  The walk starts at the
+    low end, where the walk down is empty.  When the nonlinearity
+    declares F(s)/s^2 nondecreasing in |s| and target > 0, C(a)/a^2 is
+    nondecreasing (lam >= 0) while target/a^2 decreases, so
+    {a : C(a) >= target} is an up-set of the scan; the walk then starts
+    at a = 1, where route B's iterates sit, and ends on the same index,
+    with the same two values, as the walk from the low end.
     """
     wt = ctx.grid.weights
     half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
@@ -398,16 +411,20 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
         return (c_of(a) - target) / (a * a)
 
     c_prev = None
-    for j, a in enumerate(AMP_SCAN):
-        c = c_of(a)
-        if c >= target:
+    j = AMP_START if ctx.f.F_ratio_nondecreasing and target > 0.0 else 0
+    c = c_of(AMP_SCAN[j])
+    while c >= target and j > 0:
+        c_prev = c_of(AMP_SCAN[j - 1])
+        if not c_prev >= target:
             break
-        c_prev = c
-    else:
-        return None
+        j, c = j - 1, c_prev
+    while not c >= target:
+        if j + 1 == AMP_SCAN.size:
+            return None
+        j, c_prev, c = j + 1, c, c_of(AMP_SCAN[j + 1])
     if j == 0:
         return float(AMP_SCAN[0])
-    a_prev = AMP_SCAN[j - 1]
+    a_prev, a = AMP_SCAN[j - 1], AMP_SCAN[j]
     lo, hi = false_position(excess, math.log(a_prev), math.log(a),
                             (c_prev - target) / (a_prev * a_prev),
                             (c - target) / (a * a), AMP_LOG_TOL)
@@ -433,7 +450,7 @@ def solve_limit_BL(ctx: FunctionalContext,
 
     w0 = None
     a0 = opts.amp
-    for _ in range(60):
+    for _ in range(BUMP_DOUBLINGS):
         cand = RadialFunction.sampled(grid, lambda r: a0 * np.exp(-(r / opts.width) ** 2))
         a = _amplitude_restore(ctx, cand.values)
         if a is not None:

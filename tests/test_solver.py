@@ -160,22 +160,60 @@ def _restore_reference(ctx, w, target=1.0):
     return j, float(math.sqrt(lo * hi))
 
 
+def _cold_restore(ctx, w, target=1.0):
+    """The restore as it was before the declared F(s)/s^2 fact: the walk
+    from the low end of the scan for every nonlinearity, kept verbatim."""
+    wt = ctx.grid.weights
+    half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
+
+    def c_of(a: float) -> float:
+        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
+                     - half_mass * a * a)
+
+    def excess(x: float) -> float:
+        a = math.exp(x)
+        return (c_of(a) - target) / (a * a)
+
+    c_prev = None
+    for j, a in enumerate(solver.AMP_SCAN):
+        c = c_of(a)
+        if c >= target:
+            break
+        c_prev = c
+    else:
+        return None
+    if j == 0:
+        return float(solver.AMP_SCAN[0])
+    a_prev = solver.AMP_SCAN[j - 1]
+    lo, hi = solver.false_position(excess, math.log(a_prev), math.log(a),
+                                   (c_prev - target) / (a_prev * a_prev),
+                                   (c - target) / (a * a), solver.AMP_LOG_TOL)
+    return math.exp(0.5 * (lo + hi))
+
+
 def _check_restore(f, w):
     ctx, passes = _counting_context(f)
     j, a_ref = _restore_reference(ctx, w)
+    a_cold = _cold_restore(ctx, w)
     passes[0] = 0
     a = solver._amplitude_restore(ctx, w)
+    assert a == a_cold
     scan = np.geomspace(1e-4, 1e4, 81)
+    # scan passes: with F(s)/s^2 declared nondecreasing the walk starts at
+    # a = 1 (index 40) and reaches j in |j - 40| + 1 of them, plus the one
+    # below j that stops a walk down; otherwise it walks up from index 0
+    # in j + 1.  The polish adds at most 12.
+    declared = f.F_ratio_nondecreasing
     if j is None:
         assert a is None
-        assert passes[0] == scan.size
+        assert passes[0] == (41 if declared else scan.size)
         return None
     if j == 0:
         assert a == scan[0]
     else:
         assert scan[j - 1] <= a <= scan[j]
         assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
-    assert passes[0] <= j + 1 + 12
+    assert passes[0] <= (abs(j - 40) + 2 if declared else j + 1) + 12
     return a
 
 
@@ -186,9 +224,16 @@ _W_PART = st.tuples(st.floats(-4.0, 6.0),       # log10 amplitude
 
 
 # p stays off 2: there lam F and the mass term cancel, and rounding moves
-# the crossing by more than the 1e-13 both restores are held to
-_RESTORE_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
-                       st.floats(1.1, 5.0).map(saturating_nonlinearity))
+# the crossing by more than the 1e-13 both restores are held to.  p < 2
+# and declared specs stripped of the fact keep the walk from the low end
+# exercised.
+_DECLARING_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
+                         st.floats(1.1, 5.0).map(saturating_nonlinearity))
+_RESTORE_F = st.one_of(
+    _DECLARING_F,
+    st.floats(1.1, 1.9).map(power_nonlinearity),
+    _DECLARING_F.map(lambda f: dataclasses.replace(f, F_ratio_nondecreasing=False)),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,6 +254,18 @@ def test_amplitude_restore_unreachable():
     assert _check_restore(power_nonlinearity(4.0), np.zeros_like(w)) is None
     for c in (0.5, 1.0):       # F(t) <= t^2/2: C(a) <= 0 for every a
         assert _check_restore(saturating_nonlinearity(c), w) is None
+
+
+def test_amplitude_restore_nan_is_not_reached():
+    # F is NaN past |s| = 1, where C would first reach the target: a NaN
+    # counts as not reached, so both walks scan on and find nothing
+    f = power_nonlinearity(4.0)
+    w = 1e-2 * np.exp(-_RESTORE_GRID.r**2)
+    w[-1] = 0.0
+    nan_f = dataclasses.replace(
+        f, F=lambda t: np.where(np.abs(t) > 1.0, np.nan, f.F(t)))
+    for spec in (nan_f, dataclasses.replace(nan_f, F_ratio_nondecreasing=False)):
+        assert _check_restore(spec, w) is None
 
 
 def test_amplitude_restore_first_scan_point():
@@ -234,6 +291,43 @@ def test_amplitude_restore_keeps_first_crossing():
     assert abs(A * a**1.5 - B * a**2 - 1.0) < 1e-9
     # the second crossing lies above the peak
     assert A * (4.0 * a_peak) ** 1.5 - B * (4.0 * a_peak) ** 2 < 1.0
+
+
+# route B on the restore grid; the default tolerances are set for n = 4096
+# and scale by (4096/n)^2
+_RESTORE = solver._amplitude_restore
+_BL_OPTS_1024 = SolveOptions(grad_tol=16 * solver.ROUTE_GRAD_TOL["bl-constrained"],
+                             poho_tol=16 * solver.ROUTE_POHO_TOL["bl-constrained"])
+
+
+def _bl_restore_passes(f, monkeypatch):
+    """Route B's report on the restore grid, and the F passes of each of
+    its amplitude restores."""
+    ctx, passes = _counting_context(f)
+    per_call = []
+
+    def counting(ctx, w, target=1.0):
+        before = passes[0]
+        a = _RESTORE(ctx, w, target)
+        per_call.append(passes[0] - before)
+        return a
+
+    monkeypatch.setattr(solver, "_amplitude_restore", counting)
+    return solve_limit_BL(ctx, _BL_OPTS_1024), per_call
+
+
+def test_bl_route_same_report_without_the_declared_fact(monkeypatch):
+    f = power_nonlinearity(4.0)
+    assert solver.AMP_SCAN[solver.AMP_START] == 1.0
+    declared, warm = _bl_restore_passes(f, monkeypatch)
+    stripped, cold = _bl_restore_passes(
+        dataclasses.replace(f, F_ratio_nondecreasing=False), monkeypatch)
+    assert declared.converged
+    assert declared.to_dict() == stripped.to_dict()
+    assert len(warm) == len(cold)
+    # deterministic work: ~8 F passes per restore from a = 1, ~48 from 1e-4
+    assert sum(warm) / len(warm) <= 10
+    assert sum(cold) / len(cold) > 40
 
 
 def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):

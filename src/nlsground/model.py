@@ -115,6 +115,14 @@ class NonlinearitySpec:
     starts its scan at a = 1.  False (a hand-built spec) means the scan
     starts at its low end.  A declared fact that does not hold voids the
     first-crossing guarantee of that restore.
+
+    ``degree`` declares the proven fact that f is homogeneous:
+    f(c s) = c^degree f(s) for every c > 0 and every s.  The sweep then
+    predicts each row's shooting amplitude from the lam = 1 root, which
+    route C confirms by two classification shots or discards.  None (a
+    hand-built spec, or a family that is not homogeneous) means no
+    prediction.  A declared degree that does not hold costs those two
+    shots, never a different certificate.
     """
 
     family: str
@@ -125,6 +133,7 @@ class NonlinearitySpec:
     C0: Optional[float] = None
     s0: Optional[float] = None
     F_ratio_nondecreasing: bool = False
+    degree: Optional[float] = None
 
 
 @dataclass
@@ -264,10 +273,11 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
             # overflow); the vectorised form gives the IEEE result
             return float(f(t))
 
-    # F(s)/s^2 = coeff |s|^{p-2} / p
+    # F(s)/s^2 = coeff |s|^{p-2} / p, and f(c s) = c^{p-1} f(s) for c > 0
     return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff},
                             f=f, F=F, f_scalar=f_scalar,
-                            F_ratio_nondecreasing=p >= 2.0 and coeff >= 0.0)
+                            F_ratio_nondecreasing=p >= 2.0 and coeff >= 0.0,
+                            degree=p - 1.0)
 
 
 def saturating_nonlinearity(c: float) -> NonlinearitySpec:

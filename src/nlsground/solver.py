@@ -114,8 +114,12 @@ SHOOT_WIDEN = 8.0
 # this often
 BUMP_DOUBLINGS = 60
 
-# Residual levels the routes certify at the default n = 4096 grid; all of
-# them shrink ~4x per grid doubling.  The strong-form residual of the
+# Residual levels the routes certify at the default n = 4096 grid.  Grid
+# refinement is asserted on the levels, not on these residuals: routes A
+# and C converge at second order in the mesh width (tests/test_refinement.py).
+# Route A's grad_tol is both its stopping rule and its certificate, and its
+# stalled residual does not shrink steadily with the grid (const: 6.1e-3,
+# 6.4e-4, 1.45e-3 at n = 1024/2048/4096).  The strong-form residual of the
 # constrained route is limited by the variational-vs-strong-form
 # discretization mismatch, the others by plain truncation error.
 ROUTE_GRAD_TOL = {
@@ -622,6 +626,13 @@ def _bisect_classes(classify, lo: float, hi: float, lo_class: str,
     return 0.5 * (lo + hi)
 
 
+def _probe_offset(a: float, tol: float) -> float:
+    """Offset d of the classification probes a -/+ d next to an amplitude
+    a: a -/+ d round to floats at most tol apart, so a first pair that
+    straddles the separatrix needs no further halving."""
+    return max(0.5 * tol - math.ulp(a), 0.25 * tol)
+
+
 def _separatrix_amplitude(classify, growth, lo: float, hi: float,
                           lo_class: str, tol: float) -> float:
     """Amplitude between the classes of a scan bracket [lo, hi].
@@ -643,9 +654,7 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
         return _bisect_classes(classify, lo, hi, lo_class, tol)
     g_root_lo, g_root_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
     a_g = 0.5 * (g_root_lo + g_root_hi)
-    # a_g -/+ d round to floats at most tol apart, so a first pair that
-    # straddles the separatrix needs no further halving
-    d, side, first = max(0.5 * tol - math.ulp(a_g), 0.25 * tol), -1.0, True
+    d, side, first = _probe_offset(a_g, tol), -1.0, True
     x = a_g - d
     while lo < x < hi:
         c = classify(x)
@@ -666,9 +675,60 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
     return _bisect_classes(classify, lo, hi, lo_class, tol)
 
 
+def _searched_amplitude(classify, growth, tol: float) -> float:
+    """Separatrix amplitude from no prior knowledge: a scan over
+    u(0) = 1, 2, 1/2, 4, 1/4, ... finds one amplitude of each class, and
+    ``_separatrix_amplitude`` searches the bracket between them."""
+    a_lo = a_hi = None   # lo: turn side, hi: cross side
+    seen = {}
+    for k in range(61):
+        step = (k + 1) // 2
+        cand = (2.0**step if k % 2 == 1 else 2.0**-step) if k else 1.0
+        c = classify(cand)
+        seen[cand] = c
+        if c == "turn" and (a_lo is None or cand > a_lo):
+            a_lo = cand
+        if c == "cross" and (a_hi is None or cand < a_hi):
+            a_hi = cand
+        if c == "decay":
+            return cand
+        if a_lo is not None and a_hi is not None:
+            break
+    if a_lo is None or a_hi is None:
+        raise BracketNotFoundError(
+            "no amplitude bracket separating undershoot from overshoot; "
+            f"behaviors seen: {sorted(set(seen.values()))}")
+    lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
+    return _separatrix_amplitude(classify, growth, lo, hi, seen[lo], tol)
+
+
+def _confirmed_amplitude(classify, predicted: float, tol: float) -> Optional[float]:
+    """Separatrix amplitude next to a predicted one, or None.
+
+    Classifies predicted -/+ d (d as the probes of
+    ``_separatrix_amplitude`` use); a turn and a cross bracket the
+    separatrix, and that bracket is halved by classification to width
+    <= tol.  A "decay" probe is taken as the separatrix itself.  Two
+    probes of one class confirm nothing: None, and the caller searches
+    as if no prediction had been made.
+    """
+    d = _probe_offset(predicted, tol)
+    lo, hi = predicted - d, predicted + d
+    c_lo = classify(lo)
+    if c_lo == "decay":
+        return lo
+    c_hi = classify(hi)
+    if c_hi == "decay":
+        return hi
+    if {c_lo, c_hi} != {"turn", "cross"}:
+        return None
+    return _bisect_classes(classify, lo, hi, c_lo, tol)
+
+
 def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                  grid: Optional[RadialGrid] = None,
-                 opts: SolveOptions = SolveOptions()) -> SolveReport:
+                 opts: SolveOptions = SolveOptions(),
+                 predicted: Optional[float] = None) -> SolveReport:
     """Autonomous ground state by shooting in the initial amplitude.
 
     Shots are fixed-step RK4 on the radial ODE, independent of the
@@ -685,9 +745,18 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     opts.shoot_tol (see ``_separatrix_amplitude``).  The reported u(0)
     is the midpoint of an undershoot/overshoot bracket no wider than
     opts.shoot_tol whichever way the functional points.
+
+    ``predicted``, when given, is an amplitude expected within
+    opts.shoot_tol/2 of the separatrix.  Two classification shots next
+    to it either bracket the separatrix, which skips the scan and the
+    functional stage, or they do not, and the search runs as without a
+    prediction (see ``_confirmed_amplitude``).  The certificate is the
+    same either way.
     """
     if v_inf <= 0:
         raise DomainError("shooting requires V_inf > 0")
+    if predicted is not None and not math.isfinite(predicted):
+        raise DomainError(f"predicted amplitude must be finite, got {predicted}")
     grid = make_grid(N, 30.0, 4096) if grid is None else grid
     # largest step <= opts.ode_step that divides the grid spacing exactly,
     # so the recorded trajectory subsamples onto grid nodes by index and
@@ -698,10 +767,16 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     r_end, blow = grid.r_max, BLOWUP_FACTOR
     f_scalar = f.f_scalar
     kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
+    # end states (r, u, u') of classification shots whose event came by
+    # SHOOT_R: a shot of the same amplitude run only to SHOOT_R stops at
+    # that same step, so growth reads them (the scan bracket's ends)
+    early = {}
 
     def classify(a):
-        kind, _, u_end, _ = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
-                                            r_end, blow)
+        kind, r, u_end, v_end = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
+                                                r_end, blow)
+        if r <= SHOOT_R:
+            early[a] = (r, u_end, v_end)
         if kind == "decay" and abs(u_end) > 0.5 * abs(a):
             # the trajectory never left the neighborhood of a rest point
             # of the autonomous flow: the amplitude is too small
@@ -710,39 +785,18 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
 
     def growth(a):
         # w = r^m u and w' = r^m (u' + m u / r)
-        _, r, u, v = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
-                                     SHOOT_R, blow)
+        if a in early:
+            r, u, v = early[a]
+        else:
+            _, r, u, v = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
+                                         SHOOT_R, blow)
         return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
 
-    a_lo = a_hi = None   # lo: turn side, hi: cross side
-    a = 1.0
-    seen = {}
-    for k in range(61):
-        # expand the scan 1, 2, 1/2, 4, 1/4, ...
-        step = (k + 1) // 2
-        cand = a * (2.0**step if k % 2 == 1 else 2.0**-step) if k else a
-        c = classify(cand)
-        seen[cand] = c
-        if c == "turn" and (a_lo is None or cand > a_lo):
-            a_lo = cand
-        if c == "cross" and (a_hi is None or cand < a_hi):
-            a_hi = cand
-        if c == "decay":
-            a_lo = a_hi = cand
-            break
-        if a_lo is not None and a_hi is not None:
-            break
-    if a_lo is None or a_hi is None:
-        raise BracketNotFoundError(
-            "no amplitude bracket separating undershoot from overshoot; "
-            f"behaviors seen: {sorted(set(seen.values()))}")
-
-    if a_lo != a_hi:
-        lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-        a_star = _separatrix_amplitude(classify, growth, lo, hi, seen[lo],
-                                       opts.shoot_tol)
-    else:
-        a_star = a_lo
+    a_star = None
+    if predicted is not None:
+        a_star = _confirmed_amplitude(classify, predicted, opts.shoot_tol)
+    if a_star is None:
+        a_star = _searched_amplitude(classify, growth, opts.shoot_tol)
 
     us = [a_star]
     _integrate_shot(a_star, v_inf, f_scalar, N, lam, h, r_end, blow, record=us)
@@ -879,11 +933,21 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
         if lams and not path_end_negative(T, lams):
             raise ConvergenceError("path endpoint not negative on the kept rows")
 
+    def predicted_amplitude(lam: float) -> Optional[float]:
+        # s u solves the lam problem when u solves the lam = 1 problem and
+        # lam s^(degree-1) = 1; every RK4 stage and every shot event scales
+        # the same way, so the lam = 1 root predicts the row's root
+        deg = ctx.f.degree
+        if deg is None or deg <= 1.0:
+            return None
+        return u1.u_at_zero * lam ** (-1.0 / (deg - 1.0))
+
     rows = []
     for lam in lams:
         # the lam = 1 row is the shot u1 already made
         m_inf = u1.energy if lam == 1.0 else shoot_oracle(
-            ctx.V.v_inf, ctx.f, N, lam=lam, grid=grid, opts=opts).energy
+            ctx.V.v_inf, ctx.f, N, lam=lam, grid=grid, opts=opts,
+            predicted=predicted_amplitude(lam)).energy
         # the fiber's unique maximizer is the root of P(u_t); it lies below
         # T, where the fiber is already negative
         fv_lam = fiber_at(lam)

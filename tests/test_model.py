@@ -383,3 +383,36 @@ def test_F_ratio_declaration_edges():
     assert make_nonlinearity("power", p=3.0).F_ratio_nondecreasing
     hand_built = NonlinearitySpec("power", {}, f=np.sign, F=np.abs, f_scalar=float)
     assert not hand_built.F_ratio_nondecreasing
+
+
+# ----------------------------------------------------------------------
+# declared fact: f(c s) = c^degree f(s), over a dense (c, s) lattice
+# ----------------------------------------------------------------------
+
+_C_LATTICE = np.geomspace(1e-3, 1e3, 61)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 6.0, exclude_min=True),
+       # normal coefficients: subnormal values of f carry no relative precision
+       coeff=st.one_of(st.just(0.0), st.floats(1e-3, 20.0), st.floats(-20.0, -1e-3)))
+def test_declared_degree_is_homogeneous(p, coeff):
+    f = power_nonlinearity(p, coeff)
+    assert f.degree == p - 1.0
+    # s = 0 is left out: f(0) is nan for p < 2
+    s = np.concatenate([-_S_LATTICE[1::50], _S_LATTICE[1::50]])
+    c = _C_LATTICE[:, None]
+    scaled = np.asarray(f.f(c * s), dtype=float)
+    want = c ** f.degree * np.asarray(f.f(s), dtype=float)
+    # a few ulp from each side's pow, amplified by the exponent
+    assert np.allclose(scaled, want, rtol=1e-13, atol=0.0), (p, coeff)
+
+
+def test_degree_declared_only_by_power():
+    assert make_nonlinearity("power", p=3.0).degree == 2.0
+    assert power_nonlinearity(1.5, -2.0).degree == 0.5
+    for c in (-1.0, 0.0, 4.0):
+        assert saturating_nonlinearity(c).degree is None
+    assert zero_nonlinearity().degree is None
+    hand_built = NonlinearitySpec("power", {}, f=np.sign, F=np.abs, f_scalar=float)
+    assert hand_built.degree is None

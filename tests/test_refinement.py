@@ -26,9 +26,9 @@ STALL_TOL = 1e-12
 
 
 def _scaled_tolerances(route, n):
-    # the defaults certify n = 4096; scaling them by (4096/n)^2 is the
-    # convention of ROUTE_GRAD_TOL.  It fits route C, but route A's stalled
-    # residual does not shrink that way (see _descent_level)
+    # the defaults certify n = 4096; scaling them by (4096/n)^2, the rate
+    # of second-order truncation error, fits route C, but route A's
+    # stalled residual does not shrink that way (see _descent_level)
     scale = (4096 / n) ** 2
     return solver.ROUTE_GRAD_TOL[route] * scale, solver.ROUTE_POHO_TOL[route] * scale
 

@@ -7,10 +7,13 @@ stage: the same bracket scan, then bisection by classification alone.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     BracketNotFoundError,
     ConvergenceError,
+    DomainError,
     SolveOptions,
     make_grid,
     power_nonlinearity,
@@ -91,7 +94,7 @@ def reference_search(f, N, lam, grid, opts):
     return 0.5 * (lo + hi), shots[0]
 
 
-def counted_search(f, N, lam, grid, opts, monkeypatch):
+def counted_search(f, N, lam, grid, opts, monkeypatch, predicted=None):
     """(u(0), shots by kind) of shoot_oracle; the kinds are "classify"
     (run to r_max), "functional" (run to SHOOT_R) and "record"."""
     shots = {"classify": 0, "functional": 0, "record": 0}
@@ -105,7 +108,8 @@ def counted_search(f, N, lam, grid, opts, monkeypatch):
 
     monkeypatch.setattr(solver, "_integrate_shot", counting)
     try:
-        a_star = shoot_oracle(1.0, f, N, lam=lam, grid=grid, opts=opts).u_at_zero
+        a_star = shoot_oracle(1.0, f, N, lam=lam, grid=grid, opts=opts,
+                              predicted=predicted).u_at_zero
     except ConvergenceError as exc:
         # the search is under test here, not the profile's certificates
         a_star = exc.report.u_at_zero
@@ -143,6 +147,101 @@ def test_readme_search_integrations(grid4096, f_cubic, rep_shoot, monkeypatch):
                                    monkeypatch)
     assert a_star == rep_shoot.u_at_zero
     assert sum(shots.values()) <= 20
+    # the scan bracket [4, 8] has both events before SHOOT_R, so the
+    # functional reads its ends from their classification shots: the 8
+    # false-position shots are the only ones run to SHOOT_R
+    assert shots == {"classify": 8, "functional": 8, "record": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), N=st.sampled_from([3, 4, 5]),
+       a=st.floats(0.2, 40.0))
+def test_early_event_is_the_functional_shot(family, N, a):
+    # the reuse rests on this: a shot whose event comes by SHOOT_R ends
+    # exactly as the same shot run only to SHOOT_R
+    f = FAMILIES[family]()
+    h = _step(make_grid(N, 30.0, 4096), COARSE)
+    full = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0,
+                                  solver.BLOWUP_FACTOR)
+    short = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, solver.SHOOT_R,
+                                   solver.BLOWUP_FACTOR)
+    if full[1] <= solver.SHOOT_R:
+        assert full == short
+    else:
+        assert short[0] == "decay"
+
+
+# ----------------------------------------------------------------------
+# the weight symmetry behind the sweep's predicted amplitudes
+# ----------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.sampled_from([3, 4, 5]), frac=st.floats(0.05, 0.95),
+       lam=st.floats(0.5, 1.0),
+       # a = 1 is the rest point of the lam = 1 flow; that close to it the
+       # class is decided by rounding, which the scaling does not preserve
+       a=st.floats(0.2, 10.0).filter(lambda a: abs(a - 1.0) > 1e-6))
+def test_shot_scales_with_the_weight(N, frac, lam, a):
+    # with f of degree p - 1, s u solves the lam problem when u solves the
+    # lam = 1 problem and lam s^(p-2) = 1; each RK4 stage scales by s and
+    # every shot event is scale-invariant
+    p = 2.0 + frac * (2.0 * N / (N - 2.0) - 2.0)      # p in (2, 2*)
+    f = power_nonlinearity(p)
+    s = lam ** (-1.0 / (f.degree - 1.0))
+    h = 1e-2
+    kind, r, u, v = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0,
+                                           solver.BLOWUP_FACTOR)
+    kind_s, r_s, u_s, v_s = solver._integrate_shot(s * a, 1.0, f.f_scalar, N, lam,
+                                                   h, 30.0, solver.BLOWUP_FACTOR)
+    assert (kind_s, r_s) == (kind, r)
+    assert abs(u_s - s * u) <= 1e-13 * s * a
+    assert abs(v_s - s * v) <= 1e-13 * s * a
+
+
+_SUBCRITICAL_POWERS = [(N, p) for N in (3, 4, 5) for p in (3.0, 4.0)
+                       if p < 2.0 * N / (N - 2.0)]
+
+
+@pytest.mark.parametrize("lam", [0.997, 0.9986])
+@pytest.mark.parametrize("N,p", _SUBCRITICAL_POWERS)
+def test_predicted_search_agrees_with_unpredicted(N, p, lam, monkeypatch):
+    f = power_nonlinearity(p)
+    grid = make_grid(N, 30.0, 4096)
+    tol = COARSE.shoot_tol
+    a_one, _ = counted_search(f, N, 1.0, grid, COARSE, monkeypatch)
+    a_ref, _ = counted_search(f, N, lam, grid, COARSE, monkeypatch)
+    predicted = a_one * lam ** (-1.0 / (f.degree - 1.0))
+    a_star, shots = counted_search(f, N, lam, grid, COARSE, monkeypatch, predicted)
+    assert abs(a_star - a_ref) <= tol
+    classify = _classifier(f, N, lam, grid, COARSE)
+    assert classify(a_star - 0.5 * tol) == "turn"
+    assert classify(a_star + 0.5 * tol) == "cross"
+    # the two probes bracket the separatrix: no scan, no functional stage
+    assert shots == {"classify": 2, "functional": 0, "record": 1}
+
+
+@pytest.mark.parametrize("miss", [lambda a: 2.0 * a, lambda a: a + 1e-6],
+                         ids=["double", "nudged"])
+def test_wrong_prediction_gives_the_unpredicted_report(miss, monkeypatch):
+    f = power_nonlinearity(4.0)
+    grid = make_grid(3, 30.0, 4096)
+    ref = shoot_oracle(1.0, f, 3, lam=0.997, grid=grid, opts=COARSE)
+    predicted = miss(ref.u_at_zero)
+    rep = shoot_oracle(1.0, f, 3, lam=0.997, grid=grid, opts=COARSE,
+                       predicted=predicted)
+    assert rep.to_dict() == ref.to_dict()
+    # the two probes are all a wrong prediction costs
+    _, ref_shots = counted_search(f, 3, 0.997, grid, COARSE, monkeypatch)
+    _, shots = counted_search(f, 3, 0.997, grid, COARSE, monkeypatch, predicted)
+    assert shots["classify"] == ref_shots["classify"] + 2
+    assert {k: shots[k] for k in ("functional", "record")} == \
+        {k: ref_shots[k] for k in ("functional", "record")}
+
+
+@pytest.mark.parametrize("predicted", [math.nan, math.inf])
+def test_nonfinite_prediction_is_a_domain_error(predicted):
+    with pytest.raises(DomainError):
+        shoot_oracle(1.0, power_nonlinearity(4.0), 3, predicted=predicted)
 
 
 @pytest.mark.parametrize("N", [3, 5])

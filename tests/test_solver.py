@@ -411,28 +411,75 @@ def test_sweep_respects_requested_grid(ctx_well):
     assert all(row["margin"] > 0.0 for row in report.rows)
 
 
-def test_sweep_reuses_lambda_one_shot(ctx_well, rep_shoot, monkeypatch):
+def _recording_shoot_oracle(monkeypatch):
+    """(lam, predicted) of every shoot_oracle call the sweep makes."""
     calls = []
     real = solver.shoot_oracle
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("lam"))
+    def recording(*args, **kwargs):
+        calls.append((kwargs.get("lam"), kwargs.get("predicted")))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "shoot_oracle", counting)
+    monkeypatch.setattr(solver, "shoot_oracle", recording)
+    return calls
+
+
+def test_sweep_reuses_lambda_one_shot(ctx_well, rep_shoot, monkeypatch):
+    calls = _recording_shoot_oracle(monkeypatch)
     report = sweep_lambda(ctx_well)
     # u1 plus the two rows below lam = 1; the lam = 1 row reuses u1
-    assert len(calls) == 3
-    assert calls.count(1.0) == 1
+    lams = [lam for lam, _ in calls]
+    assert len(lams) == 3
+    assert lams.count(1.0) == 1
     row1 = [row for row in report.rows if row["lambda"] == 1.0]
     assert len(row1) == 1
     assert row1[0]["m_inf"] == rep_shoot.energy   # standalone lam = 1 shot
+    # u1 is searched from scratch; each row starts at u1's root scaled by
+    # lam^(-1/(degree-1)), degree 3 for the cubic
+    assert calls[0] == (1.0, None)
+    for lam, predicted in calls[1:]:
+        assert predicted == pytest.approx(rep_shoot.u_at_zero / math.sqrt(lam),
+                                          rel=1e-15)
 
     calls.clear()
     report = sweep_lambda(ctx_well, [0.9, 0.95, 0.999, 1.0])
     assert [row["lambda"] for row in report.rows] == [0.999, 1.0]
-    assert calls == [1.0, 0.999]
+    assert [lam for lam, _ in calls] == [1.0, 0.999]
+    assert calls[1][1] is not None
     assert report.rows[1]["m_inf"] == rep_shoot.energy
+
+
+def test_sweep_without_declared_degree_predicts_nothing(grid4096, monkeypatch):
+    # the saturating f is not homogeneous: every row is searched from scratch
+    ctx = FunctionalContext(grid4096, well_potential(1.0, 0.2, 2.0, theta=0.95),
+                            saturating_nonlinearity(4.0))
+    calls = _recording_shoot_oracle(monkeypatch)
+    report = sweep_lambda(ctx, opts=SolveOptions(ode_step=1e-2))
+    assert len(report.rows) == 3
+    assert len(calls) == 3
+    assert all(predicted is None for _, predicted in calls)
+
+
+def test_sweep_shot_budget(ctx_well, monkeypatch):
+    shots, steps = [0], [0]
+    real = solver._integrate_shot
+
+    def counting(a, v_inf, f_scalar, N, lam, h, r_end, blow, record=None):
+        out = real(a, v_inf, f_scalar, N, lam, h, r_end, blow, record)
+        shots[0] += 1
+        steps[0] += int(round(out[1] / h))
+        return out
+
+    monkeypatch.setattr(solver, "_integrate_shot", counting)
+    sweep_lambda(ctx_well)
+    # u1's search: 8 scan, 8 functional and the recorded shot (151,185
+    # steps).  Each of the two rows below lam = 1: two probes next to its
+    # predicted amplitude, which bracket the separatrix, and the recorded
+    # shot (45,258 steps).  A row searched from the scan takes 17 shots
+    # and ~118k steps, so both bounds fail unless both rows confirm their
+    # prediction.
+    assert shots[0] <= 17 + 2 * 3
+    assert steps[0] <= 250_000
 
 
 def test_sweep_rejects_constant_potential(ctx_auto):

@@ -19,6 +19,7 @@ from .errors import (
     NotInLambdaError,
     PositivityBallError,
     PreconditionError,
+    SingularSystemError,
     StiffIntegrationError,
     ZeroFunctionError,
 )

@@ -76,6 +76,12 @@ class StiffIntegrationError(NlsgroundError):
     exit_code, label = 2, "non-convergence"
 
 
+class SingularSystemError(NlsgroundError):
+    """Factoring a linear system met a zero or non-finite pivot or factor."""
+
+    exit_code, label = 2, "non-convergence"
+
+
 class PositivityBallError(NlsgroundError):
     """No sampled ball has V_inf - V > 0 together with a nonvanishing profile."""
 

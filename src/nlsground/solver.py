@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BracketNotFoundError,
@@ -26,6 +25,7 @@ from .errors import (
     NotInLambdaError,
     PositivityBallError,
     PreconditionError,
+    SingularSystemError,
     StiffIntegrationError,
 )
 from .functionals import FiberValues, FunctionalContext, energy, fiber_values, g_of_t
@@ -229,8 +229,78 @@ def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunc
         "(superquadraticity of F may fail)")
 
 
+def _cyclic_reduction(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+    """Factor the tridiagonal system
+
+        sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = d[i]
+
+    (sub[0] and sup[-1] unused) by odd-even cyclic reduction (Buzbee,
+    Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); returns solve(d).
+
+    The system is padded with identity rows to size 2^k - 1.  Each level
+    eliminates the unknowns at even (0-based) positions of its system,
+    which leaves a tridiagonal system of half the size in the odd ones.
+    The factor keeps per level the elimination coefficients alpha and
+    gamma, 1/b of the eliminated rows and their a and c scaled by 1/b, so
+    a solve is one reduction sweep and one back-substitution sweep of
+    ~log2 n vectorised levels.  There is no pivoting: a zero or
+    non-finite pivot, or a factor that overflows, raises
+    SingularSystemError.
+    """
+    m = diag.size
+    size = (1 << m.bit_length()) - 1      # smallest 2^k - 1 >= m
+    a, b, c = np.zeros(size), np.ones(size), np.zeros(size)
+    a[1:m], b[:m], c[:m - 1] = sub[1:], diag, sup[:-1]
+    levels = []
+    finite = True
+    with np.errstate(all="ignore"):       # non-finite factors raise below
+        while b.size > 1:
+            inv = 1.0 / b[0::2]
+            alpha = -a[1::2] * inv[:-1]
+            gamma = -c[1::2] * inv[1:]
+            level = (alpha, gamma, inv, a[0::2] * inv, c[0::2] * inv)
+            finite = finite and all(np.isfinite(v).all() for v in (b, *level))
+            levels.append(level)
+            b = b[1::2] + alpha * c[0:-1:2] + gamma * a[2::2]
+            a = alpha * a[0:-1:2]
+            c = gamma * c[2::2]
+        inv_root = float(1.0 / b[0])
+    if not (finite and math.isfinite(b[0]) and math.isfinite(inv_root)):
+        raise SingularSystemError(
+            f"cyclic reduction met a zero or non-finite pivot or factor "
+            f"(system size {m})")
+
+    def solve(d: np.ndarray) -> np.ndarray:
+        # unknown i sits at buf[i + 1]; buf[0] and buf[size + 1] are zero
+        # ghosts, and the level of stride s holds its unknowns at s, 2s, ...
+        buf = np.zeros(size + 2)
+        buf[1:m + 1] = d
+        s = 1
+        for alpha, gamma, _, _, _ in levels:
+            kept = buf[2 * s:size + 1:2 * s]
+            kept += alpha * buf[s:size + 1 - s:2 * s]
+            kept += gamma * buf[3 * s:size + 1:2 * s]
+            s *= 2
+        buf[s] *= inv_root
+        for _, _, inv_b, a_b, c_b in reversed(levels):
+            s //= 2
+            elim = buf[s:size + 1:2 * s]
+            elim *= inv_b
+            elim -= a_b * buf[0:size + 2 - 2 * s:2 * s]
+            elim -= c_b * buf[2 * s:size + 2:2 * s]
+        return buf[1:m + 1]
+
+    return solve
+
+
 def _h1_preconditioner(grid: RadialGrid):
-    """Banded factors of M = I + beta * (-Laplacian_h), Dirichlet last row."""
+    """Solve of M = I + beta * (-Laplacian_h), factored once per call.
+
+    The last row is the identity.  Its unknown is the rhs's last entry,
+    which the interior rows take through their coupling to the Dirichlet
+    node; the interior system is solved by cyclic reduction, and the
+    returned direction is 0 on the Dirichlet node.
+    """
     n, h, N, r = grid.n, grid.h, grid.N, grid.r
     beta = PRECOND_BETA
     diag = np.full(n, 1.0)
@@ -241,14 +311,16 @@ def _h1_preconditioner(grid: RadialGrid):
     sub[1:-1] = beta * (-1.0 / h**2 + (N - 1.0) / (2.0 * h * r[1:-1]))
     diag[0] += beta * 2.0 * N / h**2
     sup[0] = -beta * 2.0 * N / h**2
-    # last row stays identity: directions vanish on the Dirichlet node
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
+    interior = _cyclic_reduction(sub[:-1], diag[:-1], sup[:-1])
+    couple = sup[-2]   # row n-2 to the Dirichlet node; the factor drops it
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), ab, rhs)
+        d = rhs[:-1].copy()
+        d[-1] -= couple * rhs[-1]
+        x = np.empty(n)
+        x[:-1] = interior(d)
+        x[-1] = 0.0   # directions vanish on the Dirichlet node
+        return x
 
     return solve
 
@@ -326,7 +398,6 @@ def solve_fiber_descent(ctx: FunctionalContext,
         if rel_pde <= grad_tol:
             break
         d = psolve(res.values)
-        d[-1] = 0.0
         accepted = False
         left_lambda = False
         while s >= STEP_MIN:
@@ -491,7 +562,6 @@ def solve_limit_BL(ctx: FunctionalContext,
         if kkt <= BL_KKT_TOL:
             break
         d = psolve(d_raw)
-        d[-1] = 0.0
         accepted = False
         while s >= STEP_MIN:
             trial = w - s * d

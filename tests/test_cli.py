@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +240,7 @@ EXIT_CONTRACT = {
     "LeftLambdaError": (2, "non-convergence"),
     "BracketNotFoundError": (2, "non-convergence"),
     "StiffIntegrationError": (2, "non-convergence"),
+    "SingularSystemError": (2, "non-convergence"),
     "ConstraintInfeasibleError": (2, "non-convergence"),
     "NotInLambdaError": (2, "non-convergence"),
     "NoSignChangeError": (2, "non-convergence"),
@@ -444,14 +447,60 @@ def test_failing_solve_writes_the_conditions_report(well_cfg, tmp_path):
     assert not os.path.exists(tmp_path / "s" / "solve_report.json")
 
 
-def test_readme_example_config_parses():
-    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-    with open(readme) as fh:
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _readme_config() -> str:
+    with open(os.path.join(ROOT, "README.md")) as fh:
         text = fh.read()
     block = text.split("Example configuration", 1)[1].split("```ini\n", 1)[1]
-    cfg = RunConfig.from_ini(block.split("```", 1)[0])
+    return block.split("```", 1)[0]
+
+
+def test_readme_example_config_parses():
+    cfg = RunConfig.from_ini(_readme_config())
     assert cfg.build_potential().params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
     assert cfg.lambda_grid() is None
+
+
+# every command in one fresh process; prints the exit codes and the scipy
+# modules loaded on the way
+_ALL_COMMANDS = """
+import contextlib, io, json, os, sys
+from nlsground import cli
+
+readme, const, out = sys.argv[1:]
+runs = [(readme, c) for c in ("check-conditions", "solve", "verify", "project",
+                              "oracle-shoot", "sweep-lambda")]
+codes = []
+for cfg, command in runs + [(const, "solve-limit")]:
+    solution = os.path.join(out, "solve_report.json") if command == "verify" else None
+    overrides = ["grid.n=2048"] if cfg == readme else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(command, cfg, out_dir=out, overrides=overrides,
+                             solution_path=solution))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: a CLI invocation never pays the
+    # scipy import.  The README pipeline runs at n = 2048 to stay fast;
+    # route B needs the default grid to certify.
+    readme = tmp_path / "readme.ini"
+    readme.write_text(_readme_config())
+    const = tmp_path / "const.ini"
+    const.write_text(CONST_INI.format(n=4096, out=tmp_path / "unused"))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")
+               + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _ALL_COMMANDS, str(readme),
+                           str(const), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 7, "scipy": []}
 
 
 _FAMILY_PAIRS = [(pf, nf) for pf in cli._FAMILY_KEYS["potential"]

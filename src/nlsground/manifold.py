@@ -68,11 +68,17 @@ class FiberProjection:
 
     t_u: float
     projected: RadialFunction
-    residual: float          # |P(projected)| measured on the dilated profile
     bracket: tuple
     sign_changes: int
     tolerance: float
     fiber: FiberValues       # quadratures of the input u along its fiber
+
+    @property
+    def residual(self) -> float:
+        """|P(projected)| measured on the dilated profile.  A full
+        quadrature pass, computed on each read: the routes only need the
+        projected profile."""
+        return abs(pohozaev(self.fiber.ctx, self.projected))
 
 
 def lambda_membership(ctx: FunctionalContext, u: RadialFunction):
@@ -218,7 +224,7 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
 
 def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProjection:
     """project_to_M from quadratures already computed for u."""
-    ctx, u = fv.ctx, fv.u
+    u = fv.u
     member, q = fiber_membership(fv)
     if not member:
         raise NotInLambdaError(
@@ -237,12 +243,10 @@ def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProject
                             BISECT_LOG_TOL)
     t_u = float(np.exp(0.5 * (lo + hi)))
     projected = dilate(u, t_u)
-    residual = abs(pohozaev(ctx, projected))
     tol = 5e-3 * (1.0 + h1_norm_sq(projected))
     return FiberProjection(
         t_u=t_u,
         projected=projected,
-        residual=residual,
         bracket=(float(ts[i]), float(ts[i + 1])),
         sign_changes=int(flips.size),
         tolerance=tol,

@@ -165,7 +165,7 @@ class SolveReport:
             },
         }
         if include_profile:
-            d["u"] = [float(v) for v in self.u_star.values]
+            d["u"] = self.u_star.values.tolist()
         return d
 
     @classmethod
@@ -450,6 +450,38 @@ AMP_SCAN = np.geomspace(1e-4, 1e4, 81)
 AMP_START = int(np.searchsorted(AMP_SCAN, 1.0))
 # final bracket width in log a: a few ulp at the scan's ends, |log a| ~ 9.2
 AMP_LOG_TOL = 1e-14
+# relative slack within which one real F pass confirms the amplitude that
+# a restore found on the homogeneous law A a^(degree+1) - B a^2
+AMP_CHECK_RTOL = 1e-12
+
+
+def _restore_walk(c_of, target: float, start: int) -> Optional[float]:
+    """First crossing c_of(a) >= target on AMP_SCAN, walked from index
+    ``start`` and polished by false position; None when no scan point
+    reaches the target.  See _amplitude_restore."""
+    def excess(x: float) -> float:
+        a = math.exp(x)
+        return (c_of(a) - target) / (a * a)
+
+    c_prev = None
+    j = start
+    c = c_of(AMP_SCAN[j])
+    while c >= target and j > 0:
+        c_prev = c_of(AMP_SCAN[j - 1])
+        if not c_prev >= target:
+            break
+        j, c = j - 1, c_prev
+    while not c >= target:
+        if j + 1 == AMP_SCAN.size:
+            return None
+        j, c_prev, c = j + 1, c, c_of(AMP_SCAN[j + 1])
+    if j == 0:
+        return float(AMP_SCAN[0])
+    a_prev, a = AMP_SCAN[j - 1], AMP_SCAN[j]
+    lo, hi = false_position(excess, math.log(a_prev), math.log(a),
+                            (c_prev - target) / (a_prev * a_prev),
+                            (c - target) / (a * a), AMP_LOG_TOL)
+    return math.exp(0.5 * (lo + hi))
 
 
 def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
@@ -473,37 +505,47 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     {a : C(a) >= target} is an up-set of the scan; the walk then starts
     at a = 1, where route B's iterates sit, and ends on the same index,
     with the same two values, as the walk from the low end.
+
+    When the nonlinearity declares its ``degree`` k, F(a s) = a^(k+1) F(s),
+    so C(a*w) = A a^(k+1) - B a^2 with A = lam int F(w) and
+    B = (V_inf/2) int w^2: one F pass gives the whole law, and the walk
+    and polish run on it.  One more F pass checks the amplitude found:
+    it is returned when C(a*w) is finite and within AMP_CHECK_RTOL of
+    target relative to |lam int F(a*w)| + B a^2, or, at the scan's low
+    end, reaches the target.  Any other outcome (no crossing of the law,
+    a NaN or overflowing F, a declared degree that does not hold) runs
+    the walk on C itself, as without the declared degree: two F passes
+    per restore instead of ~8 from a = 1.
     """
     wt = ctx.grid.weights
     half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
 
+    def lam_F(a: float):
+        return ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
+
     def c_of(a: float) -> float:
-        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
-                     - half_mass * a * a)
+        return float(lam_F(a) - half_mass * a * a)
 
-    def excess(x: float) -> float:
-        a = math.exp(x)
-        return (c_of(a) - target) / (a * a)
+    start = AMP_START if ctx.f.F_ratio_nondecreasing and target > 0.0 else 0
+    if ctx.f.degree is not None:
+        big_a, power = float(lam_F(1.0)), ctx.f.degree + 1.0
 
-    c_prev = None
-    j = AMP_START if ctx.f.F_ratio_nondecreasing and target > 0.0 else 0
-    c = c_of(AMP_SCAN[j])
-    while c >= target and j > 0:
-        c_prev = c_of(AMP_SCAN[j - 1])
-        if not c_prev >= target:
-            break
-        j, c = j - 1, c_prev
-    while not c >= target:
-        if j + 1 == AMP_SCAN.size:
-            return None
-        j, c_prev, c = j + 1, c, c_of(AMP_SCAN[j + 1])
-    if j == 0:
-        return float(AMP_SCAN[0])
-    a_prev, a = AMP_SCAN[j - 1], AMP_SCAN[j]
-    lo, hi = false_position(excess, math.log(a_prev), math.log(a),
-                            (c_prev - target) / (a_prev * a_prev),
-                            (c - target) / (a * a), AMP_LOG_TOL)
-    return math.exp(0.5 * (lo + hi))
+        def c_law(a: float) -> float:
+            a = float(a)
+            try:
+                return big_a * a ** power - half_mass * a * a
+            except OverflowError:    # not reached; C itself decides
+                return math.nan
+
+        a = _restore_walk(c_law, target, start)
+        if a is not None:
+            lf, mass_term = float(lam_F(a)), half_mass * a * a
+            c = lf - mass_term
+            if math.isfinite(c) and (
+                    abs(c - target) <= AMP_CHECK_RTOL * (abs(lf) + mass_term)
+                    or (a == AMP_SCAN[0] and c >= target)):
+                return a
+    return _restore_walk(c_of, target, start)
 
 
 def solve_limit_BL(ctx: FunctionalContext,

@@ -227,6 +227,78 @@ def test_format_json_non_finite_floats_load():
     assert back["x"] == [1.5, -math.inf]
 
 
+def _format_json_two_pass(obj) -> str:
+    """The two-pass encoder format_json replaced, kept verbatim as the
+    byte reference: a walk to plain values, then an encode."""
+    def walk(x):
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [walk(v) for v in x]
+        if isinstance(x, (bool, np.bool_)):
+            return bool(x)
+        if isinstance(x, (float, np.floating)):
+            x = float(x)
+            return _RawFloat(format(x, ".17g") if np.isfinite(x) else json.dumps(x))
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        return x
+
+    class _RawFloat:
+        def __init__(self, text):
+            self.text = text
+
+    def encode(x, indent=0):
+        pad = "  " * indent
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            items = ",\n".join(
+                f'{pad}  {json.dumps(str(k))}: {encode(v, indent + 1)}'
+                for k, v in x.items())
+            return "{\n" + items + "\n" + pad + "}"
+        if isinstance(x, list):
+            if not x:
+                return "[]"
+            items = ",\n".join(f"{pad}  {encode(v, indent + 1)}" for v in x)
+            return "[\n" + items + "\n" + pad + "]"
+        if isinstance(x, _RawFloat):
+            return x.text
+        return json.dumps(x)
+
+    return encode(walk(obj)) + "\n"
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.nan,
+                     math.inf, -math.inf]))
+_JSON_LEAVES = st.one_of(
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.none(),
+    st.text(max_size=8),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_TREES)
+def test_format_json_matches_two_pass_encoder(obj):
+    assert format_json(obj) == _format_json_two_pass(obj)
+
+
 # ----------------------------------------------------------------------
 # the exit-code contract: code and stderr label live on the error class
 # ----------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_cyclic_reduction_rejects_bad_pivots(sub, diag, sup):
 _RESTORE_GRID = make_grid(3, 30.0, 1024)
 
 
-def _counting_context(f):
+def _counting_context(f, grid=_RESTORE_GRID):
     """Constant-potential context whose F counts its full-array passes."""
     passes = [0]
 
@@ -214,7 +214,7 @@ def _counting_context(f):
         passes[0] += 1
         return f.F(t)
 
-    ctx = FunctionalContext(_RESTORE_GRID, constant_potential(1.0),
+    ctx = FunctionalContext(grid, constant_potential(1.0),
                             dataclasses.replace(f, F=F))
     return ctx, passes
 
@@ -284,23 +284,31 @@ def _check_restore(f, w):
     a_cold = _cold_restore(ctx, w)
     passes[0] = 0
     a = solver._amplitude_restore(ctx, w)
-    assert a == a_cold
     scan = np.geomspace(1e-4, 1e4, 81)
     # scan passes: with F(s)/s^2 declared nondecreasing the walk starts at
     # a = 1 (index 40) and reaches j in |j - 40| + 1 of them, plus the one
     # below j that stops a walk down; otherwise it walks up from index 0
-    # in j + 1.  The polish adds at most 12.
+    # in j + 1.  The polish adds at most 12.  A declared degree reads the
+    # law from one pass and checks its amplitude with one more; when no
+    # amplitude passes the check, the walk on C runs as without the degree.
     declared = f.F_ratio_nondecreasing
+    homogeneous = f.degree is not None
+    if not homogeneous:
+        assert a == a_cold
     if j is None:
         assert a is None
-        assert passes[0] == (41 if declared else scan.size)
+        walk = 41 if declared else scan.size
+        assert passes[0] - walk in ((1, 2) if homogeneous else (0,))
         return None
     if j == 0:
         assert a == scan[0]
     else:
         assert scan[j - 1] <= a <= scan[j]
         assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
-    assert passes[0] <= (abs(j - 40) + 2 if declared else j + 1) + 12
+    if homogeneous:
+        assert passes[0] <= 2
+    else:
+        assert passes[0] <= (abs(j - 40) + 2 if declared else j + 1) + 12
     return a
 
 
@@ -312,14 +320,18 @@ _W_PART = st.tuples(st.floats(-4.0, 6.0),       # log10 amplitude
 
 # p stays off 2: there lam F and the mass term cancel, and rounding moves
 # the crossing by more than the 1e-13 both restores are held to.  p < 2
-# and declared specs stripped of the fact keep the walk from the low end
-# exercised.
+# and declared specs stripped of F(s)/s^2 nondecreasing keep the walk from
+# the low end exercised; specs stripped of their degree keep the walk on
+# C itself exercised.
 _DECLARING_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
                          st.floats(1.1, 5.0).map(saturating_nonlinearity))
+_LOW_POWER_F = st.floats(1.1, 1.9).map(power_nonlinearity)
 _RESTORE_F = st.one_of(
     _DECLARING_F,
-    st.floats(1.1, 1.9).map(power_nonlinearity),
+    _LOW_POWER_F,
     _DECLARING_F.map(lambda f: dataclasses.replace(f, F_ratio_nondecreasing=False)),
+    _DECLARING_F.map(lambda f: dataclasses.replace(f, degree=None)),
+    _LOW_POWER_F.map(lambda f: dataclasses.replace(f, degree=None)),
 )
 
 
@@ -345,7 +357,9 @@ def test_amplitude_restore_unreachable():
 
 def test_amplitude_restore_nan_is_not_reached():
     # F is NaN past |s| = 1, where C would first reach the target: a NaN
-    # counts as not reached, so both walks scan on and find nothing
+    # counts as not reached, so both walks scan on and find nothing.  The
+    # homogeneous law, read where |w| < 1, does cross; its check reads a
+    # NaN there and hands over to the walk on C.
     f = power_nonlinearity(4.0)
     w = 1e-2 * np.exp(-_RESTORE_GRID.r**2)
     w[-1] = 0.0
@@ -380,6 +394,30 @@ def test_amplitude_restore_keeps_first_crossing():
     assert A * (4.0 * a_peak) ** 1.5 - B * (4.0 * a_peak) ** 2 < 1.0
 
 
+def test_amplitude_restore_false_degree_walks_on_C():
+    # declared degree 2 for p = 4: the law A a^3 - B a^2 crosses the target
+    # where C does not, the check rejects that amplitude, and the walk on C
+    # returns its crossing bit for bit
+    f = power_nonlinearity(4.0)
+    false_f = dataclasses.replace(f, degree=2.0)
+    w = 0.05 * np.exp(-_RESTORE_GRID.r**2)
+    w[-1] = 0.0
+    ctx, passes = _counting_context(false_f)
+    j, a_ref = _restore_reference(ctx, w)
+    a_cold = _cold_restore(ctx, w)
+    assert j is not None and j > solver.AMP_START + 2   # away from a = 1
+    wt = _RESTORE_GRID.weights
+    A, B = float(wt @ f.F(w)), 0.5 * float(wt @ w**2)
+    law = solver._restore_walk(lambda a: A * a**3 - B * a**2, 1.0, solver.AMP_START)
+    assert law is not None and abs(math.log(law) - math.log(a_ref)) > 1e-3
+    passes[0] = 0
+    a = solver._amplitude_restore(ctx, w)
+    assert a == a_cold
+    assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
+    # the law's pass, its check, and the walk on C from a = 1
+    assert passes[0] > 2 + (j - solver.AMP_START)
+
+
 # route B on the restore grid; the default tolerances are set for n = 4096
 # and scale by (4096/n)^2
 _RESTORE = solver._amplitude_restore
@@ -387,10 +425,10 @@ _BL_OPTS_1024 = SolveOptions(grad_tol=16 * solver.ROUTE_GRAD_TOL["bl-constrained
                              poho_tol=16 * solver.ROUTE_POHO_TOL["bl-constrained"])
 
 
-def _bl_restore_passes(f, monkeypatch):
-    """Route B's report on the restore grid, and the F passes of each of
-    its amplitude restores."""
-    ctx, passes = _counting_context(f)
+def _bl_restore_passes(f, monkeypatch, grid=_RESTORE_GRID, opts=_BL_OPTS_1024):
+    """Route B's report (on the restore grid by default), and the F passes
+    of each of its amplitude restores."""
+    ctx, passes = _counting_context(f, grid)
     per_call = []
 
     def counting(ctx, w, target=1.0):
@@ -400,21 +438,42 @@ def _bl_restore_passes(f, monkeypatch):
         return a
 
     monkeypatch.setattr(solver, "_amplitude_restore", counting)
-    return solve_limit_BL(ctx, _BL_OPTS_1024), per_call
+    return solve_limit_BL(ctx, opts), per_call
 
 
 def test_bl_route_same_report_without_the_declared_fact(monkeypatch):
     f = power_nonlinearity(4.0)
     assert solver.AMP_SCAN[solver.AMP_START] == 1.0
     declared, warm = _bl_restore_passes(f, monkeypatch)
-    stripped, cold = _bl_restore_passes(
+    # without F(s)/s^2 nondecreasing the homogeneous law's walk starts at
+    # the low end and ends on the same amplitude
+    no_ratio, _ = _bl_restore_passes(
         dataclasses.replace(f, F_ratio_nondecreasing=False), monkeypatch)
     assert declared.converged
-    assert declared.to_dict() == stripped.to_dict()
-    assert len(warm) == len(cold)
-    # deterministic work: ~8 F passes per restore from a = 1, ~48 from 1e-4
-    assert sum(warm) / len(warm) <= 10
+    assert declared.to_dict() == no_ratio.to_dict()
+    # without either fact every restore walks C from the low end; its
+    # amplitudes differ from the law's at round-off, so the iterates do too
+    stripped, cold = _bl_restore_passes(
+        dataclasses.replace(f, F_ratio_nondecreasing=False, degree=None), monkeypatch)
+    assert stripped.converged
+    assert abs(declared.energy - stripped.energy) <= 1e-12 * abs(stripped.energy)
+    u, u_cold = declared.u_star.values, stripped.u_star.values
+    assert np.max(np.abs(u - u_cold)) <= 1e-8 * np.max(np.abs(u_cold))
+    assert abs(declared.iterations - stripped.iterations) <= 1
+    # deterministic work: 2 F passes per restore with the degree, ~48 from
+    # 1e-4 without either fact
+    assert sum(warm) / len(warm) <= 2
     assert sum(cold) / len(cold) > 40
+
+
+def test_bl_route_restores_from_two_passes_at_8192(monkeypatch):
+    # the const benchmark configuration: every restore reaches the target
+    # on the law's pass and its check (an unreached one makes ~43)
+    rep, per_call = _bl_restore_passes(power_nonlinearity(4.0), monkeypatch,
+                                       make_grid(3, 30.0, 8192), SolveOptions())
+    assert rep.converged
+    assert len(per_call) > rep.iterations
+    assert set(per_call) == {2}
 
 
 def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):

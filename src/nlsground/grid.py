@@ -99,6 +99,10 @@ class RadialGrid:
     def integrate_values(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
 
+    def mesh(self) -> dict:
+        """The grid block of the JSON reports: what identifies the mesh."""
+        return {"N": self.N, "r_max": self.r_max, "n": self.n}
+
     def same_mesh(self, other: "RadialGrid") -> bool:
         return self.N == other.N and self.n == other.n and self.r_max == other.r_max
 

@@ -108,14 +108,6 @@ class NonlinearitySpec:
     :func:`check_F`.  ``s0`` is an optional declared witness for
     F(s0) > (V_inf/2) s0^2.
 
-    ``F_ratio_nondecreasing`` declares the proven fact that F(s)/s^2 is
-    nondecreasing in |s|.  The built-in factories set it on the parameter
-    ranges where they prove it; route B's amplitude restore then knows
-    that the amplitudes a with C(a w) >= target > 0 form an up-set, and
-    starts its scan at a = 1.  False (a hand-built spec) means the scan
-    starts at its low end.  A declared fact that does not hold voids the
-    first-crossing guarantee of that restore.
-
     ``degree`` declares the proven fact that f is homogeneous:
     f(c s) = c^degree f(s) for every c > 0 and every s, so
     F(c s) = c^(degree+1) F(s).  The sweep then predicts each row's
@@ -125,7 +117,7 @@ class NonlinearitySpec:
     the amplitude it finds with one more.  None (a hand-built spec, or a
     family that is not homogeneous) means neither shortcut.  A declared
     degree that does not hold costs the sweep those two shots, never a
-    different certificate, and costs the restore the real walk on F,
+    different certificate, and costs the restore the walk on C itself,
     never an amplitude off the constraint's crossing.
     """
 
@@ -136,7 +128,6 @@ class NonlinearitySpec:
     f_scalar: Callable[[float], float]
     C0: Optional[float] = None
     s0: Optional[float] = None
-    F_ratio_nondecreasing: bool = False
     degree: Optional[float] = None
 
 
@@ -277,11 +268,9 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
             # overflow); the vectorised form gives the IEEE result
             return float(f(t))
 
-    # F(s)/s^2 = coeff |s|^{p-2} / p, and f(c s) = c^{p-1} f(s) for c > 0
+    # f(c s) = c^{p-1} f(s) for c > 0
     return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff},
-                            f=f, F=F, f_scalar=f_scalar,
-                            F_ratio_nondecreasing=p >= 2.0 and coeff >= 0.0,
-                            degree=p - 1.0)
+                            f=f, F=F, f_scalar=f_scalar, degree=p - 1.0)
 
 
 def saturating_nonlinearity(c: float) -> NonlinearitySpec:
@@ -306,10 +295,8 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
         # ufunc on a float runs that same loop, and numpy's t**2 is t*t
         return c * float(np.power(t, 3.0)) / (1.0 + t * t)
 
-    # F(s)/s^2 = (c/2) (1 - log1p(z)/z) with z = s^2, and log1p(z)/z
-    # decreases in z
     return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F,
-                            f_scalar=f_scalar, F_ratio_nondecreasing=c >= 0.0)
+                            f_scalar=f_scalar)
 
 
 def zero_nonlinearity() -> NonlinearitySpec:
@@ -319,7 +306,6 @@ def zero_nonlinearity() -> NonlinearitySpec:
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         F=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         f_scalar=lambda t: 0.0,
-        F_ratio_nondecreasing=True,
     )
 
 

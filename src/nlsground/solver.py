@@ -77,14 +77,15 @@ class SolveOptions:
     shoot_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        # each test is written so that NaN fails it
+        if not self.max_iters >= 1:
             raise DomainError("max_iters must be >= 1")
         for name in ("grad_tol", "poho_tol"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise DomainError(f"{name} must be positive")
         for name in ("step", "ode_step", "shoot_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
 
     def tolerances(self, route: str):
@@ -158,11 +159,7 @@ class SolveReport:
             "u_at_zero": self.u_at_zero,
             "grad_tol": self.grad_tol,
             "poho_tol": self.poho_tol,
-            "grid": {
-                "N": self.u_star.grid.N,
-                "r_max": self.u_star.grid.r_max,
-                "n": self.u_star.grid.n,
-            },
+            "grid": self.u_star.grid.mesh(),
         }
         if include_profile:
             d["u"] = self.u_star.values.tolist()
@@ -174,7 +171,7 @@ class SolveReport:
         it writes is required and its grid block must describe ``grid``;
         DomainError otherwise."""
         try:
-            want = {"N": grid.N, "r_max": grid.r_max, "n": grid.n}
+            want = grid.mesh()
             if data["grid"] != want:
                 raise DomainError(f"grid block {data['grid']} does not match grid {want}")
             return cls(
@@ -446,8 +443,6 @@ def solve_fiber_descent(ctx: FunctionalContext,
 
 # amplitudes scanned in order for the first crossing C(a) >= target
 AMP_SCAN = np.geomspace(1e-4, 1e4, 81)
-# index of a = 1 in AMP_SCAN, where a restore declared to cross once starts
-AMP_START = int(np.searchsorted(AMP_SCAN, 1.0))
 # final bracket width in log a: a few ulp at the scan's ends, |log a| ~ 9.2
 AMP_LOG_TOL = 1e-14
 # relative slack within which one real F pass confirms the amplitude that
@@ -455,29 +450,25 @@ AMP_LOG_TOL = 1e-14
 AMP_CHECK_RTOL = 1e-12
 
 
-def _restore_walk(c_of, target: float, start: int) -> Optional[float]:
-    """First crossing c_of(a) >= target on AMP_SCAN, walked from index
-    ``start`` and polished by false position; None when no scan point
+def _restore_walk(c_of, target: float) -> Optional[float]:
+    """First crossing c_of(a) >= target on AMP_SCAN, walked up from its
+    low end and polished by false position; None when no scan point
     reaches the target.  See _amplitude_restore."""
     def excess(x: float) -> float:
         a = math.exp(x)
         return (c_of(a) - target) / (a * a)
 
     c_prev = None
-    j = start
-    c = c_of(AMP_SCAN[j])
-    while c >= target and j > 0:
-        c_prev = c_of(AMP_SCAN[j - 1])
-        if not c_prev >= target:
+    for j, a in enumerate(AMP_SCAN):
+        c = c_of(a)
+        if c >= target:
             break
-        j, c = j - 1, c_prev
-    while not c >= target:
-        if j + 1 == AMP_SCAN.size:
-            return None
-        j, c_prev, c = j + 1, c, c_of(AMP_SCAN[j + 1])
+        c_prev = c
+    else:
+        return None
     if j == 0:
         return float(AMP_SCAN[0])
-    a_prev, a = AMP_SCAN[j - 1], AMP_SCAN[j]
+    a_prev = AMP_SCAN[j - 1]
     lo, hi = false_position(excess, math.log(a_prev), math.log(a),
                             (c_prev - target) / (a_prev * a_prev),
                             (c - target) / (a * a), AMP_LOG_TOL)
@@ -496,15 +487,8 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     quadratic growth of C the polish does not creep in from one end.
 
     In general C(a)/a^2 need not be monotone (power 1 < p < 2 rises and
-    falls), so the scan is walked, not bisected: down while the point
-    below still reaches the target, then up while the target is not
-    reached.  A NaN value counts as not reached.  The walk starts at the
-    low end, where the walk down is empty.  When the nonlinearity
-    declares F(s)/s^2 nondecreasing in |s| and target > 0, C(a)/a^2 is
-    nondecreasing (lam >= 0) while target/a^2 decreases, so
-    {a : C(a) >= target} is an up-set of the scan; the walk then starts
-    at a = 1, where route B's iterates sit, and ends on the same index,
-    with the same two values, as the walk from the low end.
+    falls), so the scan is walked up from its low end, not bisected.  A
+    NaN value counts as not reached.
 
     When the nonlinearity declares its ``degree`` k, F(a s) = a^(k+1) F(s),
     so C(a*w) = A a^(k+1) - B a^2 with A = lam int F(w) and
@@ -515,7 +499,8 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     end, reaches the target.  Any other outcome (no crossing of the law,
     a NaN or overflowing F, a declared degree that does not hold) runs
     the walk on C itself, as without the declared degree: two F passes
-    per restore instead of ~8 from a = 1.
+    per restore instead of one per scan point up to the crossing plus
+    the polish.
     """
     wt = ctx.grid.weights
     half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
@@ -526,7 +511,6 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     def c_of(a: float) -> float:
         return float(lam_F(a) - half_mass * a * a)
 
-    start = AMP_START if ctx.f.F_ratio_nondecreasing and target > 0.0 else 0
     if ctx.f.degree is not None:
         big_a, power = float(lam_F(1.0)), ctx.f.degree + 1.0
 
@@ -537,7 +521,7 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
             except OverflowError:    # not reached; C itself decides
                 return math.nan
 
-        a = _restore_walk(c_law, target, start)
+        a = _restore_walk(c_law, target)
         if a is not None:
             lf, mass_term = float(lam_F(a)), half_mass * a * a
             c = lf - mass_term
@@ -545,7 +529,7 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
                     abs(c - target) <= AMP_CHECK_RTOL * (abs(lf) + mass_term)
                     or (a == AMP_SCAN[0] and c >= target)):
                 return a
-    return _restore_walk(c_of, target, start)
+    return _restore_walk(c_of, target)
 
 
 def solve_limit_BL(ctx: FunctionalContext,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NlsgroundError, PreconditionError
+from .errors import NlsgroundError, PreconditionError, ZeroFunctionError
 from .functionals import FunctionalContext, fiber_values, g_of_t, hardy_gap
 from .grid import RadialFunction, h1_norm_sq
 # project_to_M stays bound here although the suite projects through
@@ -246,12 +246,20 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
               opts: SolveOptions = SolveOptions()) -> VerificationReport:
     """Run every structural scan (plus solution checks when given).
 
-    Raises PreconditionError if the context's potential or nonlinearity
-    fails its hypothesis checks; the scans assume them.  The gate tests
-    the potential's intrinsic admissibility (smallest workable decay
-    parameter), so a deliberately misdeclared theta on an admissible
-    potential reaches the scans and fails there with a witness.
+    Raises ZeroFunctionError if the solution's profile is zero, and
+    PreconditionError if its grid is not the context's or if the
+    context's potential or nonlinearity fails its hypothesis checks; the
+    scans assume them.  The gate tests the potential's intrinsic
+    admissibility (smallest workable decay parameter), so a deliberately
+    misdeclared theta on an admissible potential reaches the scans and
+    fails there with a witness.
     """
+    if solution is not None:
+        if not solution.u_star.grid.same_mesh(ctx.grid):
+            raise PreconditionError("solution grid does not match context grid")
+        # the solution checks measure against ||u||_{H1}^2
+        if h1_norm_sq(solution.u_star) == 0.0:
+            raise ZeroFunctionError("the solution profile is the zero function")
     cond = run_condition_suite(ctx.V, ctx.f, ctx.grid.N, ctx.grid.r_max,
                                prefer_declared_theta=False)
     if not cond["pass"]:
@@ -284,8 +292,6 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
     constants["gamma2_hat"] = nec.witness["gamma2_hat"]
 
     if solution is not None:
-        if not solution.u_star.grid.same_mesh(ctx.grid):
-            raise PreconditionError("solution grid does not match context grid")
         sol_checks, sol_constants = _solution_checks(ctx, solution, fibers, opts)
         checks.extend(sol_checks)
         constants.update(sol_constants)
@@ -295,6 +301,6 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
         checks=checks,
         overall_pass=overall,
         seed=seed,
-        grid={"N": ctx.grid.N, "r_max": ctx.grid.r_max, "n": ctx.grid.n},
+        grid=ctx.grid.mesh(),
         constants=constants,
     )

@@ -332,60 +332,6 @@ def test_well_value_is_silent_where_r_alpha_overflows():
 
 
 # ----------------------------------------------------------------------
-# declared fact: F(s)/s^2 nondecreasing in |s|, over a dense lattice
-# ----------------------------------------------------------------------
-
-_DECLARING_NONLINEARITIES = st.one_of(
-    st.builds(power_nonlinearity, st.one_of(st.just(2.0), st.floats(2.0, 6.0)),
-              st.one_of(st.just(0.0), st.floats(1e-3, 20.0))),
-    st.builds(saturating_nonlinearity, st.one_of(st.just(0.0), st.floats(1e-3, 10.0))),
-    st.just(zero_nonlinearity()),
-)
-
-
-def _F_ratio(f: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
-    return np.asarray(f.F(s), dtype=float) / (s * s)
-
-
-@settings(max_examples=60, deadline=None)
-@given(f=_DECLARING_NONLINEARITIES)
-def test_declared_F_ratio_is_nondecreasing(f):
-    assert f.F_ratio_nondecreasing
-    s = _S_LATTICE[1:]
-    # round-off: a few ulp of the ratio, plus the cancellation in the
-    # saturating F = (c/2)(s^2 - log1p(s^2)), ~1 ulp of c s^2 / 2 over s^2
-    noise = 1e-13 * abs(float(_F_ratio(f, np.array([1.0]))[0]))
-    for sign in (1.0, -1.0):
-        q = _F_ratio(f, sign * s)
-        assert np.all(np.diff(q) >= -(1e-13 * np.abs(q[:-1]) + noise)), (f.family, f.params)
-
-
-@pytest.mark.parametrize("f", [
-    power_nonlinearity(1.5), power_nonlinearity(1.999),
-    power_nonlinearity(4.0, -1.0),
-    saturating_nonlinearity(-1.0), saturating_nonlinearity(-1e-3),
-])
-def test_F_ratio_undeclared_where_it_fails(f):
-    # each of these specs has F(s)/s^2 strictly decreasing somewhere
-    assert not f.F_ratio_nondecreasing
-    q = _F_ratio(f, _S_LATTICE[1:])
-    assert np.diff(q).min() < 0.0
-
-
-def test_F_ratio_declaration_edges():
-    # coeff |s|^{p-2} / p is also nondecreasing for coeff < 0 when p <= 2;
-    # power declares the fact only for p >= 2 and coeff >= 0
-    assert power_nonlinearity(2.0).F_ratio_nondecreasing
-    assert power_nonlinearity(4.0, 0.0).F_ratio_nondecreasing
-    assert not power_nonlinearity(2.0, -1.0).F_ratio_nondecreasing
-    assert not power_nonlinearity(1.5, -2.0).F_ratio_nondecreasing
-    assert saturating_nonlinearity(0.0).F_ratio_nondecreasing
-    assert make_nonlinearity("power", p=3.0).F_ratio_nondecreasing
-    hand_built = NonlinearitySpec("power", {}, f=np.sign, F=np.abs, f_scalar=float)
-    assert not hand_built.F_ratio_nondecreasing
-
-
-# ----------------------------------------------------------------------
 # declared fact: f(c s) = c^degree f(s), over a dense (c, s) lattice
 # ----------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from nlsground import (
     BracketNotFoundError,
     ConstraintInfeasibleError,
     ConvergenceError,
+    DomainError,
     FunctionalContext,
     PositivityBallError,
     PreconditionError,
@@ -248,8 +249,9 @@ def _restore_reference(ctx, w, target=1.0):
 
 
 def _cold_restore(ctx, w, target=1.0):
-    """The restore as it was before the declared F(s)/s^2 fact: the walk
-    from the low end of the scan for every nonlinearity, kept verbatim."""
+    """The walk on C from the low end of the scan and its false-position
+    polish, written out apart from solver._restore_walk: every restore
+    that walks C must return its amplitude bit for bit."""
     wt = ctx.grid.weights
     half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
 
@@ -285,20 +287,16 @@ def _check_restore(f, w):
     passes[0] = 0
     a = solver._amplitude_restore(ctx, w)
     scan = np.geomspace(1e-4, 1e4, 81)
-    # scan passes: with F(s)/s^2 declared nondecreasing the walk starts at
-    # a = 1 (index 40) and reaches j in |j - 40| + 1 of them, plus the one
-    # below j that stops a walk down; otherwise it walks up from index 0
-    # in j + 1.  The polish adds at most 12.  A declared degree reads the
-    # law from one pass and checks its amplitude with one more; when no
-    # amplitude passes the check, the walk on C runs as without the degree.
-    declared = f.F_ratio_nondecreasing
+    # scan passes: the walk up from index 0 reaches j in j + 1 of them,
+    # and the polish adds at most 12.  A declared degree reads the law from
+    # one pass and checks its amplitude with one more; when no amplitude
+    # passes the check, the walk on C runs as without the degree.
     homogeneous = f.degree is not None
     if not homogeneous:
         assert a == a_cold
     if j is None:
         assert a is None
-        walk = 41 if declared else scan.size
-        assert passes[0] - walk in ((1, 2) if homogeneous else (0,))
+        assert passes[0] - scan.size in ((1, 2) if homogeneous else (0,))
         return None
     if j == 0:
         assert a == scan[0]
@@ -308,7 +306,7 @@ def _check_restore(f, w):
     if homogeneous:
         assert passes[0] <= 2
     else:
-        assert passes[0] <= (abs(j - 40) + 2 if declared else j + 1) + 12
+        assert passes[0] <= j + 1 + 12
     return a
 
 
@@ -320,17 +318,15 @@ _W_PART = st.tuples(st.floats(-4.0, 6.0),       # log10 amplitude
 
 # p stays off 2: there lam F and the mass term cancel, and rounding moves
 # the crossing by more than the 1e-13 both restores are held to.  p < 2
-# and declared specs stripped of F(s)/s^2 nondecreasing keep the walk from
-# the low end exercised; specs stripped of their degree keep the walk on
-# C itself exercised.
-_DECLARING_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
-                         st.floats(1.1, 5.0).map(saturating_nonlinearity))
+# keeps a C that rises and falls exercised; saturating and specs stripped
+# of their degree keep the walk on C itself exercised.
+_HIGH_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
+                    st.floats(1.1, 5.0).map(saturating_nonlinearity))
 _LOW_POWER_F = st.floats(1.1, 1.9).map(power_nonlinearity)
 _RESTORE_F = st.one_of(
-    _DECLARING_F,
+    _HIGH_F,
     _LOW_POWER_F,
-    _DECLARING_F.map(lambda f: dataclasses.replace(f, F_ratio_nondecreasing=False)),
-    _DECLARING_F.map(lambda f: dataclasses.replace(f, degree=None)),
+    _HIGH_F.map(lambda f: dataclasses.replace(f, degree=None)),
     _LOW_POWER_F.map(lambda f: dataclasses.replace(f, degree=None)),
 )
 
@@ -357,16 +353,15 @@ def test_amplitude_restore_unreachable():
 
 def test_amplitude_restore_nan_is_not_reached():
     # F is NaN past |s| = 1, where C would first reach the target: a NaN
-    # counts as not reached, so both walks scan on and find nothing.  The
-    # homogeneous law, read where |w| < 1, does cross; its check reads a
-    # NaN there and hands over to the walk on C.
+    # counts as not reached, so the walk on C scans on and finds nothing.
+    # The homogeneous law, read where |w| < 1, does cross; its check reads
+    # a NaN there and hands over to the walk on C.
     f = power_nonlinearity(4.0)
     w = 1e-2 * np.exp(-_RESTORE_GRID.r**2)
     w[-1] = 0.0
     nan_f = dataclasses.replace(
         f, F=lambda t: np.where(np.abs(t) > 1.0, np.nan, f.F(t)))
-    for spec in (nan_f, dataclasses.replace(nan_f, F_ratio_nondecreasing=False)):
-        assert _check_restore(spec, w) is None
+    assert _check_restore(nan_f, w) is None
 
 
 def test_amplitude_restore_first_scan_point():
@@ -405,17 +400,17 @@ def test_amplitude_restore_false_degree_walks_on_C():
     ctx, passes = _counting_context(false_f)
     j, a_ref = _restore_reference(ctx, w)
     a_cold = _cold_restore(ctx, w)
-    assert j is not None and j > solver.AMP_START + 2   # away from a = 1
+    assert j is not None
     wt = _RESTORE_GRID.weights
     A, B = float(wt @ f.F(w)), 0.5 * float(wt @ w**2)
-    law = solver._restore_walk(lambda a: A * a**3 - B * a**2, 1.0, solver.AMP_START)
+    law = solver._restore_walk(lambda a: A * a**3 - B * a**2, 1.0)
     assert law is not None and abs(math.log(law) - math.log(a_ref)) > 1e-3
     passes[0] = 0
     a = solver._amplitude_restore(ctx, w)
     assert a == a_cold
     assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
-    # the law's pass, its check, and the walk on C from a = 1
-    assert passes[0] > 2 + (j - solver.AMP_START)
+    # the law's pass, its check, and the walk on C from the low end
+    assert passes[0] > 2 + j
 
 
 # route B on the restore grid; the default tolerances are set for n = 4096
@@ -443,25 +438,18 @@ def _bl_restore_passes(f, monkeypatch, grid=_RESTORE_GRID, opts=_BL_OPTS_1024):
 
 def test_bl_route_same_report_without_the_declared_fact(monkeypatch):
     f = power_nonlinearity(4.0)
-    assert solver.AMP_SCAN[solver.AMP_START] == 1.0
     declared, warm = _bl_restore_passes(f, monkeypatch)
-    # without F(s)/s^2 nondecreasing the homogeneous law's walk starts at
-    # the low end and ends on the same amplitude
-    no_ratio, _ = _bl_restore_passes(
-        dataclasses.replace(f, F_ratio_nondecreasing=False), monkeypatch)
-    assert declared.converged
-    assert declared.to_dict() == no_ratio.to_dict()
-    # without either fact every restore walks C from the low end; its
+    # without the degree every restore walks C from the low end; its
     # amplitudes differ from the law's at round-off, so the iterates do too
-    stripped, cold = _bl_restore_passes(
-        dataclasses.replace(f, F_ratio_nondecreasing=False, degree=None), monkeypatch)
-    assert stripped.converged
+    stripped, cold = _bl_restore_passes(dataclasses.replace(f, degree=None),
+                                        monkeypatch)
+    assert declared.converged and stripped.converged
     assert abs(declared.energy - stripped.energy) <= 1e-12 * abs(stripped.energy)
     u, u_cold = declared.u_star.values, stripped.u_star.values
     assert np.max(np.abs(u - u_cold)) <= 1e-8 * np.max(np.abs(u_cold))
     assert abs(declared.iterations - stripped.iterations) <= 1
     # deterministic work: 2 F passes per restore with the degree, ~48 from
-    # 1e-4 without either fact
+    # 1e-4 without it
     assert sum(warm) / len(warm) <= 2
     assert sum(cold) / len(cold) > 40
 
@@ -634,10 +622,13 @@ def test_sweep_rejects_constant_potential(ctx_auto):
 
 
 def test_solve_options_validation():
-    with pytest.raises(Exception):
-        SolveOptions(max_iters=0)
-    with pytest.raises(Exception):
-        SolveOptions(grad_tol=-1.0)
+    for bad in (0, math.nan):
+        with pytest.raises(DomainError):
+            SolveOptions(max_iters=bad)
+    for name in ("step", "ode_step", "shoot_tol", "grad_tol", "poho_tol"):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=name):
+                SolveOptions(**{name: bad})
     gt, pt = SolveOptions().tolerances("shooting")
     assert gt > 0 and pt > 0
     gt2, _ = SolveOptions(grad_tol=1e-5).tolerances("shooting")

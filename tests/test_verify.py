@@ -5,6 +5,9 @@ from nlsground import (
     ConvergenceError,
     FunctionalContext,
     PreconditionError,
+    RadialFunction,
+    SolveReport,
+    ZeroFunctionError,
     constant_potential,
     run_suite,
     saturating_nonlinearity,
@@ -95,6 +98,18 @@ def test_solution_grid_mismatch(ctx_auto, grid8192, f_cubic):
     other = FunctionalContext(grid8192, constant_potential(1.0), f_cubic)
     rep = solve_fiber_descent(other)
     with pytest.raises(PreconditionError):
+        run_suite(ctx_auto, rep, seed=0, n_samples=5)
+
+
+def test_solution_zero_profile(ctx_auto):
+    # a report may carry u = 0; the solution checks measure against
+    # ||u||_{H1}^2, so the suite rejects it before any scan
+    zero = RadialFunction(ctx_auto.grid, np.zeros(ctx_auto.grid.n))
+    rep = SolveReport(converged=True, u_star=zero, energy=0.0,
+                      pohozaev_residual=0.0, pde_residual=0.0, iterations=1,
+                      route="fiber-descent", u_at_zero=0.0, grad_tol=5e-3,
+                      poho_tol=1e-8)
+    with pytest.raises(ZeroFunctionError):
         run_suite(ctx_auto, rep, seed=0, n_samples=5)
 
 

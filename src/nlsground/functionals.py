@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .grid import RadialFunction, RadialGrid, grad_seminorm_sq
+from .grid import RadialFunction, RadialGrid, grad_seminorm_sq, row_blocks, row_norms_sq
 from .model import NonlinearitySpec, PotentialSpec, constant_potential
 
 __all__ = [
@@ -78,15 +78,30 @@ class FiberValues:
     mass : ||u||_2^2
     f_int : int F(u)
     pot / pot_w : int V(r) u^2 and int r V'(r) u^2
+
+    u is a RadialFunction, and the quadratures are floats; or u is a
+    (k, n) stack of nodal values, one profile per row, and each
+    quadrature is a length-k array.  The formulas are written once and
+    broadcast over the rows.
     """
 
     ctx: FunctionalContext
-    u: RadialFunction
+    u: RadialFunction | np.ndarray
     grad: float
     mass: float
     f_int: float
     pot: float
     pot_w: float
+
+    @property
+    def values(self) -> np.ndarray:
+        """Nodal values of u: shape (n,), or (k, n) for a stack."""
+        return self.u.values if isinstance(self.u, RadialFunction) else self.u
+
+    def rows(self, idx) -> "FiberValues":
+        """The stack restricted to the rows idx (index array or mask)."""
+        return FiberValues(self.ctx, self.u[idx], self.grad[idx], self.mass[idx],
+                           self.f_int[idx], self.pot[idx], self.pot_w[idx])
 
     def energy(self) -> float:
         return 0.5 * (self.grad + self.pot) - self.ctx.lam * self.f_int
@@ -122,8 +137,16 @@ class FiberValues:
             - N * self.ctx.lam * self.f_int
         )
 
+    def hardy_gap(self) -> float:
+        """hardy_gap of u, from the stored ||grad u||^2."""
+        return self.grad - _hardy_term(self.ctx.grid, self.values)
+
     def energy_at(self, t) -> np.ndarray:
-        """zeta(t) = energy of u(x/t), potential resampled at t*r."""
+        """zeta(t) = energy of u(x/t), potential resampled at t*r.
+
+        For a stack, t of shape (k,) is one t per row and gives k values;
+        a column t of shape (m, 1) gives the (m, k) table of every t on
+        every row."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         pot_t = self._pot_at(t, dilation=False)
         N = self.ctx.grid.N
@@ -135,7 +158,8 @@ class FiberValues:
         return out
 
     def pohozaev_at(self, t) -> np.ndarray:
-        """P(u(x/t)) along the fiber; equals t * d/dt energy_at(t)."""
+        """P(u(x/t)) along the fiber; equals t * d/dt energy_at(t).
+        t is shaped as for energy_at."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         N = self.ctx.grid.N
         vals = self._pot_at(t, dilation=True)
@@ -145,13 +169,18 @@ class FiberValues:
             - N * self.ctx.lam * t**N * self.f_int
         )
 
-    def iip_gap(self, t: float) -> float:
-        """Comparison-inequality slack at (u, t); see module-level iip_gap."""
-        if not (t > 0.0):
+    def iip_gap(self, t) -> float:
+        """Comparison-inequality slack at (u, t); see module-level iip_gap.
+        A float t gives a float, or k values for a stack; an array t is
+        shaped as for energy_at."""
+        if not np.all(np.asarray(t) > 0.0):
             raise DomainError(f"dilation factor must be positive, got {t}")
         N = self.ctx.grid.N
         i_u = self.energy()
-        i_ut = float(self.energy_at(t)[0])
+        i_ut = self.energy_at(t)
+        if np.ndim(t) == 0:
+            # energy_at returns a float t's values as a 1-D array
+            i_ut = i_ut.reshape(np.shape(self.grad))
         p_u = self.pohozaev()
         theta = self.ctx.theta
         return (
@@ -163,37 +192,93 @@ class FiberValues:
 
     def _pot_at(self, t: np.ndarray, dilation: bool) -> np.ndarray:
         """Potential quadrature at each t: int V(t r) u^2, or with
-        dilation=True int [N V + r V'](t r) u^2, the term of P(u_t)."""
+        dilation=True int [N V + r V'](t r) u^2, the term of P(u_t).
+
+        For one profile, one dot product per t.  For a stack, a column t
+        takes (m, n) @ (n, k) table products and a vector t row-wise
+        products, over blocks of at most BLOCK values of t and rows."""
         N = self.ctx.grid.N
         w = self.ctx.grid.weights
         r = self.ctx.grid.r
         V = self.ctx.V
-        u2 = self.u.values**2
-        out = np.empty(t.size)
-        for i, ti in enumerate(t):
-            tr = ti * r
+
+        def potential(tr):
             vals = V.V(tr)
-            if dilation:
-                vals = N * vals + tr * V.dV(tr)
-            out[i] = float(w @ (vals * u2))
+            return N * vals + tr * V.dV(tr) if dilation else vals
+
+        u = self.values
+        if u.ndim == 1:
+            u2 = u**2
+            out = np.empty(t.shape)
+            for i, ti in np.ndenumerate(t):
+                out[i] = float(w @ (potential(ti * r) * u2))
+            return out
+        if t.ndim == 2:
+            out = np.empty((len(t), len(u)))
+            for a in row_blocks(len(t)):
+                table = potential(t[a] * r) * w
+                for b in row_blocks(len(u)):
+                    out[a, b] = table @ (u[b] ** 2).T
+            return out
+        t = np.broadcast_to(t, (len(u),))
+        out = np.empty(len(u))
+        for b in row_blocks(len(u)):
+            out[b] = (potential(t[b, None] * r) * u[b] ** 2) @ w
         return out
 
 
-def fiber_values(ctx: FunctionalContext, u: RadialFunction) -> FiberValues:
-    if not u.grid.same_mesh(ctx.grid):
-        raise DomainError("function grid does not match context grid")
+def _hardy_term(grid: RadialGrid, values: np.ndarray):
+    """(N-2)^2/4 int u^2/|x|^2 of u's values, or of each row of a stack,
+    BLOCK rows at a time.  u^2 / r^2 carries weight r^{N-1}: integrand
+    u^2 r^{N-3}, regular at 0."""
+    N = grid.N
+    c = (N - 2.0) ** 2 / 4.0
+    rw = grid.r ** (N - 3)
+    if values.ndim == 1:
+        return c * ((values**2 * rw) @ grid.bare_weights)
+    out = np.empty(len(values))
+    for b in row_blocks(len(values)):
+        out[b] = c * ((values[b] ** 2 * rw) @ grid.bare_weights)
+    return out
+
+
+def fiber_values(ctx: FunctionalContext, u) -> FiberValues:
+    """Quadratures of u, a RadialFunction on ctx.grid, or of each row of
+    a (k, n) stack of nodal values on it (finite, zero at r_max).
+
+    A stack is taken as matrix-vector products BLOCK rows at a time, with
+    one evaluation of V(r) and V'(r) per call and of F per block."""
     w = ctx.grid.weights
     r = ctx.grid.r
-    vals = u.values
-    return FiberValues(
-        ctx=ctx,
-        u=u,
-        grad=grad_seminorm_sq(u),
-        mass=float(w @ vals**2),
-        f_int=float(w @ np.asarray(ctx.f.F(vals), dtype=float)),
-        pot=float(w @ (ctx.V.V(r) * vals**2)),
-        pot_w=float(w @ (r * ctx.V.dV(r) * vals**2)),
-    )
+    if isinstance(u, RadialFunction):
+        if not u.grid.same_mesh(ctx.grid):
+            raise DomainError("function grid does not match context grid")
+        vals = u.values
+        return FiberValues(
+            ctx=ctx,
+            u=u,
+            grad=grad_seminorm_sq(u),
+            mass=float(w @ vals**2),
+            f_int=float(w @ np.asarray(ctx.f.F(vals), dtype=float)),
+            pot=float(w @ (ctx.V.V(r) * vals**2)),
+            pot_w=float(w @ (r * ctx.V.dV(r) * vals**2)),
+        )
+    vals = np.asarray(u, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != ctx.grid.n:
+        raise DomainError(f"stack shape {vals.shape} does not match grid size {ctx.grid.n}")
+    w_pot = w * ctx.V.V(r)
+    w_pot_w = w * r * ctx.V.dV(r)
+    f_int, pot, pot_w = np.empty((3, len(vals)))
+    for b in row_blocks(len(vals)):
+        if not np.all(np.isfinite(vals[b])) or np.any(vals[b, -1] != 0.0):
+            raise DomainError("stacked profiles must be finite and vanish at r_max")
+        u2 = vals[b] ** 2
+        f_int[b] = np.asarray(ctx.f.F(vals[b]), dtype=float) @ w
+        pot[b] = u2 @ w_pot
+        pot_w[b] = u2 @ w_pot_w
+    grad, mass = row_norms_sq(ctx.grid, vals)
+    return FiberValues(ctx=ctx, u=vals, grad=grad, mass=mass, f_int=f_int,
+                       pot=pot, pot_w=pot_w)
 
 
 def energy(ctx: FunctionalContext, u: RadialFunction) -> float:
@@ -255,12 +340,11 @@ def hardy_gap(u: RadialFunction, N: Optional[int] = None) -> float:
     """||grad u||^2 - (N-2)^2/4 int u^2/|x|^2 (nonnegative in the continuum).
 
     The integrand u^2 r^{N-3} is regular at r = 0 for N >= 3 (the N = 3
-    case uses r^0 = 1 at the origin).
+    case uses r^0 = 1 at the origin).  FiberValues.hardy_gap reads the
+    gradient term from quadratures already computed.
     """
     g = u.grid
     N = g.N if N is None else N
     if N != g.N:
         raise DomainError("dimension mismatch with the grid")
-    # u^2 / r^2 carries weight r^{N-1}: integrand u^2 r^{N-3}, regular at 0
-    hardy_int = float(g.bare_weights @ (u.values**2 * g.r ** (N - 3)))
-    return grad_seminorm_sq(u) - (N - 2.0) ** 2 / 4.0 * hardy_int
+    return float(grad_seminorm_sq(u) - _hardy_term(g, u.values))

@@ -29,10 +29,16 @@ __all__ = [
     "grad_seminorm_sq",
     "l2_norm_sq",
     "h1_norm_sq",
+    "row_norms_sq",
     "dilate",
     "pde_residual",
     "radial_derivative",
 ]
+
+
+# rows of the (BLOCK, n) temporaries of one array pass over a stack of
+# profiles, or over the values of t in a potential table
+BLOCK = 8
 
 
 def unit_ball_volume(N: int) -> float:
@@ -191,12 +197,15 @@ def integrate(g: RadialFunction) -> float:
 def radial_derivative(u: RadialFunction) -> np.ndarray:
     """Second-order d/dr: centered in the interior, u'(0)=0 by symmetry,
     one-sided three-point at r_max."""
-    v = u.values
-    h = u.grid.h
+    return _derivative(u.values, u.grid.h)
+
+
+def _derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """radial_derivative along the last axis of nodal values."""
     d = np.empty_like(v)
-    d[0] = 0.0
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    d[..., 0] = 0.0
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d
 
 
@@ -213,6 +222,23 @@ def l2_norm_sq(u: RadialFunction) -> float:
 def h1_norm_sq(u: RadialFunction) -> float:
     """Squared Sobolev norm ||grad u||_2^2 + ||u||_2^2."""
     return grad_seminorm_sq(u) + l2_norm_sq(u)
+
+
+def row_blocks(k: int) -> list:
+    """Slices covering k rows of a stack in blocks of at most BLOCK."""
+    return [slice(i, i + BLOCK) for i in range(0, k, BLOCK)]
+
+
+def row_norms_sq(grid: RadialGrid, values: np.ndarray) -> tuple:
+    """(||grad u||_2^2, ||u||_2^2) of each row of a (k, n) stack of nodal
+    values on grid: the quadratures of grad_seminorm_sq and l2_norm_sq as
+    matrix-vector products, BLOCK rows at a time."""
+    out = np.empty((2, len(values)))
+    for b in row_blocks(len(values)):
+        d = _derivative(values[b], grid.h)
+        out[0, b] = (d * d) @ grid.weights
+        out[1, b] = values[b] ** 2 @ grid.weights
+    return out[0], out[1]
 
 
 def dilate(u: RadialFunction, t: float) -> RadialFunction:

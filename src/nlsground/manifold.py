@@ -20,6 +20,13 @@ rest with their certified sign.  Without declared bounds, or when an
 evaluated point contradicts its certificate, all SCAN_POINTS points are
 evaluated.  When the declared range holds, the scan returns the grid,
 the values at evaluated points and the sign changes of the full scan.
+
+project_rows projects every row of a stack of profiles (a FiberValues of
+a (k, n) array) at once: each row keeps its certified window, the union
+of the windows is evaluated as one potential table, and the rows'
+polishes run in lockstep (false_position_lanes drives one
+false_position generator per row and evaluates the open rows' trial
+points together each round).
 """
 
 from __future__ import annotations
@@ -35,16 +42,18 @@ from .errors import (
     ZeroFunctionError,
 )
 from .functionals import FiberValues, FunctionalContext, fiber_values, pohozaev
-from .grid import RadialFunction, dilate, h1_norm_sq
+from .grid import RadialFunction, dilate, h1_norm_sq, row_blocks
 
 __all__ = [
     "FiberProjection",
     "false_position",
+    "false_position_lanes",
     "lambda_membership",
     "fiber_membership",
     "fiber_profile",
     "fiber_table",
     "project_fiber",
+    "project_rows",
     "project_to_M",
 ]
 
@@ -88,11 +97,15 @@ def lambda_membership(ctx: FunctionalContext, u: RadialFunction):
 
 
 def fiber_membership(fv: FiberValues):
-    """lambda_membership from quadratures already computed for u."""
-    if fv.u.is_zero():
+    """lambda_membership from quadratures already computed for u; for a
+    stack, (member, q) are arrays over its rows."""
+    if not np.all(np.any(fv.values, axis=-1)):
         raise ZeroFunctionError("membership is undefined for the zero function")
     q = fv.admissibility()
-    member = q < -LAMBDA_MARGIN * h1_norm_sq(fv.u)
+    # ||u||_{H1}^2 from the stored quadratures, as h1_norm_sq adds them
+    member = q < -LAMBDA_MARGIN * (fv.grad + fv.mass)
+    if np.ndim(q):
+        return member, q
     return bool(member), float(q)
 
 
@@ -118,9 +131,11 @@ def fiber_table(fv: FiberValues, t_grid: np.ndarray) -> np.ndarray:
 
 def _certified_signs(fv: FiberValues, ts: np.ndarray):
     """+1 / -1 at the points of ts where the potential's dilation bounds
-    prove the sign of P(u_t), 0 elsewhere; None when nothing is proven."""
+    prove the sign of P(u_t), 0 elsewhere; shape (..., ts.size) over the
+    rows of a stack.  All zeros where nothing is proven, and everywhere
+    when the potential declares no bounds."""
     if fv.ctx.V.dilation_bounds is None:
-        return None
+        return np.zeros(np.shape(fv.grad) + ts.shape)
     N = fv.ctx.grid.N
     w_lo, w_hi = fv.ctx.V.dilation_bounds(N)
     a = 0.5 * (N - 2.0) * fv.grad
@@ -128,15 +143,25 @@ def _certified_signs(fv: FiberValues, ts: np.ndarray):
     # P(u_t) / t^{N-2} lies in [a - t^2 d_lo, a - t^2 d_hi]
     d_lo = nf - 0.5 * w_lo * fv.mass
     d_hi = nf - 0.5 * w_hi * fv.mass
-    floor = WINDOW_CONDITION * (abs(nf) + 0.5 * max(abs(w_lo), abs(w_hi)) * fv.mass)
-    if not (w_lo <= w_hi and a > 0.0 and np.isfinite(floor)):
-        return None
-    if d_lo > floor:
-        t_pos = np.sqrt(a / d_lo) * (1.0 - WINDOW_MARGIN)
-    else:
-        t_pos = np.inf if d_lo < -floor else 0.0
-    t_neg = np.sqrt(a / d_hi) * (1.0 + WINDOW_MARGIN) if d_hi > floor else np.inf
-    return np.where(ts < t_pos, 1.0, np.where(ts > t_neg, -1.0, 0.0))
+    floor = WINDOW_CONDITION * (np.abs(nf) + 0.5 * max(abs(w_lo), abs(w_hi)) * fv.mass)
+    proven = (w_lo <= w_hi) & (a > 0.0) & np.isfinite(floor)
+    pos = proven & (d_lo > floor)
+    neg = proven & (d_hi > floor)
+    # the square roots only where their branch is taken
+    t_pos = np.where(pos, np.sqrt(np.where(pos, a, 0.0) / np.where(pos, d_lo, 1.0))
+                     * (1.0 - WINDOW_MARGIN), np.where(d_lo < -floor, np.inf, 0.0))
+    t_neg = np.where(neg, np.sqrt(np.where(neg, a, 0.0) / np.where(neg, d_hi, 1.0))
+                     * (1.0 + WINDOW_MARGIN), np.inf)
+    cert = np.where(ts < t_pos[..., None], 1.0, np.where(ts > t_neg[..., None], -1.0, 0.0))
+    return np.where(proven[..., None], cert, 0.0)
+
+
+def _window(cert: np.ndarray) -> tuple:
+    """First and last scan index to evaluate on each row: the uncertified
+    points and one certified neighbour on each side."""
+    i = np.maximum(np.count_nonzero(cert > 0, axis=-1) - 1, 0)
+    j = np.minimum(SCAN_POINTS - np.count_nonzero(cert < 0, axis=-1), SCAN_POINTS - 1)
+    return i, j
 
 
 def _signs(ps: np.ndarray) -> np.ndarray:
@@ -156,17 +181,87 @@ def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float):
     """
     ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
     cert = _certified_signs(fv, ts)
-    if cert is not None:
-        # the uncertified points and one certified neighbour on each side
-        i = max(int(np.count_nonzero(cert > 0)) - 1, 0)
-        j = min(SCAN_POINTS - int(np.count_nonzero(cert < 0)), SCAN_POINTS - 1)
-        ps = cert.copy()
-        ps[i:j + 1] = fv.pohozaev_at(ts[i:j + 1])
-        sign = _signs(ps)
-        if np.array_equal(sign[cert != 0.0], cert[cert != 0.0]):
-            return ts, ps, np.nonzero(np.diff(sign) != 0.0)[0]
+    i, j = _window(cert)
+    ps = cert.copy()
+    ps[i:j + 1] = fv.pohozaev_at(ts[i:j + 1])
+    sign = _signs(ps)
+    if np.array_equal(sign[cert != 0.0], cert[cert != 0.0]):
+        return ts, ps, np.nonzero(np.diff(sign) != 0.0)[0]
     ps = fv.pohozaev_at(ts)
     return ts, ps, np.nonzero(np.diff(_signs(ps)) != 0.0)[0]
+
+
+def _scan_rows(fv: FiberValues, t_lo: float, t_hi: float):
+    """_scan_bracket on each row of a stack: (ts, ps, flips) with ps of
+    shape (k, SCAN_POINTS) and flips the (k, SCAN_POINTS - 1) mask of
+    sign changes between neighbours.
+
+    Every row's window is evaluated from one table product over the
+    union of the windows' points; a row whose evaluated signs contradict
+    its certificate takes every scan point, as _scan_bracket does.
+    """
+    ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
+    cert = _certified_signs(fv, ts)
+    i, j = _window(cert)
+    at = np.arange(SCAN_POINTS)
+    need = (at >= i[:, None]) & (at <= j[:, None])
+    cols = np.nonzero(need.any(axis=0))[0]
+    ps = cert.copy()
+    ps[:, cols] = np.where(need[:, cols], fv.pohozaev_at(ts[cols, None]).T, cert[:, cols])
+    sign = _signs(ps)
+    wrong = np.any((sign != cert) & (cert != 0.0), axis=1)
+    if wrong.any():
+        ps[wrong] = fv.rows(wrong).pohozaev_at(ts[:, None]).T
+        sign = _signs(ps)
+    return ts, ps, np.diff(sign, axis=1) != 0.0
+
+
+def _not_admissible(q: float) -> NotInLambdaError:
+    return NotInLambdaError(
+        f"u is not admissible (q = {q:.6g} >= 0); no fiber maximizer exists")
+
+
+def _raise_sign_changes(flips: int, t_bracket: tuple):
+    """The error of a scan with `flips` sign changes, unless it has one."""
+    if flips == 0:
+        raise NoSignChangeError(
+            f"P(u_t) has no sign change on [{t_bracket[0]:g}, {t_bracket[1]:g}]")
+    if flips > 1:
+        raise MultipleSignChangesError(
+            f"P(u_t) changes sign {flips} times on the bracket; "
+            "refine the grid instead of picking a root")
+
+
+def _false_position_steps(lo: float, hi: float, g_lo: float, g_hi: float,
+                          tol: float):
+    """false_position as a generator: yields each trial point, takes g
+    there by send(), and returns the final (lo, hi)."""
+    edge = 0.5 * tol
+    kept = 0          # -1: lo survived the last step, +1: hi did
+    widths = [hi - lo]
+    while widths[-1] > tol:
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (lo + hi)
+        else:
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        x = min(max(x, lo + edge), hi - edge)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        gx = yield x
+        if (gx > 0.0) == (g_lo > 0.0):
+            lo, g_lo = x, gx
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = x, gx
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        widths.append(hi - lo)
+    return lo, hi
 
 
 def false_position(g, lo: float, hi: float, g_lo: float, g_hi: float,
@@ -181,31 +276,42 @@ def false_position(g, lo: float, hi: float, g_lo: float, g_hi: float,
     polish terminates on any sign change; it also stops when no float
     lies strictly inside the bracket.
     """
-    edge = 0.5 * tol
-    kept = 0          # -1: lo survived the last step, +1: hi did
-    widths = [hi - lo]
-    while widths[-1] > tol:
-        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
-            x = 0.5 * (lo + hi)
-        else:
-            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        x = min(max(x, lo + edge), hi - edge)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        gx = g(x)
-        if (gx > 0.0) == (g_lo > 0.0):
-            lo, g_lo = x, gx
-            if kept == 1:
-                g_hi *= 0.5
-            kept = 1
-        else:
-            hi, g_hi = x, gx
-            if kept == -1:
-                g_lo *= 0.5
-            kept = -1
-        widths.append(hi - lo)
+    steps = _false_position_steps(lo, hi, g_lo, g_hi, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(g(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def false_position_lanes(g, lo, hi, g_lo, g_hi, tol: float) -> tuple:
+    """false_position on k brackets in lockstep: (lo, hi) arrays.
+
+    Each round, g(lanes, xs) takes the trial points xs of the lanes
+    still open (an index array, ascending) and returns g at each; every
+    lane then takes exactly the steps false_position takes, and ends at
+    its own round.
+    """
+    steps = [_false_position_steps(*b, tol) for b in zip(lo, hi, g_lo, g_hi)]
+    trial = [None] * len(steps)
+    out = [None] * len(steps)
+
+    def advance(k, gx):
+        try:
+            trial[k] = steps[k].send(gx)
+        except StopIteration as stop:
+            trial[k], out[k] = None, stop.value
+
+    for k in range(len(steps)):
+        advance(k, None)
+    while True:
+        lanes = np.array([k for k, x in enumerate(trial) if x is not None], dtype=int)
+        if lanes.size == 0:
+            break
+        for k, gx in zip(lanes, g(lanes, np.array([trial[k] for k in lanes]))):
+            advance(k, float(gx))
+    lo, hi = np.array(out, dtype=float).reshape(-1, 2).T
     return lo, hi
 
 
@@ -227,16 +333,9 @@ def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProject
     u = fv.u
     member, q = fiber_membership(fv)
     if not member:
-        raise NotInLambdaError(
-            f"u is not admissible (q = {q:.6g} >= 0); no fiber maximizer exists")
+        raise _not_admissible(q)
     ts, ps, flips = _scan_bracket(fv, t_bracket[0], t_bracket[1])
-    if flips.size == 0:
-        raise NoSignChangeError(
-            f"P(u_t) has no sign change on [{t_bracket[0]:g}, {t_bracket[1]:g}]")
-    if flips.size > 1:
-        raise MultipleSignChangesError(
-            f"P(u_t) changes sign {flips.size} times on the bracket; "
-            "refine the grid instead of picking a root")
+    _raise_sign_changes(flips.size, t_bracket)
     i = int(flips[0])
     lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
                             np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
@@ -252,3 +351,36 @@ def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProject
         tolerance=tol,
         fiber=fv,
     )
+
+
+def project_rows(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> np.ndarray:
+    """project_fiber's t_u for each row of a stack of k profiles.
+
+    The rows share one scan (_scan_rows) and their false-position
+    polishes run in lockstep: each round takes P(u_t) at the trial points
+    of the rows still open by row-wise products, BLOCK rows at a time.
+    The first row, in order, that project_fiber would refuse raises its
+    error.
+    """
+    member, q = fiber_membership(fv)
+    ts, ps, flips = _scan_rows(fv, t_bracket[0], t_bracket[1])
+    count = flips.sum(axis=1)
+    bad = ~member | (count != 1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not member[k]:
+            raise _not_admissible(q[k])
+        _raise_sign_changes(int(count[k]), t_bracket)
+    i = np.argmax(flips, axis=1)
+    rows = np.arange(i.size)
+
+    def p_at(lanes, x):
+        # rows() copies its rows: take them BLOCK at a time
+        out = np.empty(len(lanes))
+        for b in row_blocks(len(lanes)):
+            out[b] = fv.rows(lanes[b]).pohozaev_at(np.exp(x[b]))
+        return out
+
+    lo, hi = false_position_lanes(p_at, np.log(ts[i]), np.log(ts[i + 1]),
+                                  ps[rows, i], ps[rows, i + 1], BISECT_LOG_TOL)
+    return np.exp(0.5 * (lo + hi))

@@ -254,9 +254,13 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return coeff * np.abs(t) ** (p - 2.0) * t
 
+    # |t|^p rounds to 0 where |t| < 2^(-1076/p), a quarter of the least
+    # subnormal, and pow takes some 30x longer there: those entries keep 0
+    F_zero_below = 2.0 ** (-1076.0 / p)
+
     def F(t):
-        t = np.asarray(t, dtype=float)
-        return coeff * np.abs(t) ** p / p
+        a = np.abs(np.asarray(t, dtype=float))
+        return coeff * np.power(a, p, out=np.zeros_like(a), where=~(a < F_zero_below)) / p
 
     q = p - 2.0
 

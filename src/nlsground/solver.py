@@ -34,7 +34,6 @@ from .grid import (
     RadialGrid,
     dilate,
     grad_seminorm_sq,
-    h1_norm_sq,
     l2_norm_sq,
     make_grid,
     pde_residual,
@@ -87,6 +86,10 @@ class SolveOptions:
         for name in ("step", "ode_step", "shoot_tol"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
+        # the starting bump amp * exp(-(r / width)^2)
+        for name in ("amp", "width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
 
     def tolerances(self, route: str):
         gt = self.grad_tol if self.grad_tol is not None else ROUTE_GRAD_TOL[route]
@@ -334,7 +337,7 @@ def _rel_pde(ctx: FunctionalContext, u: RadialFunction) -> float:
 
 def _rel_poho(fv: FiberValues) -> float:
     """Relative dilation-identity residual |P(u)| / ||u||_{H1}^2."""
-    return abs(fv.pohozaev()) / max(h1_norm_sq(fv.u), 1e-300)
+    return abs(fv.pohozaev()) / max(fv.grad + fv.mass, 1e-300)
 
 
 def _finish(fv: FiberValues, route: str, rel_pde: float, iterations: int,

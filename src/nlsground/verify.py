@@ -7,6 +7,14 @@ comparison inequality, the admissible-set inclusion, and the sampled
 norm-equivalence constants.  Given a solution it additionally checks the
 dilation identity, the fiber-maximum property, the sampled minimax
 bound, and domination by the constant-potential level.
+
+Each bump family is one (n_samples, n) array, and every check is a few
+array passes over it, BLOCK rows at a time (grid.BLOCK): one quadrature
+pass (fiber_values on the stack), the Hardy integrals, the comparison
+gaps at all DILATIONS from one table of the potential at t r, and the
+admissible samples' projections, scanned together and polished in
+lockstep (manifold.project_rows).  Worst margins and witnesses are the
+first least entries in sample order, as a per-sample loop finds them.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NlsgroundError, PreconditionError, ZeroFunctionError
-from .functionals import FunctionalContext, fiber_values, g_of_t, hardy_gap
-from .grid import RadialFunction, h1_norm_sq
+from .functionals import FiberValues, FunctionalContext, fiber_values, g_of_t
+from .grid import RadialFunction, dilate, row_blocks, row_norms_sq
 # project_to_M stays bound here although the suite projects through
-# project_fiber: perfbench's self-test requires the binding in this module
-from .manifold import fiber_membership, project_fiber, project_to_M  # noqa: F401
+# project_rows: perfbench's self-test requires the binding in this module
+from .manifold import fiber_membership, project_rows, project_to_M  # noqa: F401
 from .model import run_condition_suite
 from .solver import SolveReport, solve_fiber_descent, SolveOptions
 
@@ -30,6 +38,8 @@ IIP_TOL_COEFF = 1e-6       # acceptance: gap >= -coeff * (1 + ||u||^2)
 HARDY_TOL = 1e-8
 G_POSITIVITY_EXCLUSION = 1e-3
 DILATIONS = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 4.0)
+# a margin above 745.13, beyond which exp(-x) rounds to 0.0 in doubles
+EXP_UNDERFLOW = 750.0
 
 
 @dataclass
@@ -65,23 +75,45 @@ class VerificationReport:
         }
 
 
-def sample_bumps(grid, rng, count: int, amp_range=(1e-2, 1e1),
-                 width_range=(0.5, 5.0), center_max: float = 5.0,
-                 parts_max: int = 3) -> list:
-    """Sums of 1-3 radial Gaussian bumps with log-uniform amplitudes."""
-    out = []
+def _bump_rows(grid, rng, count: int, amp_range=(1e-2, 1e1),
+               width_range=(0.5, 5.0), center_max: float = 5.0,
+               parts_max: int = 3) -> np.ndarray:
+    """sample_bumps' profiles as the rows of one (count, n) array."""
     r = grid.r
-    for _ in range(count):
+    rows = np.zeros((count, grid.n))
+    for vals in rows:
         parts = rng.integers(1, parts_max + 1)
-        vals = np.zeros(grid.n)
         for _ in range(parts):
             amp = 10.0 ** rng.uniform(np.log10(amp_range[0]), np.log10(amp_range[1]))
             width = rng.uniform(*width_range)
             center = rng.uniform(0.0, center_max)
-            vals += amp * np.exp(-(((r - center) / width) ** 2))
+            # exp(-x) is exactly 0 for x > EXP_UNDERFLOW, where adding the
+            # term leaves vals as it is; exp is slow on that range
+            reach = width * np.sqrt(EXP_UNDERFLOW)
+            i, j = np.searchsorted(r, (center - reach, center + reach))
+            vals[i:j] += amp * np.exp(-(((r[i:j] - center) / width) ** 2))
         vals[-1] = 0.0
-        out.append(RadialFunction(grid, vals))
-    return out
+    return rows
+
+
+def sample_bumps(grid, rng, count: int, amp_range=(1e-2, 1e1),
+                 width_range=(0.5, 5.0), center_max: float = 5.0,
+                 parts_max: int = 3) -> list:
+    """Sums of 1-3 radial Gaussian bumps with log-uniform amplitudes,
+    as views of the rows of one (count, n) array."""
+    rows = _bump_rows(grid, rng, count, amp_range, width_range, center_max, parts_max)
+    return [RadialFunction(grid, row) for row in rows]
+
+
+def _first_min(values: np.ndarray):
+    """(index, value) of the first least entry in row-major order, as a
+    scan keeping strictly smaller values finds it: NaN never wins, and
+    (None, inf) when no entry is below inf."""
+    vals = np.where(np.isnan(values), np.inf, values)
+    i = int(np.argmin(vals)) if vals.size else 0
+    if not vals.size or not vals.flat[i] < np.inf:
+        return None, np.inf
+    return np.unravel_index(i, vals.shape), float(vals.flat[i])
 
 
 def _g_positivity_check() -> CheckResult:
@@ -99,86 +131,95 @@ def _g_positivity_check() -> CheckResult:
                        worst, 3 * ts.size, 0.0, witness)
 
 
-def _hardy_check(bumps) -> CheckResult:
-    worst = np.inf
-    witness = {}
-    for k, u in enumerate(bumps):
-        gap = hardy_gap(u)
-        if gap < worst:
-            worst = gap
-            witness = {"sample": k}
+def _hardy_check(fv: FiberValues) -> CheckResult:
+    k, worst = _first_min(fv.hardy_gap())
+    witness = {} if k is None else {"sample": int(k[0])}
     return CheckResult("hardy", "weighted-hardy-inequality", worst >= -HARDY_TOL,
-                       worst, len(bumps), HARDY_TOL, witness)
+                       worst, fv.grad.size, HARDY_TOL, witness)
 
 
-def _iip_check(ctx, bumps) -> CheckResult:
-    worst = np.inf
-    witness = {}
-    for k, u in enumerate(bumps):
-        scale = 1.0 + h1_norm_sq(u)
-        fv = fiber_values(ctx, u)
-        for t in DILATIONS:
-            gap = fv.iip_gap(t) / scale
-            if gap < worst:
-                worst = gap
-                witness = {"sample": k, "t": t}
+def _iip_check(fv: FiberValues) -> CheckResult:
+    """The comparison gap of every sample at every DILATIONS t from one
+    table of the potential at t r: gaps[j, k] is DILATIONS[j], sample k."""
+    gaps = fv.iip_gap(np.array(DILATIONS)[:, None]) / (1.0 + (fv.grad + fv.mass))
+    k, worst = _first_min(gaps.T)
+    witness = {} if k is None else {"sample": int(k[0]), "t": DILATIONS[k[1]]}
     tol = IIP_TOL_COEFF
     return CheckResult("iip", "energy-dilation-comparison", worst >= -tol,
-                       float(worst), len(bumps) * len(DILATIONS), tol, witness)
+                       worst, gaps.size, tol, witness)
 
 
-def _inclusion_check(fibers) -> CheckResult:
+def _inclusion_check(fv: FiberValues, q: np.ndarray) -> CheckResult:
     """Nonzero u with P(u) <= 0 or P_inf(u) <= 0 must be admissible."""
-    worst = np.inf
-    witness = {}
-    checked = 0
-    for k, fv in enumerate(fibers):
-        if min(fv.pohozaev(), fv.pohozaev_limit()) > 0.0:
-            continue
-        checked += 1
-        _, q = fiber_membership(fv)
-        margin = -q / (1.0 + h1_norm_sq(fv.u))
-        if margin < worst:
-            worst = margin
-            witness = {"sample": k, "q": q}
+    checked = ~(np.minimum(fv.pohozaev(), fv.pohozaev_limit()) > 0.0)
     tol = 1e-8
-    if checked == 0:
+    if not checked.any():
         return CheckResult("inclusion", "admissible-set-inclusion", True,
                            np.inf, 0, tol, {"note": "no sample had P <= 0"})
+    margin = np.where(checked, -q / (1.0 + (fv.grad + fv.mass)), np.nan)
+    k, worst = _first_min(margin)
+    witness = {} if k is None else {"sample": int(k[0]), "q": float(q[k])}
     return CheckResult("inclusion", "admissible-set-inclusion", worst >= -tol,
-                       float(worst), checked, tol, witness)
+                       worst, int(checked.sum()), tol, witness)
 
 
-def _norm_equivalence_check(ctx, fibers) -> CheckResult:
+def _norm_equivalence_check(fv: FiberValues) -> CheckResult:
     """Sampled constants of the quadratic-form sandwich around ||u||^2."""
+    ctx = fv.ctx
     N = ctx.grid.N
     theta = ctx.theta
     lo_bound = min((1.0 - theta) * (N - 2.0), N * ctx.V.v_inf)
     hi_bound = N - 2.0 + 2.0 * theta + N * ctx.V.v_inf
-    g1 = np.inf
-    g2 = -np.inf
-    for fv in fibers:
-        quad = (N - 2.0) * fv.grad + N * fv.pot + fv.pot_w
-        ratio = quad / h1_norm_sq(fv.u)
-        g1 = min(g1, ratio)
-        g2 = max(g2, ratio)
+    ratio = ((N - 2.0) * fv.grad + N * fv.pot + fv.pot_w) / (fv.grad + fv.mass)
+    # fmin / fmax skip NaN, as min() and max() against a running bound do
+    g1 = float(np.fmin.reduce(ratio, initial=np.inf))
+    g2 = float(np.fmax.reduce(ratio, initial=-np.inf))
     tol = 1e-6 * (1.0 + hi_bound)
     ok = (g1 >= lo_bound - tol) and (g2 <= hi_bound + tol)
     worst = min(g1 - lo_bound, hi_bound - g2)
     return CheckResult(
         "norm-equivalence", "quadratic-form-sandwich", bool(ok), float(worst),
-        len(fibers), tol,
-        {"gamma1_hat": float(g1), "gamma2_hat": float(g2),
+        ratio.size, tol,
+        {"gamma1_hat": g1, "gamma2_hat": g2,
          "gamma1_bound": float(lo_bound), "gamma2_bound": float(hi_bound)})
 
 
-def _solution_checks(ctx, solution: SolveReport, fibers, opts) -> tuple:
+def _fiber_maxima(adm: FiberValues) -> tuple:
+    """(max_t I(u_t), ||u_{t_u}||_{H1}) of each row of the stack adm.
+    The rows are projected together (project_rows); the first in order
+    whose fiber has no single sign change raises its error."""
+    grid = adm.ctx.grid
+    t_u = project_rows(adm)
+    norms = np.empty(t_u.size)
+    for b in row_blocks(t_u.size):
+        projected = np.array([dilate(RadialFunction(grid, u), t).values
+                              for u, t in zip(adm.u[b], t_u[b])])
+        norms[b] = np.sqrt(np.add(*row_norms_sq(grid, projected)))
+    return adm.energy_at(t_u), norms
+
+
+def _sample_checks(ctx, rng, n_samples: int, project: bool) -> tuple:
+    """Hardy, inclusion and norm-equivalence checks over one family of
+    bumps from one quadrature pass; with project also (indices, levels,
+    norms) of its admissible samples (_fiber_maxima).  The family's rows
+    are dropped before the projections, which read only the admissible
+    ones."""
+    fv = fiber_values(ctx, _bump_rows(ctx.grid, rng, n_samples))
+    member, q = fiber_membership(fv)
+    checks = (_hardy_check(fv), _inclusion_check(fv, q), _norm_equivalence_check(fv))
+    if not project:
+        return checks, None
+    adm = fv.rows(member)
+    del fv
+    return checks, (np.flatnonzero(member), *_fiber_maxima(adm))
+
+
+def _solution_checks(ctx, solution: SolveReport, fv_sol: FiberValues,
+                     maxima: tuple, opts) -> tuple:
     checks = []
     constants = {}
-    u = solution.u_star
-    scale = h1_norm_sq(u)
-    fv = fiber_values(ctx, u)
-    poho_rel = abs(fv.pohozaev()) / scale
+    scale = fv_sol.grad + fv_sol.mass
+    poho_rel = abs(fv_sol.pohozaev()) / scale
     checks.append(CheckResult(
         "solution-dilation-identity", "stationarity-identity",
         poho_rel <= solution.poho_tol, float(solution.poho_tol - poho_rel),
@@ -188,37 +229,26 @@ def _solution_checks(ctx, solution: SolveReport, fibers, opts) -> tuple:
     # by change of variables like every other fiber quantity
     tol = 1e-3 * (1.0 + scale)
     tgrid = np.geomspace(0.25, 4.0, 64)
-    m_hat = fv.energy()
-    worst = float(np.min(m_hat - fv.energy_at(tgrid)))
+    m_hat = fv_sol.energy()
+    worst = float(np.min(m_hat - fv_sol.energy_at(tgrid)))
     checks.append(CheckResult(
         "fiber-maximum", "fiber-maximum-property", worst >= -tol,
         float(worst), tgrid.size, tol, {}))
 
     # sampled minimax: max_t I(u_t) over admissible samples stays above m
     tol_mm = 1e-6 * (1.0 + abs(m_hat))
-    worst_mm = np.inf
-    witness = {}
-    floor = np.inf
-    level_floor = np.inf
-    n_adm = 0
-    for k, fv_b in enumerate(fibers):
-        member, _ = fiber_membership(fv_b)
-        if not member:
-            continue
-        n_adm += 1
-        proj = project_fiber(fv_b)
-        zmax = float(proj.fiber.energy_at(proj.t_u)[0])
-        gap = zmax - m_hat
-        if gap < worst_mm:
-            worst_mm = gap
-            witness = {"sample": k, "max_level": zmax}
-        floor = min(floor, np.sqrt(h1_norm_sq(proj.projected)))
-        level_floor = min(level_floor, zmax)
-    constants["manifold_floor"] = float(floor) if n_adm else None
-    constants["min_projected_level"] = float(level_floor) if n_adm else None
+    samples, zmax, norms = maxima
+    k, worst_mm = _first_min(zmax - m_hat)
+    witness = ({} if k is None else
+               {"sample": int(samples[k[0]]), "max_level": float(zmax[k])})
+    n_adm = samples.size
+    floor = float(np.fmin.reduce(norms, initial=np.inf))
+    level_floor = float(np.fmin.reduce(zmax, initial=np.inf))
+    constants["manifold_floor"] = floor if n_adm else None
+    constants["min_projected_level"] = level_floor if n_adm else None
     checks.append(CheckResult(
         "minimax", "level-minimax-characterization",
-        worst_mm >= -tol_mm, float(worst_mm), n_adm, tol_mm, witness))
+        worst_mm >= -tol_mm, worst_mm, n_adm, tol_mm, witness))
     checks.append(CheckResult(
         "positive-level", "positive-ground-level",
         (m_hat > 0.0) and (n_adm == 0 or level_floor > 0.0),
@@ -246,6 +276,12 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
               opts: SolveOptions = SolveOptions()) -> VerificationReport:
     """Run every structural scan (plus solution checks when given).
 
+    The two bump families (n_samples each, the second narrower for the
+    comparison inequality) are drawn in turn and taken as blocked array
+    passes; only one family's rows are held at a time.  A sample whose
+    fiber has no single sign change raises NoSignChangeError or
+    MultipleSignChangesError, for the first such sample in order.
+
     Raises ZeroFunctionError if the solution's profile is zero, and
     PreconditionError if its grid is not the context's or if the
     context's potential or nonlinearity fails its hypothesis checks; the
@@ -257,8 +293,9 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
     if solution is not None:
         if not solution.u_star.grid.same_mesh(ctx.grid):
             raise PreconditionError("solution grid does not match context grid")
+        fv_sol = fiber_values(ctx, solution.u_star)
         # the solution checks measure against ||u||_{H1}^2
-        if h1_norm_sq(solution.u_star) == 0.0:
+        if fv_sol.grad + fv_sol.mass == 0.0:
             raise ZeroFunctionError("the solution profile is the zero function")
     cond = run_condition_suite(ctx.V, ctx.f, ctx.grid.N, ctx.grid.r_max,
                                prefer_declared_theta=False)
@@ -268,31 +305,23 @@ def run_suite(ctx: FunctionalContext, solution: SolveReport = None,
             f"hypothesis checks failed for this context: {failing}")
 
     rng = np.random.default_rng(seed)
-    bumps = sample_bumps(ctx.grid, rng, n_samples)
+    (hardy, inclusion, nec), maxima = _sample_checks(ctx, rng, n_samples,
+                                                     solution is not None)
     # dilations up to 4x must stay inside the domain: narrower family
-    iip_bumps = sample_bumps(ctx.grid, rng, n_samples,
-                             width_range=(0.5, 2.0), center_max=1.5)
-
-    # one quadrature pass per bump, shared by every check that reads it
-    fibers = [fiber_values(ctx, u) for u in bumps]
-
-    checks = [
-        _g_positivity_check(),
-        _hardy_check(bumps),
-        _iip_check(ctx, iip_bumps),
-        _inclusion_check(fibers),
-        _norm_equivalence_check(ctx, fibers),
-    ]
+    iip = _iip_check(fiber_values(ctx, _bump_rows(ctx.grid, rng, n_samples,
+                                                  width_range=(0.5, 2.0),
+                                                  center_max=1.5)))
+    checks = [_g_positivity_check(), hardy, iip, inclusion, nec]
     constants = {
         "theta": float(ctx.theta),
         "theta_min_v4": float(cond["theta_min"]),
     }
-    nec = checks[-1]
     constants["gamma1_hat"] = nec.witness["gamma1_hat"]
     constants["gamma2_hat"] = nec.witness["gamma2_hat"]
 
     if solution is not None:
-        sol_checks, sol_constants = _solution_checks(ctx, solution, fibers, opts)
+        sol_checks, sol_constants = _solution_checks(ctx, solution, fv_sol,
+                                                     maxima, opts)
         checks.extend(sol_checks)
         constants.update(sol_constants)
 

@@ -564,15 +564,67 @@ def test_no_command_loads_scipy(tmp_path):
     readme.write_text(_readme_config())
     const = tmp_path / "const.ini"
     const.write_text(CONST_INI.format(n=4096, out=tmp_path / "unused"))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")
-               + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", _ALL_COMMANDS, str(readme),
-                           str(const), str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _fresh_python(_ALL_COMMANDS, readme, const, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 7, "scipy": []}
+
+
+def _fresh_python(code: str, *args):
+    """Run code in a fresh interpreter that imports the package from ./src."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")
+               + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_zero_bump_width_is_a_config_error(tmp_path):
+    # SolveOptions rejects it before initial_bump divides by the width, so
+    # no numpy RuntimeWarning reaches stderr on the way to exit 1
+    readme = tmp_path / "readme.ini"
+    readme.write_text(_readme_config())
+    proc = _fresh_python("import sys\nfrom nlsground.cli import main\n"
+                         "sys.exit(main(sys.argv[1:]))",
+                         "solve", "--config", readme, "--out", tmp_path / "out",
+                         "--set", "solver.width=0")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: width must be positive")
+    assert "Warning" not in proc.stderr
+
+
+# one solve, then three verifies on its solution; prints the exit codes and
+# the growth of the peak resident set across the verifies
+_THREE_VERIFIES = """
+import contextlib, io, json, os, resource, sys
+from nlsground import cli
+
+config, out = sys.argv[1:]
+solution = os.path.join(out, "solve_report.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run("solve", config, out_dir=out)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    codes += [cli.run("verify", config, out_dir=out, seed=seed, solution_path=solution)
+              for seed in range(3)]
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"codes": codes, "growth_kb": after - before}))
+"""
+# ru_maxrss growth (KB, Linux) across the three verifies with the per-bump
+# suite that preceded the blocked one: 11,412-11,540 KB over eight fresh
+# processes on a 2-vCPU Xeon (Python 3.11, numpy 2.4); the blocked suite
+# read 10,308-10,524 KB on the same machine.  The bound is the least of
+# those per-bump readings.
+VERIFY_RSS_GROWTH_KB = 11_412
+
+
+def test_verify_peak_memory_stays_within_the_per_bump_suite(tmp_path):
+    readme = tmp_path / "readme.ini"
+    readme.write_text(_readme_config())
+    proc = _fresh_python(_THREE_VERIFIES, readme, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 4
+    assert result["growth_kb"] <= VERIFY_RSS_GROWTH_KB
 
 
 _FAMILY_PAIRS = [(pf, nf) for pf in cli._FAMILY_KEYS["potential"]

@@ -320,3 +320,63 @@ def test_psi_is_energy_minus_pohozaev_over_N(N, k_V, k_f, lam, amp, width, cente
     fv = fiber_values(ctx, u)
     scale = fv.grad + abs(fv.pot) + abs(fv.pot_w) + N * abs(lam * fv.f_int)
     assert abs(psi(ctx, u) - (energy(ctx, u) - pohozaev(ctx, u) / N)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_h1_norm_is_grad_plus_mass(N):
+    # fiber_membership, the routes' certificates and verify read ||u||_{H1}^2
+    # as fv.grad + fv.mass: the same two quadratures h1_norm_sq adds
+    grid = _PSI_GRIDS[N]
+    rng = np.random.default_rng(N)
+    for V in _FIBER_POTENTIALS:
+        for f in _PSI_NONLINEARITIES:
+            ctx = FunctionalContext(grid, V, f)
+            for u in random_bumps(grid, rng, 3) + [gaussian_bump(grid, 2.0, 1.5)]:
+                fv = fiber_values(ctx, u)
+                assert fv.grad + fv.mass == h1_norm_sq(u)
+
+
+def _rel_close(got, want, scale):
+    return np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + scale))
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+@pytest.mark.parametrize("V", _FIBER_POTENTIALS, ids=lambda V: V.family)
+def test_stacked_fiber_values_match_each_row(N, V):
+    # a stack of 11 rows, not a multiple of the row block, against one
+    # fiber_values per row: summation order differs, nothing else
+    grid = _PSI_GRIDS[N]
+    ctx = FunctionalContext(grid, V, saturating_nonlinearity(3.0), 0.9)
+    bumps = random_bumps(grid, np.random.default_rng(N), 11, width_range=(0.5, 2.0),
+                         center_max=1.5)
+    stack = fiber_values(ctx, np.array([u.values for u in bumps]))
+    rows = [fiber_values(ctx, u) for u in bumps]
+    scale = np.array([fv.grad + fv.mass + abs(fv.pot) + abs(fv.pot_w) + abs(fv.f_int)
+                      for fv in rows])
+    for name in ("grad", "mass", "f_int", "pot", "pot_w"):
+        assert _rel_close(getattr(stack, name), [getattr(fv, name) for fv in rows], scale)
+    assert _rel_close(stack.hardy_gap(), [hardy_gap(u) for u in bumps], scale)
+    t = _FIBER_T
+    t_scale = np.outer(t ** N + t ** (N - 2.0), scale)
+    table = np.array([fv.pohozaev_at(t) for fv in rows]).T
+    assert stack.pohozaev_at(t[:, None]).shape == (t.size, len(bumps))
+    assert _rel_close(stack.pohozaev_at(t[:, None]), table, t_scale)
+    assert _rel_close(stack.energy_at(t[:, None]),
+                      np.array([fv.energy_at(t) for fv in rows]).T, t_scale)
+    # one t per row
+    lanes = t[:len(bumps)]
+    assert _rel_close(stack.pohozaev_at(lanes), table[np.arange(len(bumps)), np.arange(len(bumps))],
+                      t_scale[np.arange(len(bumps)), np.arange(len(bumps))])
+    gaps = stack.iip_gap(np.array([0.5, 2.0])[:, None])
+    assert _rel_close(gaps, [[fv.iip_gap(s) for fv in rows] for s in (0.5, 2.0)],
+                      np.outer([2.0, 20.0], scale))
+    picked = stack.rows(np.array([3, 7]))
+    assert picked.u.shape == (2, grid.n) and picked.mass[1] == stack.mass[7]
+
+
+def test_stacked_fiber_values_validates_rows(ctx_auto, grid4096):
+    u = gaussian_bump(grid4096, 2.0, 1.5).values
+    for bad in (np.array([u[:-1]]), u, np.array([u, np.r_[u[:-1], 1.0]]),
+                np.array([u, np.where(u > 1.0, np.nan, u)])):
+        with pytest.raises(DomainError):
+            fiber_values(ctx_auto, bad)

@@ -37,7 +37,10 @@ from nlsground.manifold import (
     SCAN_POINTS,
     T_BRACKET,
     _scan_bracket,
+    _scan_rows,
     false_position,
+    false_position_lanes,
+    project_rows,
 )
 from nlsground.solver import initial_bump
 from conftest import gaussian_bump, random_bumps
@@ -335,6 +338,104 @@ def test_false_position_ends_with_root_at_bracket_end(tol, sign, at_hi):
     assert len(calls) <= 2 + 64
 
 
+@pytest.mark.parametrize("tol", [1e-14, 1e-16, 0.0])
+@pytest.mark.parametrize("widths", [(1.0,), (1.0, 1e-3, 1e-9)])
+def test_false_position_lanes_is_false_position_per_lane(tol, widths):
+    # the cases above as lanes of one lockstep polish: all of one bracket
+    # width, or of several, so that lanes finish at different rounds
+    cases = []
+    for w in widths:
+        width = w * np.log(10.0) / 10.0
+        for sign in (1.0, -1.0):
+            for at_hi in (True, False):
+                root = sign * _ROOT
+                lo, hi = (root - width, root) if at_hi else (root, root + width)
+                cases.append((root, at_hi, lo, hi))
+    want = []
+    for root, at_hi, lo, hi in cases:
+        calls = []
+        g = _step(root, at_hi, calls)
+        g_lo, g_hi = g(lo), g(hi)
+        del calls[:]
+        want.append((false_position(g, lo, hi, g_lo, g_hi, tol), calls))
+
+    trials = [[] for _ in cases]
+    steps = [_step(root, at_hi, trials[k]) for k, (root, at_hi, _, _) in enumerate(cases)]
+    lo, hi = [c[2] for c in cases], [c[3] for c in cases]
+    g_lo = [steps[k](x) for k, x in enumerate(lo)]
+    g_hi = [steps[k](x) for k, x in enumerate(hi)]
+    for calls in trials:
+        del calls[:]
+    rounds = []
+
+    def g(lanes, xs):
+        rounds.append(lanes.tolist())
+        return [steps[k](x) for k, x in zip(lanes, xs)]
+
+    new_lo, new_hi = false_position_lanes(g, lo, hi, g_lo, g_hi, tol)
+    for k, ((bracket, calls), got) in enumerate(zip(want, trials)):
+        assert (new_lo[k], new_hi[k]) == bracket
+        assert got == calls
+    assert rounds[0] == list(range(len(cases)))
+    if len(widths) > 1:
+        assert len({len(r) for r in rounds}) > 1
+
+
+def test_false_position_lanes_without_lanes():
+    lo, hi = false_position_lanes(None, [], [], [], [], 1e-12)
+    assert lo.size == hi.size == 0
+
+
+# ----------------------------------------------------------------------
+# projecting the rows of a stack together
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(len(_POLISH_CONTEXTS)))
+def test_project_rows_matches_project_fiber(k):
+    ctx = _POLISH_CONTEXTS[k]
+    bumps = admissible_bumps(ctx, _POLISH_GRID, np.random.default_rng(k), 11)
+    fv = fiber_values(ctx, np.array([u.values for u in bumps]))
+    outcomes = []
+    for u in bumps:
+        try:
+            outcomes.append((None, project_to_M(ctx, u).t_u))
+        except _OUTCOMES as exc:
+            outcomes.append((exc, None))
+    refused = [exc for exc, _ in outcomes if exc is not None]
+    if refused:
+        with pytest.raises(type(refused[0])):
+            project_rows(fv)
+        return
+    t_u = project_rows(fv)
+    want = np.array([t for _, t in outcomes])
+    assert np.all(np.abs(np.log(t_u / want)) <= 4.0 * BISECT_LOG_TOL)
+
+
+def test_project_rows_raises_for_the_first_refused_row():
+    grid = _WINDOW_GRIDS[(3, 1024)]
+    ctx = FunctionalContext(grid, well_potential(1.0, 1.0, 30.0), power_nonlinearity(4.0))
+    narrow = np.exp(-((grid.r / 0.3) ** 2))
+    narrow[-1] = 0.0
+    # amplitude 3 projects; 2.56 changes sign five times; 0.1 is not admissible
+    for amps, bracket, error in [((3.0, 2.56, 0.1), T_BRACKET, MultipleSignChangesError),
+                                 ((3.0, 0.1, 2.56), T_BRACKET, NotInLambdaError),
+                                 ((3.0, 5.0), (1e-3, 0.05), NoSignChangeError)]:
+        fv = fiber_values(ctx, np.array([a * narrow for a in amps]))
+        first = next(a for a in amps
+                     if _projection_outcome(fiber_values(ctx, RadialFunction(grid, a * narrow)),
+                                            bracket)[0] is not None)
+        with pytest.raises(error) as want:
+            project_fiber(fiber_values(ctx, RadialFunction(grid, first * narrow)), bracket)
+        with pytest.raises(error) as got:
+            project_rows(fv, bracket)
+        if error is not NotInLambdaError:
+            assert str(got.value) == str(want.value)
+    fv = fiber_values(ctx, np.array([a * narrow for a in (3.0, 5.0, 10.0)]))
+    want = [project_fiber(fiber_values(ctx, RadialFunction(grid, a * narrow))).t_u
+            for a in (3.0, 5.0, 10.0)]
+    assert np.all(np.abs(np.log(project_rows(fv) / want)) <= 4.0 * BISECT_LOG_TOL)
+
+
 # ----------------------------------------------------------------------
 # the certified scan window against the full SCAN_POINTS scan
 # ----------------------------------------------------------------------
@@ -417,6 +518,38 @@ def test_scan_window_matches_full_scan(N, n, k_V, k_f, k_t, parts):
     vals[-1] = 0.0
     _assert_window_matches_full_scan(fiber_values(ctx, RadialFunction(grid, vals)),
                                      _WINDOW_BRACKETS[k_t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from((3, 4, 5)),
+       k_V=st.integers(0, len(_WINDOW_POTENTIALS) - 1),
+       k_f=st.integers(0, len(_WINDOW_NONLINEARITIES) - 1),
+       k_t=st.integers(0, len(_WINDOW_BRACKETS) - 1),
+       stack=st.lists(st.lists(_BUMP_PART, min_size=1, max_size=3),
+                      min_size=1, max_size=12))
+def test_scan_rows_matches_full_scan(N, k_V, k_f, k_t, stack):
+    # each row's windowed scan against the full table of the same stack:
+    # the same sign changes, evaluated values on both sides of each, and
+    # every skipped point holding its certified sign
+    grid = _WINDOW_GRIDS[(N, 512)]
+    ctx = FunctionalContext(grid, _WINDOW_POTENTIALS[k_V], _WINDOW_NONLINEARITIES[k_f])
+    rows = np.array([sum(10.0**a * np.exp(-(((grid.r - c) / w) ** 2)) for a, w, c in parts)
+                     for parts in stack])
+    rows[:, -1] = 0.0
+    fv = fiber_values(ctx, rows)
+    bracket = _WINDOW_BRACKETS[k_t]
+    ts, ps, flips = _scan_rows(fv, *bracket)
+    assert np.array_equal(ts, np.geomspace(*bracket, SCAN_POINTS))
+    full = fv.pohozaev_at(ts[:, None]).T
+    scale = np.abs(full).max(axis=1, keepdims=True)
+    near = np.isclose(ps, full, rtol=1e-12, atol=1e-13 * scale)
+    # a point away from the full value holds the sign of P there
+    assert np.all(near | (ps == np.where(full >= 0.0, 1.0, -1.0)))
+    full_flips = np.diff(np.where(full >= 0.0, 1.0, -1.0), axis=1) != 0.0
+    tiny = np.abs(full) <= 1e-12 * scale
+    assert np.all((flips == full_flips) | tiny[:, 1:] | tiny[:, :-1])
+    k, f = np.nonzero(flips)
+    assert np.all(near[k, f]) and np.all(near[k, f + 1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -260,6 +260,23 @@ def test_zero_f_scalar_bit_identical(t):
     _assert_scalar_matches(zero_nonlinearity(), t)
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0, 5.5, 10.0])
+@pytest.mark.parametrize("coeff", [1.0, 0.3, -2.0])
+def test_power_F_is_the_plain_formula_where_pow_underflows(p, coeff):
+    # F skips pow where |t|^p rounds to 0: bit for bit the plain formula,
+    # densely across that edge, at both signs, zeros and non-finite values
+    spec = power_nonlinearity(p, coeff)
+    edge = 2.0 ** (-1076.0 / p)
+    t = np.geomspace(edge / 1e6, edge * 1e6, 400_001)
+    t = np.concatenate([t, -t, [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1.0,
+                                np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]])
+    with np.errstate(over="ignore"):
+        want = coeff * np.abs(t) ** p / p
+        got = spec.F(t)
+    assert got.tobytes() == want.tobytes()
+    assert spec.F(0.5) == coeff * 0.5**p / p and spec.F(1e-300) == 0.0
+
+
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.999])
 def test_power_f_scalar_nan_at_zero_below_two(p):
     # numpy gives |0|^{p-2} * 0 = inf * 0 = nan; float ** would raise

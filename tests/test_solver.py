@@ -629,6 +629,11 @@ def test_solve_options_validation():
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match=name):
                 SolveOptions(**{name: bad})
+    # the starting bump amp * exp(-(r / width)^2) needs both finite and positive
+    for name in ("amp", "width"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=name):
+                SolveOptions(**{name: bad})
     gt, pt = SolveOptions().tolerances("shooting")
     assert gt > 0 and pt > 0
     gt2, _ = SolveOptions(grad_tol=1e-5).tolerances("shooting")

@@ -1,19 +1,37 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     ConvergenceError,
     FunctionalContext,
+    MultipleSignChangesError,
+    NoSignChangeError,
     PreconditionError,
     RadialFunction,
     SolveReport,
     ZeroFunctionError,
     constant_potential,
+    fiber_values,
+    h1_norm_sq,
+    hardy_gap,
+    initial_bump,
+    make_grid,
+    perturbed_potential,
+    power_nonlinearity,
+    project_fiber,
+    project_to_M,
     run_suite,
+    sample_bumps,
     saturating_nonlinearity,
     well_potential,
 )
 from nlsground import verify
+from nlsground.grid import BLOCK
+from nlsground.manifold import fiber_membership
 
 
 def test_suite_with_solution_passes(ctx_auto, rep_fiber):
@@ -145,3 +163,183 @@ def test_domination_programming_error_propagates(ctx_auto, rep_fiber,
     monkeypatch.setattr(verify, "solve_fiber_descent", broken)
     with pytest.raises(TypeError):
         run_suite(ctx_auto, rep_fiber, seed=42, n_samples=10)
+
+
+# ----------------------------------------------------------------------
+# the bump sample: rows of one array, drawn as one array per bump was
+# ----------------------------------------------------------------------
+
+def _per_bump_samples(grid, rng, count, amp_range=(1e-2, 1e1),
+                      width_range=(0.5, 5.0), center_max=5.0, parts_max=3):
+    """sample_bumps as it built one array per bump, kept as the reference
+    for the row-filling construction."""
+    out = []
+    r = grid.r
+    for _ in range(count):
+        parts = rng.integers(1, parts_max + 1)
+        vals = np.zeros(grid.n)
+        for _ in range(parts):
+            amp = 10.0 ** rng.uniform(np.log10(amp_range[0]), np.log10(amp_range[1]))
+            width = rng.uniform(*width_range)
+            center = rng.uniform(0.0, center_max)
+            vals += amp * np.exp(-(((r - center) / width) ** 2))
+        vals[-1] = 0.0
+        out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2479393197])
+@pytest.mark.parametrize("mesh", [(3, 30.0, 4096), (4, 30.0, 1023), (5, 12.0, 600)])
+def test_sample_bumps_rows_are_the_per_bump_construction(seed, mesh):
+    grid = make_grid(*mesh)
+    # run_suite's two families, and narrow bumps whose tails underflow
+    for kw in ({}, {"width_range": (0.5, 2.0), "center_max": 1.5},
+               {"width_range": (0.02, 0.3)}):
+        got = sample_bumps(grid, np.random.default_rng(seed), 24, **kw)
+        want = _per_bump_samples(grid, np.random.default_rng(seed), 24, **kw)
+        base = got[0].values.base
+        assert base is not None and base.shape == (24, grid.n)
+        for u, v in zip(got, want):
+            assert u.values.base is base
+            assert u.values.tobytes() == v.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the batched suite against per-bump loops over the scalar primitives
+# ----------------------------------------------------------------------
+
+_REF_GRIDS = {N: make_grid(N, 30.0, 512) for N in (3, 4, 5)}
+# (potential, N, nonlinearity): each passes the suite's hypothesis checks
+_REF_CASES = [
+    (well_potential(1.0, 0.2, 2.0), 3, power_nonlinearity(4.0)),
+    (constant_potential(1.0), 3, power_nonlinearity(4.0)),
+    (well_potential(1.0, 0.2, 2.0), 3, saturating_nonlinearity(3.0)),
+] + [(V, N, saturating_nonlinearity(3.0))
+     for N in (4, 5)
+     for V in (well_potential(1.0, 0.2, 2.0), constant_potential(1.0),
+               perturbed_potential(1.0, 0.5, "gaussian"))]
+
+
+def _first_below(values: dict):
+    """(worst, key) over values {key: value} in order, keeping strictly
+    smaller values, as the per-bump loops did."""
+    worst, key = np.inf, None
+    for k, value in values.items():
+        if value < worst:
+            worst, key = value, k
+    return worst, key
+
+
+def _per_bump_reference(ctx, m_hat, seed, n_samples):
+    """{check name: (pass, samples, witness, values)} with values the
+    per-sample margins {witness key: margin}, and the sampled constants;
+    from per-bump loops over fiber_values, hardy_gap, iip_gap,
+    fiber_membership and project_fiber."""
+    rng = np.random.default_rng(seed)
+    bumps = sample_bumps(ctx.grid, rng, n_samples)
+    iip_bumps = sample_bumps(ctx.grid, rng, n_samples, width_range=(0.5, 2.0),
+                             center_max=1.5)
+    fibers = [fiber_values(ctx, u) for u in bumps]
+    out, constants = {}, {}
+
+    values = {(k,): hardy_gap(u) for k, u in enumerate(bumps)}
+    worst, k = _first_below(values)
+    out["hardy"] = (worst >= -verify.HARDY_TOL, n_samples,
+                    {} if k is None else {"sample": k[0]}, values)
+
+    values = {}
+    for k, u in enumerate(iip_bumps):
+        fv = fiber_values(ctx, u)
+        for t in verify.DILATIONS:
+            values[k, t] = fv.iip_gap(t) / (1.0 + h1_norm_sq(u))
+    worst, k = _first_below(values)
+    out["iip"] = (worst >= -verify.IIP_TOL_COEFF, len(values),
+                  {} if k is None else {"sample": k[0], "t": k[1]}, values)
+
+    checked = [(k, fv) for k, fv in enumerate(fibers)
+               if not min(fv.pohozaev(), fv.pohozaev_limit()) > 0.0]
+    qs = {k: fiber_membership(fv)[1] for k, fv in checked}
+    values = {(k,): -qs[k] / (1.0 + h1_norm_sq(fv.u)) for k, fv in checked}
+    worst, k = _first_below(values)
+    if checked:
+        out["inclusion"] = (worst >= -1e-8, len(checked),
+                            {} if k is None else {"sample": k[0], "q": qs[k[0]]}, values)
+
+    ratios = [((ctx.grid.N - 2.0) * fv.grad + ctx.grid.N * fv.pot + fv.pot_w)
+              / h1_norm_sq(fv.u) for fv in fibers]
+    constants["gamma1_hat"] = min(ratios)
+    constants["gamma2_hat"] = max(ratios)
+
+    levels, norms = {}, []
+    for k, fv in enumerate(fibers):
+        if fiber_membership(fv)[0]:
+            proj = project_fiber(fv)
+            levels[k] = float(proj.fiber.energy_at(proj.t_u)[0])
+            norms.append(np.sqrt(h1_norm_sq(proj.projected)))
+    values = {(k,): z - m_hat for k, z in levels.items()}
+    worst, k = _first_below(values)
+    tol = 1e-6 * (1.0 + abs(m_hat))
+    out["minimax"] = (worst >= -tol, len(levels),
+                      {} if k is None else {"sample": k[0], "max_level": levels[k[0]]},
+                      values)
+    if levels:
+        constants["manifold_floor"] = min(norms)
+        constants["min_projected_level"] = min(levels.values())
+    return out, constants
+
+
+def _witness_key(witness):
+    return tuple(witness[k] for k in ("sample", "t") if k in witness)
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(_REF_CASES) - 1),
+       seed=st.integers(0, 2**32 - 1),
+       n_samples=st.integers(1, 3 * BLOCK + 3))
+def test_batched_suite_matches_per_bump_loops(case, seed, n_samples):
+    V, N, f = _REF_CASES[case]
+    ctx = FunctionalContext(_REF_GRIDS[N], V, f)
+    u = project_to_M(ctx, initial_bump(ctx, 2.0, 1.5)).projected
+    solution = SolveReport(converged=True, u_star=u, energy=0.0,
+                           pohozaev_residual=0.0, pde_residual=0.0, iterations=1,
+                           route="fiber-descent", u_at_zero=float(u.values[0]),
+                           grad_tol=5e-3, poho_tol=1e-8)
+    m_hat = fiber_values(ctx, u).energy()
+    outcomes = (NoSignChangeError, MultipleSignChangesError)
+    try:
+        want, want_constants = _per_bump_reference(ctx, m_hat, seed, n_samples)
+    except outcomes as exc:
+        with pytest.raises(type(exc)):
+            run_suite(ctx, solution, seed=seed, n_samples=n_samples)
+        return
+
+    def skipped(ctx, opts):
+        raise ConvergenceError("the domination solve is not compared here")
+
+    with mock.patch.object(verify, "solve_fiber_descent", skipped):
+        report = run_suite(ctx, solution, seed=seed, n_samples=n_samples)
+    checks = {c.name: c for c in report.checks}
+    if "inclusion" not in want:
+        assert checks["inclusion"].samples == 0
+    for name, (passed, samples, witness, values) in want.items():
+        c = checks[name]
+        want_key, got_key = _witness_key(witness), _witness_key(c.witness)
+        worst = values[want_key] if witness else np.inf
+        assert (c.passed, c.samples) == (passed, samples), name
+        assert _close(c.worst_margin, worst), name
+        assert set(c.witness) == set(witness), name
+        # the same witness, unless the two margins tie at round-off (the
+        # iip gaps of the constant potential are round-off everywhere)
+        if got_key != want_key:
+            assert _close(values[got_key], worst), name
+            continue
+        for k in set(witness) - {"sample", "t"}:
+            assert _close(c.witness[k], witness[k]), (name, k)
+    for key, value in want_constants.items():
+        assert _close(report.constants[key], value), key
+    if "manifold_floor" not in want_constants:
+        assert report.constants["manifold_floor"] is None

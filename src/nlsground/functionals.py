@@ -128,6 +128,10 @@ class FiberValues:
             - N * self.ctx.lam * self.f_int
         )
 
+    def relative_pohozaev(self) -> float:
+        """Dilation-identity residual |P(u)| / ||u||_{H1}^2 of one profile."""
+        return abs(self.pohozaev()) / max(self.grad + self.mass, 1e-300)
+
     def pohozaev_limit(self) -> float:
         """pohozaev() with V frozen at V_inf."""
         N = self.ctx.grid.N

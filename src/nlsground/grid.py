@@ -170,21 +170,27 @@ def make_grid(N: int, r_max: float, n: int) -> RadialGrid:
     Raises
     ------
     DomainError
-        If N < 3 (invalid dimension) or n < 16 / r_max <= 0 (invalid size).
+        If N < 3, n < 16, r_max is not positive and finite, or a quadrature
+        weight off the origin is not finite and positive (h r^{N-1} overflows
+        or underflows).
     """
     if not isinstance(N, (int, np.integer)) or N < 3:
         raise DomainError(f"dimension must be an integer >= 3, got {N!r}")
     if n < 16:
         raise DomainError(f"grid needs at least 16 nodes, got {n}")
-    if not (r_max > 0.0):
-        raise DomainError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < math.inf:
+        raise DomainError(f"r_max must be positive and finite, got {r_max}")
     h = r_max / (n - 1)
-    r = np.arange(n) * h
-    # pin the endpoint exactly
-    r[-1] = r_max
     omega = unit_ball_volume(int(N))
-    bare = int(N) * omega * _simpson_coeffs(n) * h
-    weights = bare * r ** (int(N) - 1)
+    with np.errstate(over="ignore"):      # rejected below
+        r = np.arange(n) * h
+        # pin the endpoint exactly
+        r[-1] = r_max
+        bare = int(N) * omega * _simpson_coeffs(n) * h
+        weights = bare * r ** (int(N) - 1)
+    if not (np.all(np.isfinite(weights)) and np.all(weights[1:] > 0.0)):
+        raise DomainError(f"quadrature weights of r_max = {r_max} at n = {n}, "
+                          f"N = {N} are not finite and positive off the origin")
     return RadialGrid(N=int(N), r_max=float(r_max), n=int(n), h=h, omega_N=omega,
                       r=r, weights=weights, bare_weights=bare)
 

@@ -32,6 +32,7 @@ points together each round).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,20 +74,28 @@ WINDOW_CONDITION = 1e-8
 
 @dataclass(frozen=True)
 class FiberProjection:
-    """Result of projecting u onto the constraint set along its fiber."""
+    """Result of projecting u onto the constraint set along its fiber.
+    The dilated profile, and what is measured on it, is computed on read:
+    a projection read only for t_u and its fiber interpolates nothing."""
 
     t_u: float
-    projected: RadialFunction
     bracket: tuple
     sign_changes: int
-    tolerance: float
     fiber: FiberValues       # quadratures of the input u along its fiber
+
+    @cached_property
+    def projected(self) -> RadialFunction:
+        """u(x/t_u), by linear interpolation (grid.dilate)."""
+        return dilate(self.fiber.u, self.t_u)
+
+    @property
+    def tolerance(self) -> float:
+        """Acceptance bound 5e-3 (1 + ||projected||_{H1}^2) of residual."""
+        return 5e-3 * (1.0 + h1_norm_sq(self.projected))
 
     @property
     def residual(self) -> float:
-        """|P(projected)| measured on the dilated profile.  A full
-        quadrature pass, computed on each read: the routes only need the
-        projected profile."""
+        """|P(projected)| measured on the dilated profile."""
         return abs(pohozaev(self.fiber.ctx, self.projected))
 
 
@@ -330,7 +339,6 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
 
 def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProjection:
     """project_to_M from quadratures already computed for u."""
-    u = fv.u
     member, q = fiber_membership(fv)
     if not member:
         raise _not_admissible(q)
@@ -340,15 +348,10 @@ def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProject
     lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
                             np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
                             BISECT_LOG_TOL)
-    t_u = float(np.exp(0.5 * (lo + hi)))
-    projected = dilate(u, t_u)
-    tol = 5e-3 * (1.0 + h1_norm_sq(projected))
     return FiberProjection(
-        t_u=t_u,
-        projected=projected,
+        t_u=float(np.exp(0.5 * (lo + hi))),
         bracket=(float(ts[i]), float(ts[i + 1])),
         sign_changes=int(flips.size),
-        tolerance=tol,
         fiber=fv,
     )
 

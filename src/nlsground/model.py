@@ -167,13 +167,19 @@ def constant_potential(value: float = 1.0) -> PotentialSpec:
     )
 
 
+# largest well exponent: (alpha - N)^2 in its dilation bound overflows from
+# alpha ~ 1.3e154, and long before that r^alpha is a step at r = 1 in doubles
+WELL_ALPHA_MAX = 1e150
+
+
 def well_potential(a: float, b: float, alpha: float = 2.0,
                    theta: Optional[float] = None) -> PotentialSpec:
     """Long-range well V(r) = a - b / (1 + r^alpha), with V_inf = a."""
     if b < 0 or a < b:
         raise DomainError("well potential needs a >= b >= 0 for nonnegativity")
-    if alpha <= 0:
-        raise DomainError("well exponent must be positive")
+    if not 0.0 < alpha < WELL_ALPHA_MAX:
+        raise DomainError(
+            f"well exponent must be positive and below {WELL_ALPHA_MAX:g}, got {alpha}")
     a, b, alpha = float(a), float(b), float(alpha)
 
     def V(r):

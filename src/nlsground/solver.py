@@ -79,16 +79,14 @@ class SolveOptions:
         # each test is written so that NaN fails it
         if not self.max_iters >= 1:
             raise DomainError("max_iters must be >= 1")
-        for name in ("grad_tol", "poho_tol"):
+        # an infinite step never shrinks below STEP_MIN, and an infinite
+        # tolerance certifies anything
+        for name in ("step", "ode_step", "shoot_tol", "grad_tol", "poho_tol",
+                     "amp", "width"):
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise DomainError(f"{name} must be positive")
-        for name in ("step", "ode_step", "shoot_tol"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-        # the starting bump amp * exp(-(r / width)^2)
-        for name in ("amp", "width"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if name in ("grad_tol", "poho_tol") and val is None:
+                continue
+            if not 0.0 < val < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
 
     def tolerances(self, route: str):
@@ -214,16 +212,20 @@ class SweepReport:
 # shared machinery
 # ----------------------------------------------------------------------
 
+def _bump_ladder(grid: RadialGrid, amp: float, width: float):
+    """Gaussian bumps a exp(-r^2/width^2) for a = amp 2^k, k < BUMP_DOUBLINGS."""
+    for k in range(BUMP_DOUBLINGS):
+        a = amp * 2.0**k
+        yield RadialFunction.sampled(grid, lambda r: a * np.exp(-(r / width) ** 2))
+
+
 def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunction:
     """Gaussian bump A exp(-r^2/width^2), amplitude doubled until it
     enters the admissible set."""
-    a = amp
-    for _ in range(BUMP_DOUBLINGS):
-        u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
+    for u in _bump_ladder(ctx.grid, amp, width):
         member, _ = lambda_membership(ctx, u)
         if member:
             return u
-        a *= 2.0
     raise NotInLambdaError(
         "no admissible amplitude found for the initial bump "
         "(superquadraticity of F may fail)")
@@ -330,23 +332,21 @@ def _rel_residual(res: RadialFunction, u: RadialFunction) -> float:
     return math.sqrt(max(l2_norm_sq(res), 0.0) / max(l2_norm_sq(u), 1e-300))
 
 
-def _rel_pde(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """Relative strong-form residual of the target equation at u."""
-    return _rel_residual(pde_residual(u, ctx.V.V, ctx.f.f, ctx.lam), u)
-
-
-def _rel_poho(fv: FiberValues) -> float:
-    """Relative dilation-identity residual |P(u)| / ||u||_{H1}^2."""
-    return abs(fv.pohozaev()) / max(fv.grad + fv.mass, 1e-300)
-
-
-def _finish(fv: FiberValues, route: str, rel_pde: float, iterations: int,
-            u_at_zero: float, tols, why: str) -> SolveReport:
-    """Certify the profile fv.u and build the route's report;
-    ConvergenceError (carrying the report) unless both residuals meet
-    their tolerances at a positive level."""
+def _finish(fv: FiberValues, w: RadialFunction, t: float, route: str,
+            iterations: int, tols, why: str) -> SolveReport:
+    """Certify fv.u = w(x/t) and build the route's report; ConvergenceError
+    (carrying the report) unless both residuals meet their tolerances at a
+    positive level.  w(x/t) solves the target equation iff w solves it with
+    the coefficients t^2 V(t r) and t^2 lam f, so the strong-form residual
+    is taken on w with those, divided by t^2: w is never resampled, whose
+    interpolation kinks the second difference would amplify by 1/h^2."""
     grad_tol, poho_tol = tols
-    rel_poho = _rel_poho(fv)
+    V, f, lam = fv.ctx.V.V, fv.ctx.f.f, fv.ctx.lam
+    t2 = t**2
+    res = pde_residual(w, lambda r: t2 * V(t * r),
+                       lambda s: t2 * lam * np.asarray(f(s), dtype=float), 1.0)
+    rel_pde = _rel_residual(res, w) / t2
+    rel_poho = fv.relative_pohozaev()
     m_hat = fv.energy()
     converged = (rel_pde <= grad_tol and rel_poho <= poho_tol and m_hat > 0.0)
     report = SolveReport(
@@ -357,7 +357,7 @@ def _finish(fv: FiberValues, route: str, rel_pde: float, iterations: int,
         pde_residual=rel_pde,
         iterations=iterations,
         route=route,
-        u_at_zero=u_at_zero,
+        u_at_zero=float(fv.u.values[0]),
         grad_tol=grad_tol,
         poho_tol=poho_tol,
     )
@@ -430,13 +430,12 @@ def solve_fiber_descent(ctx: FunctionalContext,
     # the constraint residual to round-off
     fv = fiber_values(ctx, u)
     for _ in range(12):
-        if _rel_poho(fv) <= poho_tol:
+        if fv.relative_pohozaev() <= poho_tol:
             break
         u = project_fiber(fv).projected
         fv = fiber_values(ctx, u)
 
-    return _finish(fv, "fiber-descent", _rel_pde(ctx, u), iters,
-                   float(u.values[0]), tols,
+    return _finish(fv, u, 1.0, "fiber-descent", iters, tols,
                    f"fiber descent stopped after {iters} iterations")
 
 
@@ -552,16 +551,12 @@ def solve_limit_BL(ctx: FunctionalContext,
     psolve = _h1_preconditioner(grid)
     wts = grid.weights
 
-    w0 = None
-    a0 = opts.amp
-    for _ in range(BUMP_DOUBLINGS):
-        cand = RadialFunction.sampled(grid, lambda r: a0 * np.exp(-(r / opts.width) ** 2))
+    for cand in _bump_ladder(grid, opts.amp, opts.width):
         a = _amplitude_restore(ctx, cand.values)
         if a is not None:
-            w0 = a * cand.values
+            w = a * cand.values
             break
-        a0 *= 2.0
-    if w0 is None:
+    else:
         raise ConstraintInfeasibleError(
             "no sampled profile reaches the constraint value "
             "(one-point superquadraticity appears to fail)")
@@ -572,7 +567,6 @@ def solve_limit_BL(ctx: FunctionalContext,
     def zero_f(t):
         return np.zeros_like(t)
 
-    w = w0.copy()
     G = grad_seminorm_sq(RadialFunction(grid, w))
     s = opts.step
     iters = 0
@@ -612,21 +606,8 @@ def solve_limit_BL(ctx: FunctionalContext,
 
     w_hat = RadialFunction(grid, w)
     t_hat = math.sqrt((N - 2.0) / (2.0 * N) * grad_seminorm_sq(w_hat))
-    u_bar = dilate(w_hat, t_hat)
-    # strong-form certificate evaluated in the pre-dilation variables:
-    # u_bar solves the target equation iff w solves it with coefficients
-    # scaled by t^2.  Resampling u_bar would inject interpolation kinks
-    # that the second difference amplifies by 1/h^2.
-    t2 = t_hat**2
-    res_w = pde_residual(
-        w_hat,
-        lambda r: t2 * ctx.V.v_inf * np.ones_like(r),
-        lambda s: t2 * ctx.lam * np.asarray(ctx.f.f(s), dtype=float),
-        1.0,
-    )
-    return _finish(fiber_values(ctx, u_bar), "bl-constrained",
-                   _rel_residual(res_w, w_hat) / t2, iters, float(u_bar.values[0]),
-                   opts.tolerances("bl-constrained"),
+    return _finish(fiber_values(ctx, dilate(w_hat, t_hat)), w_hat, t_hat,
+                   "bl-constrained", iters, opts.tolerances("bl-constrained"),
                    f"constrained route stopped after {iters} iterations at kkt {kkt:.3e}")
 
 
@@ -928,8 +909,9 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     u_star = RadialFunction(grid, vals)
 
     ctx = FunctionalContext(grid, constant_potential(v_inf), f, lam)
-    return _finish(fiber_values(ctx, u_star), "shooting", _rel_pde(ctx, u_star), 0,
-                   float(a_star), opts.tolerances("shooting"),
+    # u_star.values[0] is a_star: the tail fix never reaches index 0
+    return _finish(fiber_values(ctx, u_star), u_star, 1.0, "shooting", 0,
+                   opts.tolerances("shooting"),
                    "shooting profile failed its certificates")
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,29 @@ def test_nonconvergence_exit_2(well_cfg, tmp_path):
     code = run("solve", well_cfg, out_dir=str(tmp_path / "nc"),
                overrides=["solver.max_iters=1"])
     assert code == 2
+
+
+# values that escaped cli.run as a traceback (the first four) or that a
+# solve certified as converged with an infinite tolerance (the last two)
+@pytest.mark.parametrize("command, overrides", [
+    ("oracle-shoot", ["grid.r_max=inf"]),
+    ("solve-limit", ["grid.r_max=1e308"]),
+    ("solve-limit", ["grid.r_max=1e-308"]),
+    ("project", ["potential.alpha=1e308"]),
+    ("solve", ["solver.grad_tol=inf"]),
+    ("solve-limit", ["solver.grad_tol=inf", "solver.poho_tol=inf"]),
+])
+def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, overrides):
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_INI.format(n=512, out=tmp_path / "out"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command, str(cfg), overrides=overrides)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[0].startswith("config error:")
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_missing_config_exit_1(tmp_path):
@@ -522,17 +546,34 @@ def test_failing_solve_writes_the_conditions_report(well_cfg, tmp_path):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _readme_config() -> str:
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block after heading in README.md."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         text = fh.read()
-    block = text.split("Example configuration", 1)[1].split("```ini\n", 1)[1]
+    block = text.split(heading, 1)[1].split(f"```{lang}\n", 1)[1]
     return block.split("```", 1)[0]
+
+
+def _readme_config() -> str:
+    return _readme_block("Example configuration", "ini")
 
 
 def test_readme_example_config_parses():
     cfg = RunConfig.from_ini(_readme_config())
     assert cfg.build_potential().params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
     assert cfg.lambda_grid() is None
+
+
+def test_readme_quick_tour_runs_and_prints_what_it_says(capsys):
+    code = _readme_block("Library quick tour", "python")
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_quick_tour"})
+    printed = capsys.readouterr().out.splitlines()
+    # each print's comment shows the leading digits of what it prints
+    shown = [line.split("#", 1)[1].strip().rstrip(".")
+             for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(shown) == 2
+    for out, want in zip(printed, shown):
+        assert out.startswith(want), (out, want)
 
 
 # every command in one fresh process; prints the exit codes and the scipy

@@ -31,6 +31,7 @@ from nlsground import (
     saturating_nonlinearity,
     well_potential,
 )
+from nlsground import manifold
 from nlsground.functionals import FiberValues
 from nlsground.manifold import (
     BISECT_LOG_TOL,
@@ -199,6 +200,27 @@ def test_projection_carries_its_fiber(ctx_well, grid4096):
     assert proj.fiber.u is u and proj.fiber.ctx is ctx_well
     for name in ("grad", "mass", "f_int", "pot", "pot_w"):
         assert getattr(proj.fiber, name) == getattr(ref, name)
+
+
+def test_projection_dilates_only_when_its_profile_is_read(ctx_well, grid4096,
+                                                          monkeypatch):
+    real, calls = manifold.dilate, []
+
+    def counted(u, t):
+        calls.append(t)
+        return real(u, t)
+
+    monkeypatch.setattr(manifold, "dilate", counted)
+    u = gaussian_bump(grid4096, 3.0, 1.0, center=0.5)
+    proj = project_to_M(ctx_well, u)
+    assert float(proj.fiber.energy_at(proj.t_u)[0]) > 0.0
+    assert calls == []
+    # resampled once, on the first read; tolerance and residual reuse it
+    want = real(u, proj.t_u)
+    assert proj.tolerance == 5e-3 * (1.0 + h1_norm_sq(want))
+    assert proj.residual == abs(pohozaev(ctx_well, want))
+    assert np.array_equal(proj.projected.values, want.values)
+    assert calls == [proj.t_u]
 
 
 def test_project_fiber_matches_project_to_M(ctx_well, grid4096):

@@ -22,11 +22,13 @@ from nlsground import (
     SolveReport,
     StiffIntegrationError,
     constant_potential,
+    dilate,
     fiber_values,
     h1_norm_sq,
     lambda_membership,
     make_grid,
     pde_residual,
+    perturbed_potential,
     pohozaev_limit,
     project_to_M,
     saturating_nonlinearity,
@@ -492,6 +494,53 @@ def test_fiber_descent_certifies_its_last_fiber_pass(ctx_well, rep_fiber_well,
     assert rep.to_dict() == rep_fiber_well.to_dict()
 
 
+_CERT_GRIDS = {N: make_grid(N, 20.0, 256) for N in (3, 4, 5)}
+_CERT_POTENTIALS = st.one_of(
+    st.builds(constant_potential, st.floats(0.1, 3.0)),
+    st.builds(well_potential, st.just(1.0), st.floats(0.0, 1.0), st.floats(1.5, 6.0)),
+    st.builds(perturbed_potential, st.just(1.0), st.floats(0.0, 1.0),
+              st.sampled_from(("lorentzian", "gaussian"))),
+)
+
+
+def _certified_pde(fv, w, t):
+    """pde_residual of _finish's report on (fv, w, t), converged or not."""
+    try:
+        return solver._finish(fv, w, t, "test", 0, (0.0, 0.0), "").pde_residual
+    except ConvergenceError as exc:
+        return exc.report.pde_residual
+
+
+def _frozen_route_b_residual(ctx, w_hat, t_hat):
+    """Route B's own certificate of w_hat(x/t_hat) before _finish took
+    (w, t), for a constant potential: kept as the reference."""
+    t2 = t_hat**2
+    res_w = pde_residual(
+        w_hat,
+        lambda r: t2 * ctx.V.v_inf * np.ones_like(r),
+        lambda s: t2 * ctx.lam * np.asarray(ctx.f.f(s), dtype=float),
+        1.0,
+    )
+    return solver._rel_residual(res_w, w_hat) / t2
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from((3, 4, 5)), V=_CERT_POTENTIALS, lam=st.floats(0.5, 1.0),
+       amp=st.floats(0.1, 8.0), width=st.floats(0.5, 4.0), center=st.floats(0.0, 3.0),
+       t=st.floats(0.25, 4.0))
+def test_finish_certifies_w_at_t_as_the_routes_did(N, V, lam, amp, width, center, t):
+    grid = _CERT_GRIDS[N]
+    ctx = FunctionalContext(grid, V, power_nonlinearity(3.0), lam)
+    w = RadialFunction.sampled(grid, lambda r: amp * np.exp(-(((r - center) / width) ** 2)))
+    # t = 1: the residual of w itself, as routes A and C took it
+    want = solver._rel_residual(pde_residual(w, V.V, ctx.f.f, lam), w)
+    assert _certified_pde(fiber_values(ctx, w), w, 1.0) == want
+    # any t on a constant potential: route B's residual, bit for bit
+    limit = ctx.limit_context()
+    got = _certified_pde(fiber_values(limit, dilate(w, t)), w, t)
+    assert got == _frozen_route_b_residual(limit, w, t)
+
+
 def test_fiber_descent_iteration_cap(ctx_auto):
     with pytest.raises(ConvergenceError):
         solve_fiber_descent(ctx_auto, SolveOptions(max_iters=1))
@@ -625,8 +674,10 @@ def test_solve_options_validation():
     for bad in (0, math.nan):
         with pytest.raises(DomainError):
             SolveOptions(max_iters=bad)
+    # inf too: an infinite step never shrinks, and an infinite tolerance
+    # certifies anything
     for name in ("step", "ode_step", "shoot_tol", "grad_tol", "poho_tol"):
-        for bad in (0.0, -1.0, math.nan):
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match=name):
                 SolveOptions(**{name: bad})
     # the starting bump amp * exp(-(r / width)^2) needs both finite and positive

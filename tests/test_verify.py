@@ -30,8 +30,8 @@ from nlsground import (
     well_potential,
 )
 from nlsground import verify
-from nlsground.grid import BLOCK
-from nlsground.manifold import fiber_membership
+from nlsground.grid import BLOCK, dilate
+from nlsground.manifold import fiber_membership, project_rows
 
 
 def test_suite_with_solution_passes(ctx_auto, rep_fiber):
@@ -275,7 +275,9 @@ def _per_bump_reference(ctx, m_hat, seed, n_samples):
         if fiber_membership(fv)[0]:
             proj = project_fiber(fv)
             levels[k] = float(proj.fiber.energy_at(proj.t_u)[0])
-            norms.append(np.sqrt(h1_norm_sq(proj.projected)))
+            # ||u_t||_{H1}^2 = t^{N-2} ||grad u||^2 + t^N ||u||^2
+            t, N = proj.t_u, ctx.grid.N
+            norms.append(np.sqrt(t ** (N - 2.0) * fv.grad + t**N * fv.mass))
     values = {(k,): z - m_hat for k, z in levels.items()}
     worst, k = _first_below(values)
     tol = 1e-6 * (1.0 + abs(m_hat))
@@ -343,3 +345,23 @@ def test_batched_suite_matches_per_bump_loops(case, seed, n_samples):
         assert _close(report.constants[key], value), key
     if "manifold_floor" not in want_constants:
         assert report.constants["manifold_floor"] is None
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_fiber_maxima_norm_agrees_with_the_interpolated_dilation(N):
+    # the change-of-variables norm of u_{t_u} against h1_norm_sq of the
+    # profile resampled by grid.dilate, on admissible Gaussian bumps
+    grid = make_grid(N, 30.0, 4096)
+    ctx = FunctionalContext(grid, well_potential(1.0, 0.2, 2.0),
+                            saturating_nonlinearity(3.0))
+    rows = np.array([amp * np.exp(-(grid.r / width) ** 2)
+                     for amp in (2.0, 4.0, 8.0) for width in (0.75, 1.5, 3.0)])
+    rows[:, -1] = 0.0
+    fv = fiber_values(ctx, rows)
+    adm = fv.rows(fiber_membership(fv)[0])
+    assert len(adm.grad) >= 6
+    _, norms = verify._fiber_maxima(adm)
+    t_u = project_rows(adm)
+    for u, t, norm in zip(adm.u, t_u, norms):
+        want = np.sqrt(h1_norm_sq(dilate(RadialFunction(grid, u), t)))
+        assert norm == pytest.approx(want, rel=1e-3)

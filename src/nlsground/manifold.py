@@ -21,12 +21,13 @@ evaluated point contradicts its certificate, all SCAN_POINTS points are
 evaluated.  When the declared range holds, the scan returns the grid,
 the values at evaluated points and the sign changes of the full scan.
 
-project_rows projects every row of a stack of profiles (a FiberValues of
-a (k, n) array) at once: each row keeps its certified window, the union
-of the windows is evaluated as one potential table, and the rows'
-polishes run in lockstep (false_position_lanes drives one
-false_position generator per row and evaluates the open rows' trial
-points together each round).
+One scan and one polish serve a single profile, read as a stack of one
+row, and a stack of profiles (a FiberValues of a (k, n) array).  The
+scan (_scan_rows) evaluates the union of the rows' certified windows at
+once, by one dot product per t for a single profile and one potential
+table for a stack.  The polishes run in lockstep: false_position_lanes
+drives one false_position generator per row, so every row takes exactly
+the steps of the scalar polish.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class FiberProjection:
         """Acceptance bound 5e-3 (1 + ||projected||_{H1}^2) of residual."""
         return 5e-3 * (1.0 + h1_norm_sq(self.projected))
 
-    @property
+    @cached_property
     def residual(self) -> float:
         """|P(projected)| measured on the dilated profile."""
         return abs(pohozaev(self.fiber.ctx, self.projected))
@@ -180,37 +181,21 @@ def _signs(ps: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _scan_bracket(fv: FiberValues, t_lo: float, t_hi: float):
-    """Sign-change scan of P along the fiber on a log grid.
-
-    Returns (ts, ps, flips).  A point whose sign is certified and that is
-    not next to an uncertified one is skipped: ps holds its sign, +1 or
-    -1, there and P(u_t) everywhere else.  The flips, and ps on both
-    sides of each, are those of the full scan.
-    """
-    ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
-    cert = _certified_signs(fv, ts)
-    i, j = _window(cert)
-    ps = cert.copy()
-    ps[i:j + 1] = fv.pohozaev_at(ts[i:j + 1])
-    sign = _signs(ps)
-    if np.array_equal(sign[cert != 0.0], cert[cert != 0.0]):
-        return ts, ps, np.nonzero(np.diff(sign) != 0.0)[0]
-    ps = fv.pohozaev_at(ts)
-    return ts, ps, np.nonzero(np.diff(_signs(ps)) != 0.0)[0]
-
-
 def _scan_rows(fv: FiberValues, t_lo: float, t_hi: float):
-    """_scan_bracket on each row of a stack: (ts, ps, flips) with ps of
-    shape (k, SCAN_POINTS) and flips the (k, SCAN_POINTS - 1) mask of
-    sign changes between neighbours.
+    """Sign-change scan of P along the fiber of each row on a log grid:
+    (ts, ps, flips) with ps of shape (k, SCAN_POINTS), a single profile
+    being k = 1 row, and flips the (k, SCAN_POINTS - 1) mask of sign
+    changes between neighbours.
 
-    Every row's window is evaluated from one table product over the
-    union of the windows' points; a row whose evaluated signs contradict
-    its certificate takes every scan point, as _scan_bracket does.
+    A point whose sign is certified and that is not next to an
+    uncertified one is skipped: ps holds its sign, +1 or -1, there and
+    P(u_t) everywhere else.  The union of the rows' windows is evaluated
+    at once; a row whose evaluated signs contradict its certificate takes
+    every scan point.  The flips, and ps on both sides of each, are
+    those of the full scan.
     """
     ts = np.geomspace(t_lo, t_hi, SCAN_POINTS)
-    cert = _certified_signs(fv, ts)
+    cert = np.atleast_2d(_certified_signs(fv, ts))
     i, j = _window(cert)
     at = np.arange(SCAN_POINTS)
     need = (at >= i[:, None]) & (at <= j[:, None])
@@ -220,7 +205,7 @@ def _scan_rows(fv: FiberValues, t_lo: float, t_hi: float):
     sign = _signs(ps)
     wrong = np.any((sign != cert) & (cert != 0.0), axis=1)
     if wrong.any():
-        ps[wrong] = fv.rows(wrong).pohozaev_at(ts[:, None]).T
+        ps[wrong] = (fv if wrong.all() else fv.rows(wrong)).pohozaev_at(ts[:, None]).T
         sign = _signs(ps)
     return ts, ps, np.diff(sign, axis=1) != 0.0
 
@@ -300,28 +285,29 @@ def false_position_lanes(g, lo, hi, g_lo, g_hi, tol: float) -> tuple:
     Each round, g(lanes, xs) takes the trial points xs of the lanes
     still open (an index array, ascending) and returns g at each; every
     lane then takes exactly the steps false_position takes, and ends at
-    its own round.
+    its own round.  The open lanes are rebuilt only in a round where one
+    ends, so a single lane costs about what false_position does.
     """
-    steps = [_false_position_steps(*b, tol) for b in zip(lo, hi, g_lo, g_hi)]
-    trial = [None] * len(steps)
-    out = [None] * len(steps)
-
-    def advance(k, gx):
-        try:
-            trial[k] = steps[k].send(gx)
-        except StopIteration as stop:
-            trial[k], out[k] = None, stop.value
-
-    for k in range(len(steps)):
-        advance(k, None)
+    # the steps' scalar arithmetic runs faster on floats than on numpy scalars
+    steps = [_false_position_steps(*map(float, b), tol) for b in zip(lo, hi, g_lo, g_hi)]
+    n = len(steps)
+    lo, hi = np.empty(n), np.empty(n)
+    # the open lanes, as a list and as g takes them, and their trial points
+    lanes, at, xs = list(range(n)), np.arange(n), np.empty(n)
+    gs = [None] * n                          # send(None) starts a lane
     while True:
-        lanes = np.array([k for k, x in enumerate(trial) if x is not None], dtype=int)
-        if lanes.size == 0:
-            break
-        for k, gx in zip(lanes, g(lanes, np.array([trial[k] for k in lanes]))):
-            advance(k, float(gx))
-    lo, hi = np.array(out, dtype=float).reshape(-1, 2).T
-    return lo, hi
+        kept = []
+        for j, k in enumerate(lanes):
+            try:
+                xs[j] = steps[k].send(gs[j])
+                kept.append(j)
+            except StopIteration as stop:
+                lo[k], hi[k] = stop.value
+        if not kept:
+            return lo, hi
+        if len(kept) < len(lanes):
+            lanes, at, xs = [lanes[j] for j in kept], at[kept], xs[kept]
+        gs = np.asarray(g(at, xs), dtype=float).tolist()
 
 
 def project_to_M(ctx: FunctionalContext, u: RadialFunction,
@@ -339,33 +325,25 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction,
 
 def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProjection:
     """project_to_M from quadratures already computed for u."""
-    member, q = fiber_membership(fv)
-    if not member:
-        raise _not_admissible(q)
-    ts, ps, flips = _scan_bracket(fv, t_bracket[0], t_bracket[1])
-    _raise_sign_changes(flips.size, t_bracket)
-    i = int(flips[0])
-    lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
-                            np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
-                            BISECT_LOG_TOL)
-    return FiberProjection(
-        t_u=float(np.exp(0.5 * (lo + hi))),
-        bracket=(float(ts[i]), float(ts[i + 1])),
-        sign_changes=int(flips.size),
-        fiber=fv,
-    )
+    t_u, t_lo, t_hi, flips = _project(fv, t_bracket)
+    return FiberProjection(float(t_u[0]), (float(t_lo[0]), float(t_hi[0])),
+                           int(flips[0]), fv)
 
 
 def project_rows(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> np.ndarray:
-    """project_fiber's t_u for each row of a stack of k profiles.
+    """project_fiber's t_u for each row of a stack of k profiles."""
+    return _project(fv, t_bracket)[0]
 
-    The rows share one scan (_scan_rows) and their false-position
-    polishes run in lockstep: each round takes P(u_t) at the trial points
-    of the rows still open by row-wise products, BLOCK rows at a time.
-    The first row, in order, that project_fiber would refuse raises its
-    error.
+
+def _project(fv: FiberValues, t_bracket: tuple):
+    """(t_u, bracket ends, sign changes) of each row of fv, as arrays; a
+    single profile is one row.  The first row, in order, that is not
+    admissible or whose scan does not change sign exactly once raises its
+    error; an inadmissible first row raises before the scan.
     """
-    member, q = fiber_membership(fv)
+    member, q = (np.atleast_1d(a) for a in fiber_membership(fv))
+    if member.size and not member[0]:
+        raise _not_admissible(q[0])
     ts, ps, flips = _scan_rows(fv, t_bracket[0], t_bracket[1])
     count = flips.sum(axis=1)
     bad = ~member | (count != 1)
@@ -378,6 +356,8 @@ def project_rows(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> np.ndarray:
     rows = np.arange(i.size)
 
     def p_at(lanes, x):
+        if lanes.size == rows.size:          # every row open: nothing to copy
+            return fv.pohozaev_at(np.exp(x))
         # rows() copies its rows: take them BLOCK at a time
         out = np.empty(len(lanes))
         for b in row_blocks(len(lanes)):
@@ -386,4 +366,4 @@ def project_rows(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> np.ndarray:
 
     lo, hi = false_position_lanes(p_at, np.log(ts[i]), np.log(ts[i + 1]),
                                   ps[rows, i], ps[rows, i + 1], BISECT_LOG_TOL)
-    return np.exp(0.5 * (lo + hi))
+    return np.exp(0.5 * (lo + hi)), ts[i], ts[i + 1], count

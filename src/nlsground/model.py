@@ -189,12 +189,17 @@ def well_potential(a: float, b: float, alpha: float = 2.0,
             return a - b / (1.0 + r**alpha)
 
     def dV(r):
+        """V'(r); at r = 0 with alpha < 1, where V' is infinite, 0, which
+        makes r V'(r), the only way V' enters, equal its limit 0 there."""
         r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
         # inf / inf where r^(alpha-1) overflows; the quotient there is
         # below the smallest float
-        return np.where(np.isnan(out), 0.0, out)
+        out = np.where(np.isnan(out), 0.0, out)
+        if alpha < 1.0:
+            out[r == 0.0] = 0.0
+        return out
 
     def dilation_bounds(N):
         # N V + s V' = N a - b (1 - x)(N - alpha x) with x = s^alpha / (1 + s^alpha)

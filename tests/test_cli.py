@@ -214,6 +214,19 @@ def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, override
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "1e-12"])
+def test_project_on_a_well_with_alpha_below_1(tmp_path, capsys, alpha):
+    # V' is infinite at r = 0 for alpha < 1; r V'(r) must still be 0 there
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_INI.format(n=512, out=tmp_path / "out"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("project", str(cfg), overrides=[f"potential.alpha={alpha}"])
+    assert code == 0
+    assert "sign_changes=1" in capsys.readouterr().out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_missing_config_exit_1(tmp_path):
     assert run("solve", str(tmp_path / "nothere.ini")) == 1
 

@@ -31,16 +31,16 @@ from nlsground import (
     saturating_nonlinearity,
     well_potential,
 )
-from nlsground import manifold
+from nlsground import functionals, manifold
 from nlsground.functionals import FiberValues
 from nlsground.manifold import (
     BISECT_LOG_TOL,
     SCAN_POINTS,
     T_BRACKET,
-    _scan_bracket,
     _scan_rows,
     false_position,
     false_position_lanes,
+    fiber_membership,
     project_rows,
 )
 from nlsground.solver import initial_bump
@@ -235,6 +235,20 @@ def test_project_fiber_matches_project_to_M(ctx_well, grid4096):
     assert np.array_equal(fiber_table(fv, t), fiber_profile(ctx_well, u, t))
     with pytest.raises(ValueError):
         fiber_table(fv, t[::-1])
+
+
+def test_projection_residual_is_computed_once(ctx_well):
+    proj = project_to_M(ctx_well, initial_bump(ctx_well, 2.0, 1.5))
+    real, passes = functionals.fiber_values, []
+
+    def counted(ctx, u):
+        passes.append(u)
+        return real(ctx, u)
+
+    with mock.patch("nlsground.functionals.fiber_values", counted):
+        first, second = proj.residual, proj.residual
+    assert len(passes) == 1
+    assert first == second == abs(pohozaev(ctx_well, proj.projected))
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +496,8 @@ def _scan_outcome(flips):
 
 
 def _recorded_scan(fv, t_bracket):
-    """_scan_bracket, and every t at which it evaluated P(u_t)."""
+    """The shared scan (_scan_rows) of one profile, a stack of one row,
+    as (ts, ps, flip indices), and every t at which it evaluated P(u_t)."""
     evaluated = []
     original = FiberValues.pohozaev_at
 
@@ -491,8 +506,16 @@ def _recorded_scan(fv, t_bracket):
         return original(self, t)
 
     with mock.patch.object(FiberValues, "pohozaev_at", recording):
-        ts, ps, flips = _scan_bracket(fv, *t_bracket)
-    return ts, ps, flips, evaluated
+        ts, ps, flips = _scan_rows(fv, *t_bracket)
+    return ts, ps[0], np.nonzero(flips[0])[0], evaluated
+
+
+def _full_scan_row(fv, t_bracket):
+    """_full_scan as the shared scan returns one profile: a stack of one row."""
+    ts, ps, flips = _full_scan(fv, t_bracket)
+    mask = np.zeros((1, SCAN_POINTS - 1), dtype=bool)
+    mask[0, flips] = True
+    return ts, ps[None], mask
 
 
 def _projection_outcome(fv, t_bracket):
@@ -519,8 +542,8 @@ def _assert_window_matches_full_scan(fv, t_bracket):
     for i in flips:
         assert at[i] and at[i + 1]
     # the projection reads the same bracket as with the full scan
-    with mock.patch("nlsground.manifold._scan_bracket",
-                    lambda fv_, lo, hi: _full_scan(fv_, (lo, hi))):
+    with mock.patch("nlsground.manifold._scan_rows",
+                    lambda fv_, lo, hi: _full_scan_row(fv_, (lo, hi))):
         ref = _projection_outcome(fv, t_bracket)
     assert _projection_outcome(fv, t_bracket) == ref
     return int(at.sum())
@@ -642,6 +665,52 @@ def test_undeclared_bounds_scan_every_point():
     _, ps, _, evaluated = _recorded_scan(fv, T_BRACKET)
     assert len(evaluated) == SCAN_POINTS
     assert np.array_equal(ps, _full_scan(fv, T_BRACKET)[1])
+
+
+def _scalar_projection(fv, t_bracket):
+    """One profile projected by the full scan and the scalar polish in
+    log t: (t_u, bracket, sign changes), or (error class, message)."""
+    member, q = fiber_membership(fv)
+    if not member:
+        return NotInLambdaError, (f"u is not admissible (q = {q:.6g} >= 0); "
+                                  "no fiber maximizer exists")
+    ts, ps, flips = _full_scan(fv, t_bracket)
+    if flips.size == 0:
+        return NoSignChangeError, (f"P(u_t) has no sign change on "
+                                   f"[{t_bracket[0]:g}, {t_bracket[1]:g}]")
+    if flips.size > 1:
+        return MultipleSignChangesError, (f"P(u_t) changes sign {flips.size} times on "
+                                          "the bracket; refine the grid instead of "
+                                          "picking a root")
+    i = int(flips[0])
+    lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
+                            np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
+                            BISECT_LOG_TOL)
+    return float(np.exp(0.5 * (lo + hi))), (float(ts[i]), float(ts[i + 1])), int(flips.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.sampled_from((3, 4, 5)),
+       n=st.sampled_from((512, 1024)),
+       k_V=st.integers(0, len(_WINDOW_POTENTIALS) - 1),
+       k_f=st.integers(0, len(_WINDOW_NONLINEARITIES) - 1),
+       k_t=st.integers(0, len(_WINDOW_BRACKETS) - 1),
+       parts=st.lists(_BUMP_PART, min_size=1, max_size=3))
+def test_project_fiber_is_the_scalar_projection(N, n, k_V, k_f, k_t, parts):
+    # one profile through the shared scan and lockstep polish, bit for bit
+    grid = _WINDOW_GRIDS[(N, n)]
+    ctx = FunctionalContext(grid, _WINDOW_POTENTIALS[k_V], _WINDOW_NONLINEARITIES[k_f])
+    vals = sum(10.0**a * np.exp(-(((grid.r - c) / w) ** 2)) for a, w, c in parts)
+    vals[-1] = 0.0
+    fv = fiber_values(ctx, RadialFunction(grid, vals))
+    bracket = _WINDOW_BRACKETS[k_t]
+    try:
+        proj = project_fiber(fv, bracket)
+    except _OUTCOMES as exc:
+        got = (type(exc), str(exc))
+    else:
+        got = (proj.t_u, proj.bracket, proj.sign_changes)
+    assert got == _scalar_projection(fv, bracket)
 
 
 def test_readme_projection_evaluates_few_points(ctx_well):

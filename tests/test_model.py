@@ -19,6 +19,7 @@ from nlsground import (
     constant_potential,
     estimate_theta_V3,
     estimate_theta_V4,
+    make_grid,
     make_nonlinearity,
     make_potential,
     perturbed_potential,
@@ -334,6 +335,31 @@ def test_well_derivative_is_zero_where_r_alpha_overflows():
     r = np.array([1e4, 1e300])
     assert np.array_equal(V.dV(r), [0.0, 0.0])
     assert np.array_equal(3.0 * V.V(r) + r * V.dV(r), [3.0, 3.0])
+
+
+def _well_dV_as_written_for_alpha_at_least_1(b, alpha, r):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
+    return np.where(np.isnan(out), 0.0, out)
+
+
+def test_well_derivative_at_the_origin():
+    # for alpha < 1, V' is infinite at r = 0; r V'(r) takes its limit 0
+    # there, with no numpy warning, on the grid and at the scan's least t
+    r = make_grid(3, 30.0, 512).r
+    for alpha in (0.5, 1e-12):
+        V = well_potential(1.0, 0.2, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (r, 1e-3 * r, np.float64(0.0)):
+                assert np.all(np.isfinite(s * V.dV(s)))
+            assert V.dV(0.0) == 0.0
+    # for alpha >= 1 the formula is unchanged, bit for bit, everywhere
+    s = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 1e8, 97),
+                        [1e200, 1e300, np.inf]])
+    for alpha in (1.0, 2.0, 7.0):
+        want = _well_dV_as_written_for_alpha_at_least_1(0.2, alpha, s)
+        assert np.array_equal(well_potential(1.0, 0.2, alpha).dV(s), want)
 
 
 def test_well_value_is_silent_where_r_alpha_overflows():

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NlsgroundError
 from .functionals import FunctionalContext
-from .grid import RadialFunction, RadialGrid, make_grid
+from .grid import RadialGrid, make_grid
 from .manifold import fiber_table, project_to_M
 from .model import _F_FACTORIES, _FACTORIES, run_condition_suite
 from .solver import (
@@ -55,8 +55,9 @@ _REQUIRED = inspect.Parameter.empty
 
 
 def _factory_keys(factory) -> dict:
-    """key -> (type, default) of a model factory's parameters; Optional[T]
-    reads as T, and a parameter without default gets _REQUIRED."""
+    """key -> (type, default) of the parameters of a model factory or of
+    a dataclass's constructor; Optional[T] reads as T, and a parameter
+    without default gets _REQUIRED."""
     hints = typing.get_type_hints(factory)
     keys = {}
     for name, param in inspect.signature(factory).parameters.items():
@@ -79,21 +80,17 @@ def _family_section(sec: str, default_family: str) -> dict:
     return keys
 
 
+# the SolveOptions fields the [solver] section sets; the shooting
+# controls are not config keys
+_OPTION_KEYS = {key: entry for key, entry in _factory_keys(SolveOptions).items()
+                if key not in ("ode_step", "shoot_tol")}
+
 # section -> key -> (type, default); a blank value leaves a key unset
 _SCHEMA = {
     "grid": {"N": (int, 3), "r_max": (float, 30.0), "n": (int, 4096)},
     "potential": _family_section("potential", "constant"),
     "nonlinearity": _family_section("nonlinearity", "power"),
-    "solver": {
-        "max_iters": (int, 20000),
-        "step": (float, 1.0),
-        "grad_tol": (float, None),
-        "poho_tol": (float, None),
-        "amp": (float, 2.0),
-        "width": (float, 1.5),
-        "seed": (int, 0),
-        "lam": (float, 1.0),
-    },
+    "solver": {**_OPTION_KEYS, "seed": (int, 0), "lam": (float, 1.0)},
     "sweep": {"lambda_grid": (str, ""), "t_cap": (float, 64.0)},
     "output": {"dir": (str, "out")},
 }
@@ -208,14 +205,7 @@ class RunConfig:
                                  self.build_nonlinearity(), lam)
 
     def build_options(self) -> SolveOptions:
-        return SolveOptions(
-            max_iters=self.get("solver", "max_iters"),
-            step=self.get("solver", "step"),
-            grad_tol=self.get("solver", "grad_tol"),
-            poho_tol=self.get("solver", "poho_tol"),
-            amp=self.get("solver", "amp"),
-            width=self.get("solver", "width"),
-        )
+        return SolveOptions(**{key: self.get("solver", key) for key in _OPTION_KEYS})
 
     def lambda_grid(self):
         raw = self.get("sweep", "lambda_grid").strip()
@@ -308,26 +298,12 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def profile_csv(u: RadialFunction) -> str:
-    lines = ["r,u"]
-    for r, v in zip(u.grid.r.tolist(), u.values.tolist()):
-        lines.append(f"{r:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def fiber_csv(rows) -> str:
-    lines = ["t,zeta,P"]
-    for t, z, p in rows.tolist():
-        lines.append(f"{t:.17g},{z:.17g},{p:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(report) -> str:
-    lines = ["lambda,m_inf,c_bar,margin"]
-    for row in report.rows:
-        lines.append(f"{row['lambda']:.17g},{row['m_inf']:.17g},"
-                     f"{row['c_bar']:.17g},{row['margin']:.17g}")
-    return "\n".join(lines) + "\n"
+def table_csv(names, *columns) -> str:
+    """CSV text: a header line of the column names, then one line per
+    row with every value to 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns))
+    values = zip(*[np.asarray(col, dtype=float).tolist() for col in columns])
+    return "\n".join([",".join(names), *[row % vals for vals in values]]) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +336,7 @@ def _solve_common(ctx, cfg, out_dir, routine, stem):
     atomic_write(os.path.join(out_dir, f"{stem}_report.json"),
                  format_json(rep.to_dict()))
     atomic_write(os.path.join(out_dir, f"{stem}_profile.csv"),
-                 profile_csv(rep.u_star))
+                 table_csv(("r", "u"), rep.u_star.grid.r, rep.u_star.values))
     print(f"{stem}: converged energy={rep.energy:.10g} u(0)={rep.u_at_zero:.12g} "
           f"poho={rep.pohozaev_residual:.3e} pde={rep.pde_residual:.3e}")
     return 0
@@ -406,9 +382,10 @@ def _cmd_project(cfg, out_dir, seed):
         "tolerance": proj.tolerance,
     }
     atomic_write(os.path.join(out_dir, "projection.json"), format_json(payload))
-    atomic_write(os.path.join(out_dir, "fiber.csv"), fiber_csv(rows))
+    atomic_write(os.path.join(out_dir, "fiber.csv"),
+                 table_csv(("t", "zeta", "P"), *rows.T))
     atomic_write(os.path.join(out_dir, "projected_profile.csv"),
-                 profile_csv(proj.projected))
+                 table_csv(("r", "u"), proj.projected.grid.r, proj.projected.values))
     print(f"project: t_u={proj.t_u:.10g} residual={proj.residual:.3e} "
           f"sign_changes={proj.sign_changes}")
     return 0
@@ -439,7 +416,9 @@ def _cmd_sweep(cfg, out_dir, seed):
     report = sweep_lambda(ctx, cfg.lambda_grid(), cfg.build_options(),
                           t_cap=cfg.get("sweep", "t_cap"))
     atomic_write(os.path.join(out_dir, "sweep.json"), format_json(report.to_dict()))
-    atomic_write(os.path.join(out_dir, "sweep.csv"), sweep_csv(report))
+    keys = ("lambda", "m_inf", "c_bar", "margin")
+    atomic_write(os.path.join(out_dir, "sweep.csv"),
+                 table_csv(keys, *[[row[k] for row in report.rows] for k in keys]))
     margins_ok = all(row["margin"] > 0.0 for row in report.rows)
     print(f"sweep-lambda: lambda_bar={report.lambda_bar:.6g} T={report.T:.6g} "
           f"rows={len(report.rows)} margins_positive={margins_ok}")

@@ -13,7 +13,8 @@ witness but cannot certify globally.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import DomainError
 __all__ = [
     "PotentialSpec",
     "NonlinearitySpec",
+    "Report",
     "ConditionReport",
     "constant_potential",
     "well_potential",
@@ -103,10 +105,7 @@ class NonlinearitySpec:
     ``f_scalar`` is f on one Python float, for the shooting integrator's
     per-step calls; it must agree with ``float(f(t))`` bit for bit (nan
     where f gives nan), so the scalar and vectorised code paths produce
-    the same profiles.  ``C0`` is the declared growth constant of
-    |f(t)| <= C0 (1 + |t|^{2*-1}); when None it is fitted on samples by
-    :func:`check_F`.  ``s0`` is an optional declared witness for
-    F(s0) > (V_inf/2) s0^2.
+    the same profiles.
 
     ``degree`` declares the proven fact that f is homogeneous:
     f(c s) = c^degree f(s) for every c > 0 and every s, so
@@ -126,13 +125,29 @@ class NonlinearitySpec:
     f: Callable[[np.ndarray], np.ndarray]
     F: Callable[[np.ndarray], np.ndarray]
     f_scalar: Callable[[float], float]
-    C0: Optional[float] = None
-    s0: Optional[float] = None
     degree: Optional[float] = None
 
 
+class Report:
+    """A dataclass record written as a JSON report: ``to_dict`` lists its
+    fields in order, writes ``passed`` as ``pass`` and renders a nested
+    report, alone or in a list, the same way."""
+
+    def to_dict(self) -> dict:
+        return {("pass" if fld.name == "passed" else fld.name): _plain(getattr(self, fld.name))
+                for fld in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass
-class ConditionReport:
+class ConditionReport(Report):
     """Outcome of one sampled hypothesis check."""
 
     condition: str
@@ -143,16 +158,22 @@ class ConditionReport:
     tolerance: float
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        # the fields in order, with "passed" written as "pass"
-        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
-
 
 # ----------------------------------------------------------------------
 # built-in families
 # ----------------------------------------------------------------------
 
+def _require_finite(**params):
+    """DomainError unless every given parameter is finite: NaN passes
+    every ordering test, and an infinite one turns the routes' arithmetic
+    into NaN."""
+    for name, val in params.items():
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite, got {val}")
+
+
 def constant_potential(value: float = 1.0) -> PotentialSpec:
+    _require_finite(value=value)
     if value < 0:
         raise DomainError("constant potential must be nonnegative")
     v = float(value)
@@ -175,6 +196,7 @@ WELL_ALPHA_MAX = 1e150
 def well_potential(a: float, b: float, alpha: float = 2.0,
                    theta: Optional[float] = None) -> PotentialSpec:
     """Long-range well V(r) = a - b / (1 + r^alpha), with V_inf = a."""
+    _require_finite(a=a, b=b)
     if b < 0 or a < b:
         raise DomainError("well potential needs a >= b >= 0 for nonnegativity")
     if not 0.0 < alpha < WELL_ALPHA_MAX:
@@ -235,6 +257,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
     """Perturbed constant V(r) = V_inf - eps * h(r) for a built-in bump h."""
     if shape not in _PERTURBATIONS:
         raise DomainError(f"unknown perturbation shape {shape!r}")
+    _require_finite(v_inf=v_inf, eps=eps)
     if eps < 0 or v_inf < eps:
         raise DomainError("need 0 <= eps <= v_inf for nonnegativity")
     h, dh, h_range = _PERTURBATIONS[shape]
@@ -257,6 +280,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
 
 def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
     """Pure power f(t) = coeff |t|^{p-2} t (subcritical when 2 < p < 2N/(N-2))."""
+    _require_finite(p=p, coeff=coeff)
     if p <= 1:
         raise DomainError("power exponent must exceed 1")
     p, coeff = float(p), float(coeff)
@@ -295,6 +319,7 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
     c <= 1, so the one-point superquadraticity hypothesis fails; useful
     as the infeasible fixture.
     """
+    _require_finite(c=c)
     c = float(c)
 
     def f(t):
@@ -388,31 +413,26 @@ def estimate_theta_V4(V: PotentialSpec, N: int,
     return max(0.0, sup)
 
 
-def _v3_lhs(V: PotentialSpec, theta: float, N: int,
-            t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Pointwise decay expression on the (t, r) lattice (t rows, r cols)."""
+def _v3_forms(V: PotentialSpec, theta: float, N: int,
+              t: np.ndarray, r: np.ndarray) -> tuple:
+    """The two decay expressions on the (t, r) lattice (t rows, r cols),
+    each as (theta-free part, theta term); the expression is their sum.
+
+    pointwise:  N [V(r) - V(tr)] + [w(r) - w(tr)]
+                + (N-2)^3 theta (t^2 - 1) / (4 t^2 r^2),  w(x) = x V'(x);
+    integrated: N t^N [V(r) - V(tr)] + (t^N - 1) r V'(r)
+                + (N-2)^2 theta g(t) / (4 r^2),  g(t) = 2 - N t^{N-2} + (N-2) t^N.
+    """
     t = t[:, None]
     r = r[None, :]
     w = lambda x: x * V.dV(x)  # radial form of grad V . x
-    return (
-        N * (V.V(r) - V.V(t * r))
-        + (w(r) - w(t * r))
-        + (N - 2.0) ** 3 * theta * (t**2 - 1.0) / (4.0 * t**2 * r**2)
-    )
-
-
-def _v3_integrated_lhs(V: PotentialSpec, theta: float, N: int,
-                       t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Integrated decay inequality: N t^N [V(r)-V(tr)] + (t^N - 1) r V'(r)
-    + (N-2)^2 theta g(t) / (4 r^2) with g(t) = 2 - N t^{N-2} + (N-2) t^N."""
-    t = t[:, None]
-    r = r[None, :]
+    dv = V.V(r) - V.V(t * r)
     g = 2.0 - N * t ** (N - 2.0) + (N - 2.0) * t**N
-    return (
-        N * t**N * (V.V(r) - V.V(t * r))
-        + (t**N - 1.0) * (r * V.dV(r))
-        + (N - 2.0) ** 2 * theta * g / (4.0 * r**2)
-    )
+    pointwise = (N * dv + (w(r) - w(t * r)),
+                 (N - 2.0) ** 3 * theta * (t**2 - 1.0) / (4.0 * t**2 * r**2))
+    integrated = (N * t**N * dv + (t**N - 1.0) * w(r),
+                  (N - 2.0) ** 2 * theta * g / (4.0 * r**2))
+    return pointwise, integrated
 
 
 def check_V3(V: PotentialSpec, theta: float, N: int,
@@ -429,10 +449,11 @@ def check_V3(V: PotentialSpec, theta: float, N: int,
         raise DomainError(f"theta must lie in [0, 1), got {theta}")
     t = default_t_lattice() if t_lattice is None else np.asarray(t_lattice, dtype=float)
     r = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    lhs = _v3_lhs(V, theta, N, t, r)
-    sign = np.where(t >= 1.0, 1.0, -1.0)[:, None]
-    pointwise = sign * lhs
-    integrated = _v3_integrated_lhs(V, theta, N, t, r)
+    (pointwise, p_theta), (integrated, i_theta) = _v3_forms(V, theta, N, t, r)
+    # summed and signed in place: no more lattice-sized arrays at once
+    pointwise += p_theta
+    pointwise *= np.where(t >= 1.0, 1.0, -1.0)[:, None]
+    integrated += i_theta
     margins = np.minimum(pointwise, integrated)
     margin = float(margins.min())
     it, ir = np.unravel_index(int(np.argmin(margins)), margins.shape)
@@ -454,16 +475,12 @@ def estimate_theta_V3(V: PotentialSpec, N: int,
     """
     t = default_t_lattice() if t_lattice is None else np.asarray(t_lattice, dtype=float)
     r = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    base = _v3_lhs(V, 0.0, N, t, r)           # theta-free part
-    coef = (N - 2.0) ** 3 * (t[:, None] ** 2 - 1.0) / (4.0 * t[:, None] ** 2 * r[None, :] ** 2)
+    # at theta = 1 each theta term is its coefficient
+    (base, coef), (base_int, coef_int) = _v3_forms(V, 1.0, N, t, r)
     with np.errstate(divide="ignore", invalid="ignore"):
         # sign * (base + theta * coef) >= 0; sign matches the sign of coef,
         # so the requirement is theta >= -base / coef wherever coef != 0.
         req_point = np.where(coef != 0.0, -base / np.abs(coef) * np.sign(coef), -np.inf)
-    g = 2.0 - N * t[:, None] ** (N - 2.0) + (N - 2.0) * t[:, None] ** N
-    base_int = _v3_integrated_lhs(V, 0.0, N, t, r)
-    coef_int = (N - 2.0) ** 2 * g / (4.0 * r[None, :] ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
         req_int = np.where(coef_int > 0.0, -base_int / coef_int, -np.inf)
     sup = float(max(np.max(req_point), np.max(req_int)))
     return max(0.0, sup)
@@ -486,9 +503,9 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     ts = np.concatenate([-ts[::-1], ts])
     two_star = 2.0 * N / (N - 2.0)
     fv = np.asarray(f.f(ts), dtype=float)
-    c0_fit = float(np.max(np.abs(fv) / (1.0 + np.abs(ts) ** (two_star - 1.0))))
-    c0 = f.C0 if f.C0 is not None else c0_fit
-    f1_ok = bool(np.all(np.abs(fv) <= c0 * (1.0 + np.abs(ts) ** (two_star - 1.0)) * (1 + 1e-12)))
+    growth = 1.0 + np.abs(ts) ** (two_star - 1.0)
+    c0_fit = float(np.max(np.abs(fv) / growth))
+    f1_ok = bool(np.all(np.abs(fv) <= c0_fit * growth * (1 + 1e-12)))
 
     pos = ts[ts > 0]
     small = float(np.max(np.abs(np.asarray(f.f(pos[:2])) / pos[:2])))
@@ -501,9 +518,6 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     f3_ok = hits.size > 0
     j = int(hits[0]) if f3_ok else int(np.argmax(gap / (1.0 + s**2)))
     s0 = float(s[j]) if f3_ok else None
-    if f.s0 is not None:
-        declared_gap = float(np.asarray(f.F(np.array([f.s0])))[0] - 0.5 * v_inf * f.s0**2)
-        f3_ok = f3_ok and declared_gap > 0.0
 
     # antiderivative consistency on a trapezoid refinement
     tt = np.linspace(0.0, 4.0, 4097)

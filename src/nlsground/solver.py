@@ -11,7 +11,8 @@ and certifies the strict level gap used for compactness.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ from .grid import (
     pde_residual,
 )
 from .manifold import false_position, lambda_membership, project_fiber, project_to_M
-from .model import check_V1V2, constant_potential, estimate_theta_V4
+from .model import Report, check_V1V2, constant_potential, estimate_theta_V4
 
 __all__ = [
     "SolveOptions",
@@ -138,55 +139,40 @@ ROUTE_POHO_TOL = {
 
 @dataclass(frozen=True)
 class SolveReport:
+    """One route's result.  Its JSON report lists the fields before
+    ``u_star`` in order, then the profile's grid block ``grid`` and its
+    values ``u``."""
+
     converged: bool
-    u_star: RadialFunction
+    route: str
     energy: float
     pohozaev_residual: float     # |P(u)| / ||u||_{H1}^2
     pde_residual: float          # ||L(u)||_2 / ||u||_2
     iterations: int
-    route: str
     u_at_zero: float
     grad_tol: float
     poho_tol: float
+    u_star: RadialFunction
 
-    def to_dict(self, include_profile: bool = True) -> dict:
-        d = {
-            "converged": self.converged,
-            "route": self.route,
-            "energy": self.energy,
-            "pohozaev_residual": self.pohozaev_residual,
-            "pde_residual": self.pde_residual,
-            "iterations": self.iterations,
-            "u_at_zero": self.u_at_zero,
-            "grad_tol": self.grad_tol,
-            "poho_tol": self.poho_tol,
-            "grid": self.u_star.grid.mesh(),
-        }
-        if include_profile:
-            d["u"] = self.u_star.values.tolist()
+    def to_dict(self) -> dict:
+        d = {fld.name: getattr(self, fld.name) for fld in fields(self)[:-1]}
+        d["grid"] = self.u_star.grid.mesh()
+        d["u"] = self.u_star.values.tolist()
         return d
 
     @classmethod
     def from_dict(cls, data: dict, grid: RadialGrid) -> "SolveReport":
-        """Inverse of ``to_dict`` (with the profile) on ``grid``: every key
-        it writes is required and its grid block must describe ``grid``;
-        DomainError otherwise."""
+        """Inverse of ``to_dict`` on ``grid``: every key it writes is
+        required, each field is read as its annotated type, and the grid
+        block must describe ``grid``; DomainError otherwise."""
         try:
             want = grid.mesh()
             if data["grid"] != want:
                 raise DomainError(f"grid block {data['grid']} does not match grid {want}")
-            return cls(
-                converged=bool(data["converged"]),
-                u_star=RadialFunction(grid, np.asarray(data["u"], dtype=float)),
-                energy=float(data["energy"]),
-                pohozaev_residual=float(data["pohozaev_residual"]),
-                pde_residual=float(data["pde_residual"]),
-                iterations=int(data["iterations"]),
-                route=str(data["route"]),
-                u_at_zero=float(data["u_at_zero"]),
-                grad_tol=float(data["grad_tol"]),
-                poho_tol=float(data["poho_tol"]),
-            )
+            types = typing.get_type_hints(cls)
+            scalars = {fld.name: types[fld.name](data[fld.name]) for fld in fields(cls)[:-1]}
+            return cls(**scalars,
+                       u_star=RadialFunction(grid, np.asarray(data["u"], dtype=float)))
         except KeyError as exc:
             raise DomainError(f"solve report has no {exc} entry") from exc
         except (TypeError, ValueError) as exc:   # DomainError included
@@ -194,7 +180,7 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Report):
     lambda_bar: float
     T: float
     zeta0: float
@@ -203,9 +189,6 @@ class SweepReport:
     rows: list
     requested: list
     dropped: list
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ first least entries in sample order, as a per-sample loop finds them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .grid import RadialFunction
 # project_to_M stays bound here although the suite projects through
 # project_rows: perfbench's self-test requires the binding in this module
 from .manifold import fiber_membership, project_rows, project_to_M  # noqa: F401
-from .model import run_condition_suite
+from .model import Report, run_condition_suite
 from .solver import SolveReport, solve_fiber_descent, SolveOptions
 
 __all__ = ["CheckResult", "VerificationReport", "sample_bumps", "run_suite"]
@@ -43,7 +43,7 @@ EXP_UNDERFLOW = 750.0
 
 
 @dataclass
-class CheckResult:
+class CheckResult(Report):
     name: str
     anchor: str              # stable identifier of the law being checked
     passed: bool
@@ -52,27 +52,14 @@ class CheckResult:
     tolerance: float
     witness: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        # the fields in order, with "passed" written as "pass"
-        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
-
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Report):
     checks: list
     overall_pass: bool
     seed: int
     grid: dict
     constants: dict          # measured gamma_1, gamma_2, manifold floor, ...
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "overall_pass": self.overall_pass,
-            "seed": self.seed,
-            "grid": self.grid,
-            "constants": self.constants,
-        }
 
 
 def _bump_rows(grid, rng, count: int, amp_range=(1e-2, 1e1),

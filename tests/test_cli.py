@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsground import cli, errors
+from nlsground import cli, errors, solver
 from nlsground.cli import _SCHEMA, RunConfig, format_json, run
 from nlsground.errors import ConfigError
 from nlsground.grid import RadialFunction, make_grid
@@ -191,8 +191,40 @@ def test_nonconvergence_exit_2(well_cfg, tmp_path):
     assert code == 2
 
 
-# values that escaped cli.run as a traceback (the first four) or that a
-# solve certified as converged with an infinite tolerance (the last two)
+def test_descent_that_leaves_the_admissible_set_exits_2(tmp_path, capsys, monkeypatch):
+    # every projection after the starting profile's refuses its trial, so
+    # route A's line search shrinks its step to the floor
+    project = solver.project_to_M
+    calls = []
+
+    def refuse_after_first(ctx, u, *args, **kwargs):
+        calls.append(u)
+        if len(calls) > 1:
+            raise errors.NotInLambdaError("trial left the admissible set")
+        return project(ctx, u, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "project_to_M", refuse_after_first)
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_INI.format(n=512, out=tmp_path / "out"))
+    assert run("solve", str(cfg)) == 2
+    assert capsys.readouterr().err == ("non-convergence: descent left the admissible "
+                                       "set and no shorter step recovers it\n")
+    assert len(calls) > 2
+
+
+# another family for WELL_INI's potential or nonlinearity: the keys of
+# the config's family blanked, the new family's required keys set
+AS_CONSTANT = ["potential.family=constant", "potential.a=", "potential.b=",
+               "potential.alpha=", "potential.theta="]
+AS_PERTURBED = ["potential.family=perturbed", "potential.a=", "potential.b=",
+                "potential.alpha=", "potential.v_inf=1.0", "potential.eps=0.2"]
+AS_SATURATING = ["nonlinearity.family=saturating", "nonlinearity.p=", "nonlinearity.c=4.0"]
+
+
+# values that escaped cli.run as a traceback (the first four), that a
+# solve certified as converged with an infinite tolerance (the next two),
+# non-finite model parameters, which NaN-flooded or failed a route, and
+# config entries the builders reject
 @pytest.mark.parametrize("command, overrides", [
     ("oracle-shoot", ["grid.r_max=inf"]),
     ("solve-limit", ["grid.r_max=1e308"]),
@@ -200,6 +232,19 @@ def test_nonconvergence_exit_2(well_cfg, tmp_path):
     ("project", ["potential.alpha=1e308"]),
     ("solve", ["solver.grad_tol=inf"]),
     ("solve-limit", ["solver.grad_tol=inf", "solver.poho_tol=inf"]),
+    ("solve-limit", ["nonlinearity.p=inf"]),
+    ("solve-limit", ["nonlinearity.coeff=-inf"]),
+    ("solve-limit", ["nonlinearity.p=nan"]),
+    ("check-conditions", [*AS_CONSTANT, "potential.value=inf"]),
+    ("check-conditions", [*AS_CONSTANT, "potential.value=nan"]),
+    ("check-conditions", ["potential.a=inf"]),
+    ("check-conditions", ["potential.b=nan"]),
+    ("check-conditions", [*AS_PERTURBED, "potential.v_inf=inf"]),
+    ("check-conditions", [*AS_PERTURBED, "potential.eps=nan"]),
+    ("solve-limit", [*AS_SATURATING, "nonlinearity.c=inf"]),
+    ("check-conditions", ["grid.N=2"]),
+    ("check-conditions", ["potential.family=nope"]),
+    ("sweep-lambda", ["sweep.lambda_grid=abc"]),
 ])
 def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, overrides):
     cfg = tmp_path / "well.ini"
@@ -229,6 +274,13 @@ def test_project_on_a_well_with_alpha_below_1(tmp_path, capsys, alpha):
 
 def test_missing_config_exit_1(tmp_path):
     assert run("solve", str(tmp_path / "nothere.ini")) == 1
+
+
+def test_unparsable_config_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("n = 512\n[grid\n")
+    assert run("check-conditions", str(path), out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("config error: malformed config: ")
 
 
 def test_bad_override_exit_1(well_cfg, tmp_path):

@@ -665,6 +665,15 @@ def test_sweep_shot_budget(ctx_well, monkeypatch):
     assert steps[0] <= 250_000
 
 
+def test_sweep_path_length_stops_at_its_cap():
+    # at lam = 0.01 the path endpoint stays positive as T grows past t_cap
+    ctx = FunctionalContext(make_grid(3, 30.0, 1024),
+                            well_potential(1.0, 0.2, 2.0, theta=0.95),
+                            power_nonlinearity(4.0))
+    with pytest.raises(ConvergenceError, match="no path length below the cap 64"):
+        sweep_lambda(ctx, [0.01], SolveOptions(grad_tol=2e-2))
+
+
 def test_sweep_rejects_constant_potential(ctx_auto):
     with pytest.raises(PositivityBallError):
         sweep_lambda(ctx_auto)
@@ -696,8 +705,6 @@ def test_report_serialization(rep_shoot):
     assert d["grid"] == {"N": 3, "r_max": 30.0, "n": 4096}
     assert len(d["u"]) == 4096
     assert d["route"] == "shooting"
-    d2 = rep_shoot.to_dict(include_profile=False)
-    assert "u" not in d2
     # from_dict inverts to_dict, also through the JSON text the CLI writes
     grid = rep_shoot.u_star.grid
     for data in (d, json.loads(format_json(d))):

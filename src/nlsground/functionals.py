@@ -9,14 +9,20 @@ never re-interpolated, which keeps fiber scans smooth in t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import RadialFunction, RadialGrid, grad_seminorm_sq, row_blocks, row_norms_sq
-from .model import NonlinearitySpec, PotentialSpec, constant_potential
+from .model import (
+    NonlinearitySpec,
+    PotentialSpec,
+    constant_potential,
+    estimate_theta_V4,
+    g_of_t,
+)
 
 __all__ = [
     "FunctionalContext",
@@ -46,20 +52,17 @@ class FunctionalContext:
     V: PotentialSpec
     f: NonlinearitySpec
     lam: float = 1.0
-    _theta: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
 
-    @property
+    @cached_property
     def theta(self) -> float:
-        """Decay parameter: declared on the potential, else estimated."""
-        if self._theta is not None:
-            return self._theta
-        th = self.V.theta_for(self.grid.N)
-        object.__setattr__(self, "_theta", th)
-        return th
+        """Decay parameter: declared on the potential, else estimate_theta_V4."""
+        if self.V.theta is not None:
+            return self.V.theta
+        return estimate_theta_V4(self.V, self.grid.N)
 
     def with_lambda(self, lam: float) -> "FunctionalContext":
         return FunctionalContext(self.grid, self.V, self.f, lam)
@@ -103,12 +106,23 @@ class FiberValues:
         return FiberValues(self.ctx, self.u[idx], self.grad[idx], self.mass[idx],
                            self.f_int[idx], self.pot[idx], self.pot_w[idx])
 
+    def _energy(self, tn2, tn, pot):
+        """I(u_t) from t^{N-2}, t^N and the potential term pot at t (at
+        t = 1 both factors are 1.0)."""
+        return 0.5 * tn2 * self.grad + 0.5 * tn * pot - self.ctx.lam * tn * self.f_int
+
+    def _pohozaev(self, tn2, tn, dil):
+        """P(u_t) from t^{N-2}, t^N and the dilation term dil at t."""
+        N = self.ctx.grid.N
+        return (0.5 * (N - 2.0) * tn2 * self.grad + 0.5 * tn * dil
+                - N * self.ctx.lam * tn * self.f_int)
+
     def energy(self) -> float:
-        return 0.5 * (self.grad + self.pot) - self.ctx.lam * self.f_int
+        return self._energy(1.0, 1.0, self.pot)
 
     def energy_limit(self) -> float:
         """energy() with V frozen at V_inf."""
-        return 0.5 * (self.grad + self.ctx.V.v_inf * self.mass) - self.ctx.lam * self.f_int
+        return self._energy(1.0, 1.0, self.ctx.V.v_inf * self.mass)
 
     def psi(self) -> float:
         """(1/N) ||grad u||^2 - 1/(2N) int (r V') u^2 = energy - pohozaev/N."""
@@ -121,12 +135,7 @@ class FiberValues:
         return 0.5 * self.ctx.V.v_inf * self.mass - self.ctx.lam * self.f_int
 
     def pohozaev(self) -> float:
-        N = self.ctx.grid.N
-        return (
-            0.5 * (N - 2.0) * self.grad
-            + 0.5 * (N * self.pot + self.pot_w)
-            - N * self.ctx.lam * self.f_int
-        )
+        return self._pohozaev(1.0, 1.0, self.ctx.grid.N * self.pot + self.pot_w)
 
     def relative_pohozaev(self) -> float:
         """Dilation-identity residual |P(u)| / ||u||_{H1}^2 of one profile."""
@@ -134,12 +143,7 @@ class FiberValues:
 
     def pohozaev_limit(self) -> float:
         """pohozaev() with V frozen at V_inf."""
-        N = self.ctx.grid.N
-        return (
-            0.5 * (N - 2.0) * self.grad
-            + 0.5 * N * self.ctx.V.v_inf * self.mass
-            - N * self.ctx.lam * self.f_int
-        )
+        return self._pohozaev(1.0, 1.0, self.ctx.grid.N * self.ctx.V.v_inf * self.mass)
 
     def hardy_gap(self) -> float:
         """hardy_gap of u, from the stored ||grad u||^2."""
@@ -152,26 +156,15 @@ class FiberValues:
         a column t of shape (m, 1) gives the (m, k) table of every t on
         every row."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        pot_t = self._pot_at(t, dilation=False)
         N = self.ctx.grid.N
-        out = (
-            0.5 * t ** (N - 2.0) * self.grad
-            + 0.5 * t**N * pot_t
-            - self.ctx.lam * t**N * self.f_int
-        )
-        return out
+        return self._energy(t ** (N - 2.0), t**N, self._pot_at(t, dilation=False))
 
     def pohozaev_at(self, t) -> np.ndarray:
         """P(u(x/t)) along the fiber; equals t * d/dt energy_at(t).
         t is shaped as for energy_at."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         N = self.ctx.grid.N
-        vals = self._pot_at(t, dilation=True)
-        return (
-            0.5 * (N - 2.0) * t ** (N - 2.0) * self.grad
-            + 0.5 * t**N * vals
-            - N * self.ctx.lam * t**N * self.f_int
-        )
+        return self._pohozaev(t ** (N - 2.0), t**N, self._pot_at(t, dilation=True))
 
     def iip_gap(self, t) -> float:
         """Comparison-inequality slack at (u, t); see module-level iip_gap.
@@ -206,10 +199,7 @@ class FiberValues:
         r = self.ctx.grid.r
         V = self.ctx.V
 
-        def potential(tr):
-            vals = V.V(tr)
-            return N * vals + tr * V.dV(tr) if dilation else vals
-
+        potential = (lambda tr: V.dilation_integrand(N, tr)) if dilation else V.V
         u = self.values
         if u.ndim == 1:
             u2 = u**2
@@ -314,15 +304,6 @@ def psi(ctx: FunctionalContext, u: RadialFunction) -> float:
     return fiber_values(ctx, u).psi()
 
 
-def g_of_t(t: float, N: int) -> float:
-    """2 - N t^{N-2} + (N-2) t^N; zero at t = 1, positive elsewhere."""
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("g is defined for t >= 0")
-    t = np.asarray(t, dtype=float)
-    out = 2.0 - N * t ** (N - 2.0) + (N - 2.0) * t**N
-    return float(out) if out.ndim == 0 else out
-
-
 def iip_gap(ctx: FunctionalContext, u: RadialFunction, t: float) -> float:
     """Slack of the energy/dilation comparison inequality at (u, t):
 
@@ -340,15 +321,12 @@ def iip_gap(ctx: FunctionalContext, u: RadialFunction, t: float) -> float:
     return fiber_values(ctx, u).iip_gap(t)
 
 
-def hardy_gap(u: RadialFunction, N: Optional[int] = None) -> float:
-    """||grad u||^2 - (N-2)^2/4 int u^2/|x|^2 (nonnegative in the continuum).
+def hardy_gap(u: RadialFunction) -> float:
+    """||grad u||^2 - (N-2)^2/4 int u^2/|x|^2 (nonnegative in the continuum),
+    N the dimension of u's grid.
 
     The integrand u^2 r^{N-3} is regular at r = 0 for N >= 3 (the N = 3
     case uses r^0 = 1 at the origin).  FiberValues.hardy_gap reads the
     gradient term from quadratures already computed.
     """
-    g = u.grid
-    N = g.N if N is None else N
-    if N != g.N:
-        raise DomainError("dimension mismatch with the grid")
-    return float(grad_seminorm_sq(u) - _hardy_term(g, u.values))
+    return float(grad_seminorm_sq(u) - _hardy_term(u.grid, u.values))

@@ -310,17 +310,16 @@ def false_position_lanes(g, lo, hi, g_lo, g_hi, tol: float) -> tuple:
         gs = np.asarray(g(at, xs), dtype=float).tolist()
 
 
-def project_to_M(ctx: FunctionalContext, u: RadialFunction,
-                 t_bracket: tuple = T_BRACKET) -> FiberProjection:
+def project_to_M(ctx: FunctionalContext, u: RadialFunction) -> FiberProjection:
     """Dilate u onto the constraint set: find the root of t -> P(u_t).
 
     Requires u admissible (checked).  The root is bracketed by a sign
-    scan on a log grid and polished by safeguarded false position to
-    |d log t| < 1e-12; exactly one sign change is demanded, anything
-    else raises.  The quadratures of u are computed once and returned
-    as the projection's ``fiber``.
+    scan on a log grid over T_BRACKET and polished by safeguarded false
+    position to |d log t| < 1e-12; exactly one sign change is demanded,
+    anything else raises.  The quadratures of u are computed once and
+    returned as the projection's ``fiber``.
     """
-    return project_fiber(fiber_values(ctx, u), t_bracket)
+    return project_fiber(fiber_values(ctx, u))
 
 
 def project_fiber(fv: FiberValues, t_bracket: tuple = T_BRACKET) -> FiberProjection:

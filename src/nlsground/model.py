@@ -33,7 +33,7 @@ __all__ = [
     "saturating_nonlinearity",
     "zero_nonlinearity",
     "default_radii",
-    "default_t_lattice",
+    "g_of_t",
     "check_V1V2",
     "estimate_theta_V4",
     "estimate_theta_V3",
@@ -47,14 +47,31 @@ __all__ = [
 # default sampling lattices for the checkers
 T_LATTICE_SIZE = 128
 R_LATTICE_SIZE = 256
+# checker thresholds
+NONNEG_TOL = 1e-12       # slack of V >= 0, V <= V_inf and h >= 0
+V3_TOL = 1e-10           # slack of the two-point decay condition and its envelope
+F_DECAY_MARGIN = 1e-2    # bound on both (F2) ratios
+F_QUAD_TOL = 1e-6        # floor of the antiderivative check's tolerance
+H_CAP = 1e6              # bound on sup_r [-r^3 h'(r)]
 
 
-def default_radii(r_max: float = 30.0, size: int = R_LATTICE_SIZE) -> np.ndarray:
-    return np.geomspace(1e-3, r_max, size)
+def default_radii(r_max: float = 30.0) -> np.ndarray:
+    return np.geomspace(1e-3, r_max, R_LATTICE_SIZE)
 
 
-def default_t_lattice(size: int = T_LATTICE_SIZE) -> np.ndarray:
-    return np.geomspace(1e-2, 1e2, size)
+def g_of_t(t: float, N: int) -> float:
+    """2 - N t^{N-2} + (N-2) t^N; zero at t = 1, positive elsewhere."""
+    if np.any(np.asarray(t) < 0):
+        raise DomainError("g is defined for t >= 0")
+    t = np.asarray(t, dtype=float)
+    out = 2.0 - N * t ** (N - 2.0) + (N - 2.0) * t**N
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_theta(theta: float):
+    """DomainError unless theta is a decay parameter, in [0, 1)."""
+    if not (0.0 <= theta < 1.0):
+        raise DomainError(f"theta must lie in [0, 1), got {theta}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +83,9 @@ class PotentialSpec:
     :func:`estimate_theta_V4`).
 
     ``dilation_bounds`` maps a dimension N to (w_lo, w_hi) with
-    w_lo <= N V(s) + s V'(s) <= w_hi for every s >= 0: a proven range of
-    the integrand of the dilation term of P(u_t), up to round-off in
-    evaluating V and V'.  The built-in factories set it; the fiber
+    w_lo <= dilation_integrand(N, s) <= w_hi for every s >= 0: a proven
+    range of the integrand of the dilation term of P(u_t), up to round-off
+    in evaluating V and V'.  The built-in factories set it; the fiber
     projection uses it to skip scan points whose sign of P(u_t) it
     certifies.  None (a hand-built spec) means every scan point is
     evaluated.  A declared range that does not hold voids that
@@ -85,14 +102,12 @@ class PotentialSpec:
     dilation_bounds: Optional[Callable[[int], tuple]] = None
 
     def __post_init__(self):
-        if self.theta is not None and not (0.0 <= self.theta < 1.0):
-            raise DomainError(f"theta must lie in [0, 1), got {self.theta}")
-
-    def theta_for(self, N: int, radii: Optional[np.ndarray] = None) -> float:
-        """Declared theta, or the sampled derivative-bound estimate."""
         if self.theta is not None:
-            return self.theta
-        return estimate_theta_V4(self, N, radii)
+            _check_theta(self.theta)
+
+    def dilation_integrand(self, N: int, s: np.ndarray) -> np.ndarray:
+        """N V(s) + s V'(s), the integrand of the dilation term of P(u_t)."""
+        return N * self.V(s) + s * self.dV(s)
 
     def is_constant(self) -> bool:
         return self.family == "constant"
@@ -378,8 +393,7 @@ def make_nonlinearity(family: str, **params) -> NonlinearitySpec:
 # checkers
 # ----------------------------------------------------------------------
 
-def check_V1V2(V: PotentialSpec, radii: Optional[np.ndarray] = None,
-               tol: float = 1e-12) -> ConditionReport:
+def check_V1V2(V: PotentialSpec, radii: Optional[np.ndarray] = None) -> ConditionReport:
     """Nonnegativity and domination by the limit: 0 <= V(r) <= V_inf.
 
     Also checks that V has essentially reached V_inf at the largest
@@ -395,9 +409,9 @@ def check_V1V2(V: PotentialSpec, radii: Optional[np.ndarray] = None,
     i = int(np.argmin(np.minimum(lower, upper)))
     limit_gap = abs(float(V.V(np.array([radii[-1]]))[0]) - V.v_inf)
     limit_ok = limit_gap <= 5e-2 * max(1.0, abs(V.v_inf))
-    passed = bool(margin >= -tol and limit_ok)
+    passed = bool(margin >= -NONNEG_TOL and limit_ok)
     witness = {"r": float(radii[i]), "V": float(vals[i]), "limit_gap": limit_gap}
-    return ConditionReport("V1V2", passed, witness, margin, radii.size, tol)
+    return ConditionReport("V1V2", passed, witness, margin, radii.size, NONNEG_TOL)
 
 
 def estimate_theta_V4(V: PotentialSpec, N: int,
@@ -413,43 +427,40 @@ def estimate_theta_V4(V: PotentialSpec, N: int,
     return max(0.0, sup)
 
 
-def _v3_forms(V: PotentialSpec, theta: float, N: int,
-              t: np.ndarray, r: np.ndarray) -> tuple:
-    """The two decay expressions on the (t, r) lattice (t rows, r cols),
-    each as (theta-free part, theta term); the expression is their sum.
+def _v3_forms(V: PotentialSpec, theta: float, N: int, radii) -> tuple:
+    """(t, r, pointwise, integrated): the T_LATTICE_SIZE dilations t on
+    [1e-2, 1e2], the radii r (default_radii when None), and the two decay
+    expressions on the (t, r) lattice (t rows, r cols), each as
+    (theta-free part, theta term); the expression is their sum.
 
     pointwise:  N [V(r) - V(tr)] + [w(r) - w(tr)]
                 + (N-2)^3 theta (t^2 - 1) / (4 t^2 r^2),  w(x) = x V'(x);
     integrated: N t^N [V(r) - V(tr)] + (t^N - 1) r V'(r)
-                + (N-2)^2 theta g(t) / (4 r^2),  g(t) = 2 - N t^{N-2} + (N-2) t^N.
+                + (N-2)^2 theta g(t) / (4 r^2),  g = g_of_t.
     """
-    t = t[:, None]
-    r = r[None, :]
+    ts = np.geomspace(1e-2, 1e2, T_LATTICE_SIZE)
+    rs = default_radii() if radii is None else np.asarray(radii, dtype=float)
+    t = ts[:, None]
+    r = rs[None, :]
     w = lambda x: x * V.dV(x)  # radial form of grad V . x
     dv = V.V(r) - V.V(t * r)
-    g = 2.0 - N * t ** (N - 2.0) + (N - 2.0) * t**N
     pointwise = (N * dv + (w(r) - w(t * r)),
                  (N - 2.0) ** 3 * theta * (t**2 - 1.0) / (4.0 * t**2 * r**2))
     integrated = (N * t**N * dv + (t**N - 1.0) * w(r),
-                  (N - 2.0) ** 2 * theta * g / (4.0 * r**2))
-    return pointwise, integrated
+                  (N - 2.0) ** 2 * theta * g_of_t(t, N) / (4.0 * r**2))
+    return ts, rs, pointwise, integrated
 
 
 def check_V3(V: PotentialSpec, theta: float, N: int,
-             t_lattice: Optional[np.ndarray] = None,
-             radii: Optional[np.ndarray] = None,
-             tol: float = 1e-10) -> ConditionReport:
-    """Two-point decay condition on a (t, r) lattice.
+             radii: Optional[np.ndarray] = None) -> ConditionReport:
+    """Two-point decay condition on the (t, r) lattice of _v3_forms.
 
     The pointwise expression must be >= 0 for t >= 1 and <= 0 for t < 1;
     the integrated form must be >= 0 for every (t, r).  Margins are
-    signed so that "passed" means every signed margin >= -tol.
+    signed so that "passed" means every signed margin >= -V3_TOL.
     """
-    if not (0.0 <= theta < 1.0):
-        raise DomainError(f"theta must lie in [0, 1), got {theta}")
-    t = default_t_lattice() if t_lattice is None else np.asarray(t_lattice, dtype=float)
-    r = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    (pointwise, p_theta), (integrated, i_theta) = _v3_forms(V, theta, N, t, r)
+    _check_theta(theta)
+    t, r, (pointwise, p_theta), (integrated, i_theta) = _v3_forms(V, theta, N, radii)
     # summed and signed in place: no more lattice-sized arrays at once
     pointwise += p_theta
     pointwise *= np.where(t >= 1.0, 1.0, -1.0)[:, None]
@@ -457,26 +468,24 @@ def check_V3(V: PotentialSpec, theta: float, N: int,
     margins = np.minimum(pointwise, integrated)
     margin = float(margins.min())
     it, ir = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    passed = bool(margin >= -tol)
+    passed = bool(margin >= -V3_TOL)
     witness = {"t": float(t[it]), "r": float(r[ir]), "value": float(margins[it, ir])}
-    return ConditionReport("V3", passed, witness, margin, margins.size, tol,
+    return ConditionReport("V3", passed, witness, margin, margins.size, V3_TOL,
                            notes=f"theta={theta:.6g}")
 
 
 def estimate_theta_V3(V: PotentialSpec, N: int,
-                      t_lattice: Optional[np.ndarray] = None,
                       radii: Optional[np.ndarray] = None) -> float:
-    """Smallest theta making the two-point decay condition hold on the lattice.
+    """Smallest theta making the two-point decay condition hold on check_V3's
+    lattice.
 
     Solves the pointwise and integrated forms for theta at every lattice
     node (each is affine in theta with a sign-definite coefficient away
     from t = 1) and takes the supremum, clamped at zero.  A value >= 1
     means the condition fails for every admissible theta.
     """
-    t = default_t_lattice() if t_lattice is None else np.asarray(t_lattice, dtype=float)
-    r = default_radii() if radii is None else np.asarray(radii, dtype=float)
     # at theta = 1 each theta term is its coefficient
-    (base, coef), (base_int, coef_int) = _v3_forms(V, 1.0, N, t, r)
+    _, _, (base, coef), (base_int, coef_int) = _v3_forms(V, 1.0, N, radii)
     with np.errstate(divide="ignore", invalid="ignore"):
         # sign * (base + theta * coef) >= 0; sign matches the sign of coef,
         # so the requirement is theta >= -base / coef wherever coef != 0.
@@ -487,16 +496,16 @@ def estimate_theta_V3(V: PotentialSpec, N: int,
 
 
 def check_F(f: NonlinearitySpec, v_inf: float, N: int,
-            samples: Optional[np.ndarray] = None,
-            decay_margin: float = 1e-2,
-            quad_tol: float = 1e-6) -> ConditionReport:
+            samples: Optional[np.ndarray] = None) -> ConditionReport:
     """Growth, small/large-t decay, and one-point superquadraticity.
 
-    * fits the smallest C0 with |f(t)| <= C0 (1 + |t|^{2*-1}) on samples;
-    * requires |f(t)/t| at the smallest sampled |t| and
-      |f(t)| / |t|^{(N+2)/(N-2)} at the largest to fall below the decay
-      margin (limits are checked on the sampled range, not proven);
-    * scans for s0 > 0 with F(s0) > (v_inf/2) s0^2 and records a witness;
+    * (F1) records C0_fit, the largest |f(t)| / (1 + |t|^{2*-1}) on the
+      samples; it bounds every sample, so (F1) fails only where f is NaN
+      (growth at infinity is what (F2)'s large-t ratio tests);
+    * (F2) requires |f(t)/t| at the smallest sampled |t| and
+      |f(t)| / |t|^{(N+2)/(N-2)} at the largest to fall below
+      F_DECAY_MARGIN (limits are checked on the sampled range, not proven);
+    * (F3) scans for s0 > 0 with F(s0) > (v_inf/2) s0^2 and records a witness;
     * verifies F is consistent with the integral of f on the samples.
     """
     ts = np.geomspace(1e-4, 1e2, 257) if samples is None else np.asarray(samples, dtype=float)
@@ -505,12 +514,12 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     fv = np.asarray(f.f(ts), dtype=float)
     growth = 1.0 + np.abs(ts) ** (two_star - 1.0)
     c0_fit = float(np.max(np.abs(fv) / growth))
-    f1_ok = bool(np.all(np.abs(fv) <= c0_fit * growth * (1 + 1e-12)))
+    f1_ok = not math.isnan(c0_fit)         # np.max returns any NaN
 
     pos = ts[ts > 0]
     small = float(np.max(np.abs(np.asarray(f.f(pos[:2])) / pos[:2])))
     large = float(np.max(np.abs(np.asarray(f.f(pos[-2:])) / pos[-2:] ** (two_star - 1.0))))
-    f2_ok = small <= decay_margin and large <= decay_margin
+    f2_ok = small <= F_DECAY_MARGIN and large <= F_DECAY_MARGIN
 
     s = np.geomspace(1e-3, 1e3, 512)
     gap = np.asarray(f.F(s), dtype=float) - 0.5 * v_inf * s**2
@@ -525,7 +534,7 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (np.asarray(f.f(tt[1:])) + np.asarray(f.f(tt[:-1]))) * np.diff(tt))])
     anti_err = float(np.max(np.abs(Ff - cum)))
-    anti_ok = anti_err <= max(quad_tol, 1e-6 * np.max(np.abs(Ff)) + 1e-9)
+    anti_ok = anti_err <= max(F_QUAD_TOL, 1e-6 * np.max(np.abs(Ff)) + 1e-9)
 
     passed = bool(f1_ok and f2_ok and f3_ok and anti_ok)
     margin = float(gap[j])
@@ -537,29 +546,25 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
         "F_minus_quadratic": float(gap[j]),
         "antiderivative_err": anti_err,
     }
-    return ConditionReport("F1F2F3", passed, witness, margin, ts.size, decay_margin)
+    return ConditionReport("F1F2F3", passed, witness, margin, ts.size, F_DECAY_MARGIN)
 
 
-def check_H(h: Callable, dh: Callable, N: int,
-            radii: Optional[np.ndarray] = None,
-            cap: float = 1e6,
-            tol: float = 1e-12) -> ConditionReport:
-    """Perturbation-shape admissibility: h >= 0, vanishing at the far end,
-    and sup_r [-r^3 h'(r)] finite (below the declared cap)."""
-    radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
+def check_H(h: Callable, dh: Callable, N: int) -> ConditionReport:
+    """Perturbation-shape admissibility on default_radii: h >= 0,
+    vanishing at the far end, and sup_r [-r^3 h'(r)] finite (below H_CAP)."""
+    radii = default_radii()
     hv = np.asarray(h(radii), dtype=float)
     nonneg = float(hv.min())
     vanish = abs(float(hv[-1])) <= 5e-2 * max(1.0, float(np.max(np.abs(hv))))
     sup = float(np.max(-(radii**3) * np.asarray(dh(radii), dtype=float)))
-    passed = bool(nonneg >= -tol and vanish and np.isfinite(sup) and sup <= cap)
+    passed = bool(nonneg >= -NONNEG_TOL and vanish and np.isfinite(sup) and sup <= H_CAP)
     i = int(np.argmin(hv))
     witness = {"r_min_h": float(radii[i]), "h_min": nonneg, "sup_neg_r3_dh": sup}
-    return ConditionReport("H1H2", passed, witness, nonneg, radii.size, tol)
+    return ConditionReport("H1H2", passed, witness, nonneg, radii.size, NONNEG_TOL)
 
 
 def check_potential_envelope(V: PotentialSpec, theta: float, N: int,
-                             radii: Optional[np.ndarray] = None,
-                             tol: float = 1e-10) -> ConditionReport:
+                             radii: Optional[np.ndarray] = None) -> ConditionReport:
     """Two-sided envelope on N V(r) + r V'(r) around N V_inf.
 
     Follows from the two-point decay condition in its small- and
@@ -567,10 +572,9 @@ def check_potential_envelope(V: PotentialSpec, theta: float, N: int,
     N V_inf - (N-2)^3 theta / (4 r^2) and N V_inf + (N-2)^2 theta / (2 r^2)
     at every sampled radius.
     """
-    if not (0.0 <= theta < 1.0):
-        raise DomainError(f"theta must lie in [0, 1), got {theta}")
+    _check_theta(theta)
     radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    mid = N * V.V(radii) + radii * V.dV(radii)
+    mid = V.dilation_integrand(N, radii)
     lower = mid - (N * V.v_inf - (N - 2.0) ** 3 * theta / (4.0 * radii**2))
     upper = (N * V.v_inf + (N - 2.0) ** 2 * theta / (2.0 * radii**2)) - mid
     margins = np.minimum(lower, upper)
@@ -578,8 +582,8 @@ def check_potential_envelope(V: PotentialSpec, theta: float, N: int,
     margin = float(margins[i])
     side = "lower" if lower[i] <= upper[i] else "upper"
     witness = {"r": float(radii[i]), "side": side, "value": margin}
-    return ConditionReport("potential-envelope", bool(margin >= -tol), witness, margin,
-                           radii.size, tol, notes=f"theta={theta:.6g}")
+    return ConditionReport("potential-envelope", bool(margin >= -V3_TOL), witness, margin,
+                           radii.size, V3_TOL, notes=f"theta={theta:.6g}")
 
 
 def run_condition_suite(V: PotentialSpec, f: NonlinearitySpec, N: int,

@@ -137,6 +137,11 @@ ROUTE_POHO_TOL = {
 }
 
 
+# field type -> the types json.load gives its values: a float is written
+# as an integer token when it is one (1.0 as 1); a bool is no number
+_JSON_TYPES = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """One route's result.  Its JSON report lists the fields before
@@ -163,16 +168,24 @@ class SolveReport:
     @classmethod
     def from_dict(cls, data: dict, grid: RadialGrid) -> "SolveReport":
         """Inverse of ``to_dict`` on ``grid``: every key it writes is
-        required, each field is read as its annotated type, and the grid
-        block must describe ``grid``; DomainError otherwise."""
+        required, each field must hold a JSON value of its annotated type
+        (_JSON_TYPES), every entry of ``u`` a number, and the grid block
+        must describe ``grid``; DomainError otherwise."""
         try:
             want = grid.mesh()
             if data["grid"] != want:
                 raise DomainError(f"grid block {data['grid']} does not match grid {want}")
             types = typing.get_type_hints(cls)
-            scalars = {fld.name: types[fld.name](data[fld.name]) for fld in fields(cls)[:-1]}
-            return cls(**scalars,
-                       u_star=RadialFunction(grid, np.asarray(data["u"], dtype=float)))
+            scalars = {fld.name: data[fld.name] for fld in fields(cls)[:-1]}
+            for name, value in scalars.items():
+                if type(value) not in _JSON_TYPES[types[name]]:
+                    raise DomainError(f"{name!r} must be a JSON "
+                                      f"{types[name].__name__}, got {value!r}")
+            u = data["u"]
+            if not (type(u) is list and set(map(type, u)) <= _JSON_TYPES[float]):
+                raise DomainError("'u' must be a list of JSON numbers")
+            return cls(**{name: types[name](value) for name, value in scalars.items()},
+                       u_star=RadialFunction(grid, np.asarray(u, dtype=float)))
         except KeyError as exc:
             raise DomainError(f"solve report has no {exc} entry") from exc
         except (TypeError, ValueError) as exc:   # DomainError included
@@ -792,7 +805,8 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                  grid: Optional[RadialGrid] = None,
                  opts: SolveOptions = SolveOptions(),
                  predicted: Optional[float] = None) -> SolveReport:
-    """Autonomous ground state by shooting in the initial amplitude.
+    """Autonomous ground state by shooting in the initial amplitude on
+    grid (default n = 4096, r_max = 30); N must be its dimension.
 
     Shots are fixed-step RK4 on the radial ODE, independent of the
     quadrature and descent code paths, and are classified as undershoot
@@ -821,6 +835,8 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     if predicted is not None and not math.isfinite(predicted):
         raise DomainError(f"predicted amplitude must be finite, got {predicted}")
     grid = make_grid(N, 30.0, 4096) if grid is None else grid
+    if N != grid.N:
+        raise DomainError(f"dimension N = {N} does not match the grid's N = {grid.N}")
     # largest step <= opts.ode_step that divides the grid spacing exactly,
     # so the recorded trajectory subsamples onto grid nodes by index and
     # no interpolation touches the profile (interpolation kinks would be

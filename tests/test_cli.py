@@ -185,6 +185,25 @@ def test_project_cli(well_cfg, tmp_path):
         assert fh.readline().strip() == "t,zeta,P"
 
 
+def test_sweep_files_agree_and_repeat(well_cfg, tmp_path):
+    # every sweep.csv row is its sweep.json row to 17 digits, and a second
+    # run writes the same bytes
+    texts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run("sweep-lambda", well_cfg, out_dir=str(out),
+                   overrides=["grid.n=2048"]) == 0
+        texts.append({f: (out / f).read_text() for f in ("sweep.json", "sweep.csv")})
+    assert texts[0] == texts[1]
+    rows = json.loads(texts[0]["sweep.json"])["rows"]
+    header, *lines = texts[0]["sweep.csv"].splitlines()
+    keys = header.split(",")
+    assert keys == ["lambda", "m_inf", "c_bar", "margin"]
+    assert len(lines) == len(rows) == 3
+    for line, row in zip(lines, rows):
+        assert [float(v) for v in line.split(",")] == [row[k] for k in keys]
+
+
 def test_nonconvergence_exit_2(well_cfg, tmp_path):
     code = run("solve", well_cfg, out_dir=str(tmp_path / "nc"),
                overrides=["solver.max_iters=1"])
@@ -477,12 +496,31 @@ def test_verify_rejects_a_solution_without_a_report_key(tmp_path, capsys, key):
     ("iterations", None),
     ("u", [0.0, 0.0]),
     ("grid", {"N": 3, "r_max": 30.0, "n": 1024}),
+    # a JSON value of another type than its field's is not converted
+    ("converged", "false"),
+    ("converged", 1),
+    ("iterations", 7.9),
+    ("iterations", True),
+    ("energy", "17.7"),
+    ("energy", False),
+    ("route", 5),
+    ("u", ["1"] + [0.0] * (SOLUTION_GRID.n - 1)),
+    ("u", [True] + [0.0] * (SOLUTION_GRID.n - 1)),
 ])
 def test_verify_rejects_a_malformed_solution(tmp_path, capsys, key, value):
     data = _solution_report(SOLUTION_GRID).to_dict()
     data[key] = value
     assert _verify_solution(tmp_path, data) == 1
     assert capsys.readouterr().err.startswith("config error: malformed solve report: ")
+
+
+def test_solution_integer_tokens_read_as_floats():
+    # format_json writes 1.0 as 1, and u ends in 0: both read back as floats
+    text = format_json(_solution_report(SOLUTION_GRID).to_dict())
+    assert '"u_at_zero": 1,' in text and text.endswith("    0\n  ]\n}\n")
+    back = SolveReport.from_dict(json.loads(text), SOLUTION_GRID)
+    assert type(back.u_at_zero) is float and back.u_at_zero == 1.0
+    assert back.u_star.values.dtype == float and back.u_star.values[-1] == 0.0
 
 
 # ----------------------------------------------------------------------

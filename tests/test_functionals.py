@@ -252,6 +252,15 @@ def test_pohozaev_at_is_fiber_derivative(V, grid4096, f_cubic):
     assert np.all(np.abs(fv.pohozaev_at(t) - slope) <= 1e-7 * (1.0 + scale))
 
 
+def test_equal_contexts_stay_equal_once_theta_is_read(grid4096, f_cubic):
+    from nlsground import estimate_theta_V4
+
+    V = well_potential(1.0, 0.2, 2.0)
+    a, b = (FunctionalContext(grid4096, V, f_cubic) for _ in range(2))
+    assert a.theta == estimate_theta_V4(V, 3)
+    assert a == b
+
+
 def test_iip_gap_wrapper_is_fiber_method(ctx_well, grid4096):
     from nlsground.verify import DILATIONS
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -153,6 +154,20 @@ def test_check_f_saturating_fails_superquadraticity():
     # decay parts are fine; only the one-point condition fails
     assert rep.witness["small_t_ratio"] < 1e-2
     assert rep.witness["large_t_ratio"] < 1e-2
+
+
+def test_check_f_growth_refutes_only_nan():
+    # C0_fit bounds every sample by construction: (F1) fails on a NaN of
+    # f and on nothing else.  NaN on 10 < |t| < 50 reaches no other part
+    f = power_nonlinearity(4.0)
+
+    def nan_mid(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((np.abs(t) > 10.0) & (np.abs(t) < 50.0), np.nan, f.f(t))
+
+    rep = check_F(dataclasses.replace(f, f=nan_mid), 1.0, 3)
+    assert not rep.passed and math.isnan(rep.witness["C0_fit"])
+    assert rep.witness["large_t_ratio"] < 1e-2 and rep.witness["s0"] is not None
 
 
 def test_c0_fit_stable_under_refinement():

@@ -81,6 +81,14 @@ def test_shooting_linear_problem_has_no_bracket(grid4096):
         shoot_oracle(1.0, zero_nonlinearity(), 3, grid=grid4096)
 
 
+def test_shooting_rejects_a_dimension_off_the_grid(f_cubic, monkeypatch):
+    shots = []
+    monkeypatch.setattr(solver, "_integrate_shot", lambda *a, **k: shots.append(a))
+    with pytest.raises(DomainError, match="N = 4"):
+        shoot_oracle(1.0, f_cubic, 4, grid=make_grid(3, 30.0, 1024))
+    assert shots == []
+
+
 def test_shooting_lambda_scaling(grid4096, f_cubic, rep_shoot):
     # u_lam = u_1/sqrt(lam) maps the weighted cubic problem to lam = 1,
     # so lam * m_lam is constant

@@ -25,15 +25,8 @@ from .errors import (
 )
 from .functionals import (
     FunctionalContext,
-    energy,
-    energy_limit,
     fiber_values,
     g_of_t,
-    hardy_gap,
-    iip_gap,
-    pohozaev,
-    pohozaev_limit,
-    psi,
 )
 from .grid import (
     RadialFunction,
@@ -66,8 +59,6 @@ from .model import (
     constant_potential,
     estimate_theta_V3,
     estimate_theta_V4,
-    make_nonlinearity,
-    make_potential,
     perturbed_potential,
     power_nonlinearity,
     run_condition_suite,
@@ -85,6 +76,6 @@ from .solver import (
     solve_limit_BL,
     sweep_lambda,
 )
-from .verify import VerificationReport, run_suite, sample_bumps
+from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .errors import ConfigError, NlsgroundError
 from .functionals import FunctionalContext
 from .grid import RadialGrid, make_grid
 from .manifold import fiber_table, project_to_M
-from .model import _F_FACTORIES, _FACTORIES, run_condition_suite
+from .model import NONLINEARITY_FACTORIES, POTENTIAL_FACTORIES, run_condition_suite
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -49,7 +49,7 @@ __all__ = ["RunConfig", "run", "main"]
 
 # the [potential] and [nonlinearity] sections hold a family name plus the
 # parameters of that family's model factory, read off its signature
-_FAMILIES = {"potential": _FACTORIES, "nonlinearity": _F_FACTORIES}
+_FAMILIES = {"potential": POTENTIAL_FACTORIES, "nonlinearity": NONLINEARITY_FACTORIES}
 # default of a factory parameter the config must supply
 _REQUIRED = inspect.Parameter.empty
 

@@ -1,5 +1,7 @@
 """Scalar functionals: energies, dilation-identity functionals, and gaps.
 
+Each functional is a FiberValues method, read as fiber_values(ctx, u)
+.energy(), .pohozaev(), .psi(), .iip_gap(t), .hardy_gap() and so on.
 Everything is evaluated through one quadrature rule (the grid weights),
 so algebraic identities between functionals hold to round-off rather
 than discretization error.  The dilation fiber t -> u(x/t) is evaluated
@@ -28,14 +30,7 @@ __all__ = [
     "FunctionalContext",
     "FiberValues",
     "fiber_values",
-    "energy",
-    "energy_limit",
-    "pohozaev",
-    "pohozaev_limit",
-    "psi",
     "g_of_t",
-    "iip_gap",
-    "hardy_gap",
 ]
 
 
@@ -118,6 +113,7 @@ class FiberValues:
                 - N * self.ctx.lam * tn * self.f_int)
 
     def energy(self) -> float:
+        """(1/2) int (|grad u|^2 + V u^2) - lam int F(u)."""
         return self._energy(1.0, 1.0, self.pot)
 
     def energy_limit(self) -> float:
@@ -125,7 +121,8 @@ class FiberValues:
         return self._energy(1.0, 1.0, self.ctx.V.v_inf * self.mass)
 
     def psi(self) -> float:
-        """(1/N) ||grad u||^2 - 1/(2N) int (r V') u^2 = energy - pohozaev/N."""
+        """(1/N) ||grad u||^2 - 1/(2N) int (r V') u^2; equals
+        energy - pohozaev/N up to round-off (same quadratures)."""
         N = self.ctx.grid.N
         return self.grad / N - self.pot_w / (2.0 * N)
 
@@ -135,6 +132,8 @@ class FiberValues:
         return 0.5 * self.ctx.V.v_inf * self.mass - self.ctx.lam * self.f_int
 
     def pohozaev(self) -> float:
+        """Dilation-identity functional
+        (N-2)/2 ||grad u||^2 + (1/2) int [N V + r V'] u^2 - N lam int F(u)."""
         return self._pohozaev(1.0, 1.0, self.ctx.grid.N * self.pot + self.pot_w)
 
     def relative_pohozaev(self) -> float:
@@ -146,7 +145,8 @@ class FiberValues:
         return self._pohozaev(1.0, 1.0, self.ctx.grid.N * self.ctx.V.v_inf * self.mass)
 
     def hardy_gap(self) -> float:
-        """hardy_gap of u, from the stored ||grad u||^2."""
+        """||grad u||^2 - (N-2)^2/4 int u^2/|x|^2, nonnegative in the
+        continuum."""
         return self.grad - _hardy_term(self.ctx.grid, self.values)
 
     def energy_at(self, t) -> np.ndarray:
@@ -167,8 +167,15 @@ class FiberValues:
         return self._pohozaev(t ** (N - 2.0), t**N, self._pot_at(t, dilation=True))
 
     def iip_gap(self, t) -> float:
-        """Comparison-inequality slack at (u, t); see module-level iip_gap.
-        A float t gives a float, or k values for a stack; an array t is
+        """Slack of the energy/dilation comparison inequality at (u, t):
+
+            I(u) - I(u_t) - (1 - t^N)/N * P(u)
+                 - (1 - theta) g(t) / (2N) * ||grad u||^2.
+
+        I(u_t) is energy_at(t), not a re-interpolated u, whose ~1e-3
+        relative noise would drown the slack.  Nonnegative up to round-off
+        under the two-point decay condition with the context's theta.  A
+        float t gives a float, or k values for a stack; an array t is
         shaped as for energy_at."""
         if not np.all(np.asarray(t) > 0.0):
             raise DomainError(f"dilation factor must be positive, got {t}")
@@ -274,59 +281,3 @@ def fiber_values(ctx: FunctionalContext, u) -> FiberValues:
     return FiberValues(ctx=ctx, u=vals, grad=grad, mass=mass, f_int=f_int,
                        pot=pot, pot_w=pot_w)
 
-
-def energy(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """(1/2) int (|grad u|^2 + V u^2) - lam int F(u)."""
-    return fiber_values(ctx, u).energy()
-
-
-def energy_limit(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """Energy with V frozen at V_inf."""
-    return fiber_values(ctx, u).energy_limit()
-
-
-def pohozaev(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """Dilation-identity functional
-    (N-2)/2 ||grad u||^2 + (1/2) int [N V + r V'] u^2 - N lam int F(u)."""
-    return fiber_values(ctx, u).pohozaev()
-
-
-def pohozaev_limit(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """Dilation identity of the constant-potential problem."""
-    return fiber_values(ctx, u).pohozaev_limit()
-
-
-def psi(ctx: FunctionalContext, u: RadialFunction) -> float:
-    """(1/N) ||grad u||^2 - 1/(2N) int (r V') u^2.
-
-    Equals energy - pohozaev/N up to round-off (same quadratures).
-    """
-    return fiber_values(ctx, u).psi()
-
-
-def iip_gap(ctx: FunctionalContext, u: RadialFunction, t: float) -> float:
-    """Slack of the energy/dilation comparison inequality at (u, t):
-
-        I(u) - I(u_t) - (1 - t^N)/N * P(u)
-             - (1 - theta) g(t) / (2N) * ||grad u||^2.
-
-    I(u_t) is evaluated by the exact change-of-variables formula
-    (potential resampled at t*r), not by re-interpolating u; at the
-    default resolution interpolation noise (~1e-3 relative) would
-    otherwise drown the quadrature-level slack.  Nonnegative up to
-    quadrature error whenever the potential satisfies the two-point
-    decay condition with the context's theta.  A scan over several t
-    builds fiber_values once and calls FiberValues.iip_gap.
-    """
-    return fiber_values(ctx, u).iip_gap(t)
-
-
-def hardy_gap(u: RadialFunction) -> float:
-    """||grad u||^2 - (N-2)^2/4 int u^2/|x|^2 (nonnegative in the continuum),
-    N the dimension of u's grid.
-
-    The integrand u^2 r^{N-3} is regular at r = 0 for N >= 3 (the N = 3
-    case uses r^0 = 1 at the origin).  FiberValues.hardy_gap reads the
-    gradient term from quadratures already computed.
-    """
-    return float(grad_seminorm_sq(u) - _hardy_term(u.grid, u.values))

@@ -32,7 +32,6 @@ __all__ = [
     "row_norms_sq",
     "dilate",
     "pde_residual",
-    "radial_derivative",
 ]
 
 
@@ -102,31 +101,12 @@ class RadialGrid:
     # own power of r (e.g. u^2 / r^2)
     bare_weights: np.ndarray = field(repr=False, compare=False)
 
-    def integrate_values(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
-
     def mesh(self) -> dict:
         """The grid block of the JSON reports: what identifies the mesh."""
         return {"N": self.N, "r_max": self.r_max, "n": self.n}
 
     def same_mesh(self, other: "RadialGrid") -> bool:
         return self.N == other.N and self.n == other.n and self.r_max == other.r_max
-
-    def sobolev_diagnostic(self) -> float:
-        """Rayleigh quotient ||grad u||_2^2 / ||u||_{2*}^2 at a discretized
-        (1+r^2)^{-(N-2)/2} profile (shifted to vanish at r_max).
-
-        An upper estimate of the best constant in S ||u||_{2*}^2 <= ||grad u||_2^2,
-        reported as a diagnostic only.
-        """
-        p = self.N - 2
-        u = (1.0 + self.r**2) ** (-p / 2.0)
-        u = u - u[-1]
-        u[-1] = 0.0
-        fn = RadialFunction(self, u)
-        two_star = 2.0 * self.N / (self.N - 2.0)
-        denom = integrate(RadialFunction(self, np.abs(u) ** two_star)) ** (2.0 / two_star)
-        return grad_seminorm_sq(fn) / denom
 
 
 @dataclass(frozen=True)
@@ -197,17 +177,12 @@ def make_grid(N: int, r_max: float, n: int) -> RadialGrid:
 
 def integrate(g: RadialFunction) -> float:
     """Full-space integral of the radial integrand g: int_{R^N} g(|x|) dx."""
-    return g.grid.integrate_values(g.values)
-
-
-def radial_derivative(u: RadialFunction) -> np.ndarray:
-    """Second-order d/dr: centered in the interior, u'(0)=0 by symmetry,
-    one-sided three-point at r_max."""
-    return _derivative(u.values, u.grid.h)
+    return float(g.grid.weights @ g.values)
 
 
 def _derivative(v: np.ndarray, h: float) -> np.ndarray:
-    """radial_derivative along the last axis of nodal values."""
+    """Second-order d/dr along the last axis of nodal values: centered in
+    the interior, u'(0) = 0 by symmetry, one-sided three-point at r_max."""
     d = np.empty_like(v)
     d[..., 0] = 0.0
     d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
@@ -217,12 +192,12 @@ def _derivative(v: np.ndarray, h: float) -> np.ndarray:
 
 def grad_seminorm_sq(u: RadialFunction) -> float:
     """||grad u||_2^2 over R^N via finite-difference radial derivative."""
-    d = radial_derivative(u)
-    return u.grid.integrate_values(d * d)
+    d = _derivative(u.values, u.grid.h)
+    return float(u.grid.weights @ (d * d))
 
 
 def l2_norm_sq(u: RadialFunction) -> float:
-    return u.grid.integrate_values(u.values**2)
+    return float(u.grid.weights @ u.values**2)
 
 
 def h1_norm_sq(u: RadialFunction) -> float:
@@ -278,7 +253,7 @@ def pde_residual(u: RadialFunction, V, f, lam: float = 1.0) -> RadialFunction:
     upp[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
     # even extension across r=0: u''(0) = 2 (u_1 - u_0) / h^2
     upp[0] = 2.0 * (v[1] - v[0]) / (h * h)
-    up = radial_derivative(u)
+    up = _derivative(v, h)
     res[1:-1] = -upp[1:-1] - (N - 1.0) / r[1:-1] * up[1:-1]
     res[0] = -N * upp[0]
     res += V(r) * v - lam * np.asarray(f(v), dtype=float)

@@ -43,7 +43,7 @@ from .errors import (
     NotInLambdaError,
     ZeroFunctionError,
 )
-from .functionals import FiberValues, FunctionalContext, fiber_values, pohozaev
+from .functionals import FiberValues, FunctionalContext, fiber_values
 from .grid import RadialFunction, dilate, h1_norm_sq, row_blocks
 
 __all__ = [
@@ -97,7 +97,7 @@ class FiberProjection:
     @cached_property
     def residual(self) -> float:
         """|P(projected)| measured on the dilated profile."""
-        return abs(pohozaev(self.fiber.ctx, self.projected))
+        return abs(fiber_values(self.fiber.ctx, self.projected).pohozaev())
 
 
 def lambda_membership(ctx: FunctionalContext, u: RadialFunction):

@@ -32,6 +32,8 @@ __all__ = [
     "power_nonlinearity",
     "saturating_nonlinearity",
     "zero_nonlinearity",
+    "POTENTIAL_FACTORIES",
+    "NONLINEARITY_FACTORIES",
     "default_radii",
     "g_of_t",
     "check_V1V2",
@@ -364,29 +366,19 @@ def zero_nonlinearity() -> NonlinearitySpec:
     )
 
 
-_FACTORIES = {
+# family name -> model factory; the config's [potential] and
+# [nonlinearity] sections name one and set its parameters
+POTENTIAL_FACTORIES = {
     "constant": constant_potential,
     "well": well_potential,
     "perturbed": perturbed_potential,
 }
 
-_F_FACTORIES = {
+NONLINEARITY_FACTORIES = {
     "power": power_nonlinearity,
     "saturating": saturating_nonlinearity,
     "zero": zero_nonlinearity,
 }
-
-
-def make_potential(family: str, **params) -> PotentialSpec:
-    if family not in _FACTORIES:
-        raise DomainError(f"unknown potential family {family!r}")
-    return _FACTORIES[family](**params)
-
-
-def make_nonlinearity(family: str, **params) -> NonlinearitySpec:
-    if family not in _F_FACTORIES:
-        raise DomainError(f"unknown nonlinearity family {family!r}")
-    return _F_FACTORIES[family](**params)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     SingularSystemError,
     StiffIntegrationError,
 )
-from .functionals import FiberValues, FunctionalContext, energy, fiber_values, g_of_t
+from .functionals import FiberValues, FunctionalContext, fiber_values, g_of_t
 from .grid import (
     RadialFunction,
     RadialGrid,
@@ -113,6 +113,9 @@ SHOOT_R = 12.0
 # factor by which route C's certifying probes step away from that
 # coefficient's root while they still land on one side
 SHOOT_WIDEN = 8.0
+# most RK4 steps, (n - 1) * ceil(h / ode_step), of one route C shot: 32x
+# the README grid's 32,760, ~2 s of stepping and an 8 MB recording
+SHOOT_MAX_STEPS = 2**20
 # initial_bump and route B's starting profile double the amplitude at most
 # this often
 BUMP_DOUBLINGS = 60
@@ -385,7 +388,7 @@ def solve_fiber_descent(ctx: FunctionalContext,
     grad_tol, poho_tol = tols = opts.tolerances("fiber-descent")
     psolve = _h1_preconditioner(ctx.grid)
     u = project_to_M(ctx, initial_bump(ctx, opts.amp, opts.width)).projected
-    level = energy(ctx, u)
+    level = fiber_values(ctx, u).energy()
     s = opts.step
     iters = 0
     for iters in range(1, opts.max_iters + 1):
@@ -806,7 +809,8 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                  opts: SolveOptions = SolveOptions(),
                  predicted: Optional[float] = None) -> SolveReport:
     """Autonomous ground state by shooting in the initial amplitude on
-    grid (default n = 4096, r_max = 30); N must be its dimension.
+    grid (default n = 4096, r_max = 30); N must be its dimension, and a
+    shot may take at most SHOOT_MAX_STEPS RK4 steps (else DomainError).
 
     Shots are fixed-step RK4 on the radial ODE, independent of the
     quadrature and descent code paths, and are classified as undershoot
@@ -840,8 +844,13 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     # largest step <= opts.ode_step that divides the grid spacing exactly,
     # so the recorded trajectory subsamples onto grid nodes by index and
     # no interpolation touches the profile (interpolation kinks would be
-    # amplified by 1/h^2 in the residual certificate)
-    k_sub = max(1, math.ceil(grid.h / opts.ode_step))
+    # amplified by 1/h^2 in the residual certificate); capped so that ceil
+    # stays finite, and a capped k_sub fails the bound as n - 1 >= 15
+    k_sub = max(1, math.ceil(min(grid.h / opts.ode_step, SHOOT_MAX_STEPS)))
+    if (grid.n - 1) * k_sub > SHOOT_MAX_STEPS:
+        raise DomainError(f"a shot would take more than SHOOT_MAX_STEPS = "
+                          f"{SHOOT_MAX_STEPS} RK4 steps: n = {grid.n}, "
+                          f"h = {grid.h:.6g}, ode_step = {opts.ode_step:.6g}")
     h = grid.h / k_sub
     r_end, blow = grid.r_max, BLOWUP_FACTOR
     f_scalar = f.f_scalar

@@ -25,14 +25,13 @@ import numpy as np
 
 from .errors import NlsgroundError, PreconditionError, ZeroFunctionError
 from .functionals import FiberValues, FunctionalContext, fiber_values, g_of_t
-from .grid import RadialFunction
 # project_to_M stays bound here although the suite projects through
 # project_rows: perfbench's self-test requires the binding in this module
 from .manifold import fiber_membership, project_rows, project_to_M  # noqa: F401
 from .model import Report, run_condition_suite
 from .solver import SolveReport, solve_fiber_descent, SolveOptions
 
-__all__ = ["CheckResult", "VerificationReport", "sample_bumps", "run_suite"]
+__all__ = ["CheckResult", "VerificationReport", "run_suite"]
 
 IIP_TOL_COEFF = 1e-6       # acceptance: gap >= -coeff * (1 + ||u||^2)
 HARDY_TOL = 1e-8
@@ -63,13 +62,13 @@ class VerificationReport(Report):
 
 
 def _bump_rows(grid, rng, count: int, amp_range=(1e-2, 1e1),
-               width_range=(0.5, 5.0), center_max: float = 5.0,
-               parts_max: int = 3) -> np.ndarray:
-    """sample_bumps' profiles as the rows of one (count, n) array."""
+               width_range=(0.5, 5.0), center_max: float = 5.0) -> np.ndarray:
+    """Sums of 1-3 radial Gaussian bumps with log-uniform amplitudes, as
+    the rows of one (count, n) array."""
     r = grid.r
     rows = np.zeros((count, grid.n))
     for vals in rows:
-        parts = rng.integers(1, parts_max + 1)
+        parts = rng.integers(1, 4)
         for _ in range(parts):
             amp = 10.0 ** rng.uniform(np.log10(amp_range[0]), np.log10(amp_range[1]))
             width = rng.uniform(*width_range)
@@ -81,15 +80,6 @@ def _bump_rows(grid, rng, count: int, amp_range=(1e-2, 1e1),
             vals[i:j] += amp * np.exp(-(((r[i:j] - center) / width) ** 2))
         vals[-1] = 0.0
     return rows
-
-
-def sample_bumps(grid, rng, count: int, amp_range=(1e-2, 1e1),
-                 width_range=(0.5, 5.0), center_max: float = 5.0,
-                 parts_max: int = 3) -> list:
-    """Sums of 1-3 radial Gaussian bumps with log-uniform amplitudes,
-    as views of the rows of one (count, n) array."""
-    rows = _bump_rows(grid, rng, count, amp_range, width_range, center_max, parts_max)
-    return [RadialFunction(grid, row) for row in rows]
 
 
 def _first_min(values: np.ndarray):

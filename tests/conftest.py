@@ -95,6 +95,8 @@ def gaussian_bump(grid, amp, width, center=0.0):
 
 def random_bumps(grid, rng, count, amp_range=(1e-2, 1e1), width_range=(0.5, 5.0),
                  center_max=5.0):
-    from nlsground.verify import sample_bumps
+    from nlsground import RadialFunction
+    from nlsground.verify import _bump_rows
 
-    return sample_bumps(grid, rng, count, amp_range, width_range, center_max)
+    rows = _bump_rows(grid, rng, count, amp_range, width_range, center_max)
+    return [RadialFunction(grid, row) for row in rows]

@@ -19,8 +19,6 @@ from nlsground import (
     fiber_values,
     g_of_t,
     h1_norm_sq,
-    hardy_gap,
-    iip_gap,
     lambda_membership,
     project_to_M,
     shoot_oracle,
@@ -113,8 +111,9 @@ def test_criterion_3_iip_suite(grid4096, f_cubic):
     for name, ctx in ctxs.items():
         for u in bumps:
             scale = 1.0 + h1_norm_sq(u)
+            fv = fiber_values(ctx, u)
             for t in dilations:
-                worst[name] = min(worst[name], iip_gap(ctx, u, t) / scale)
+                worst[name] = min(worst[name], fv.iip_gap(t) / scale)
         ok = ok and worst[name] >= -1e-6
     dt = time.perf_counter() - t0
     ok = ok and dt < 30.0
@@ -123,13 +122,14 @@ def test_criterion_3_iip_suite(grid4096, f_cubic):
             f"{dt:.1f}s")
 
 
-def test_criterion_4_g_positivity_and_hardy(grid4096):
+def test_criterion_4_g_positivity_and_hardy(grid4096, ctx_auto):
     """g(t) > 0 away from t=1 for N in {3,4,5}; hardy slack >= -1e-8."""
     ts = np.geomspace(0.01, 10.0, 4096)
     ts = ts[np.abs(ts - 1.0) > 1e-3]
     g_min = min(float(np.min(g_of_t(ts, N))) for N in (3, 4, 5))
     rng = np.random.default_rng(7)
-    h_min = min(hardy_gap(u) for u in random_bumps(grid4096, rng, 100))
+    h_min = min(fiber_values(ctx_auto, u).hardy_gap()
+                for u in random_bumps(grid4096, rng, 100))
     ok = g_min > 0.0 and h_min >= -1e-8
     _report(4, "g-positivity-hardy", ok,
             f"min g {g_min:.2e}, min hardy gap {h_min:.2e}")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -276,6 +277,20 @@ def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, override
     assert err.splitlines()[0].startswith("config error:")
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["oracle-shoot", "sweep-lambda"])
+def test_unbounded_shot_exits_1_before_the_first_shot(tmp_path, capsys, command):
+    # h = 1e6 / 511 with ode_step = 1e-3 is ~1e9 RK4 steps a shot, ~8 GB
+    # recorded; the bound rejects it without firing one
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(WELL_INI.format(n=512, out=tmp_path / "out"))
+    t0 = time.perf_counter()
+    code = run(command, str(cfg), overrides=["grid.r_max=1e6"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: a shot would take more than SHOOT_MAX_STEPS")
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "1e-12"])
@@ -552,14 +567,14 @@ def _family_ini(pot, nl, pot_keys=None, nl_keys=None):
 @pytest.mark.parametrize("nl", sorted(NONLINEARITY_CASES))
 @pytest.mark.parametrize("pot", sorted(POTENTIAL_CASES))
 def test_builders_match_direct_factory_calls(pot, nl):
-    from nlsground.model import make_nonlinearity, make_potential
+    from nlsground.model import NONLINEARITY_FACTORIES, POTENTIAL_FACTORIES
 
     cfg = RunConfig.from_ini(_family_ini(pot, nl))
     V = cfg.build_potential()
-    want_V = make_potential(pot, **POTENTIAL_CASES[pot][0])
+    want_V = POTENTIAL_FACTORIES[pot](**POTENTIAL_CASES[pot][0])
     assert (V.family, V.params, V.theta) == (want_V.family, want_V.params, want_V.theta)
     f = cfg.build_nonlinearity()
-    want_f = make_nonlinearity(nl, **NONLINEARITY_CASES[nl][0])
+    want_f = NONLINEARITY_FACTORIES[nl](**NONLINEARITY_CASES[nl][0])
     assert (f.family, f.params) == (want_f.family, want_f.params)
 
 

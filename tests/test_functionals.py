@@ -11,19 +11,12 @@ from nlsground import (
     FunctionalContext,
     RadialFunction,
     constant_potential,
-    energy,
-    energy_limit,
     fiber_values,
     g_of_t,
     h1_norm_sq,
-    hardy_gap,
-    iip_gap,
     make_grid,
     perturbed_potential,
-    pohozaev,
-    pohozaev_limit,
     power_nonlinearity,
-    psi,
     saturating_nonlinearity,
     well_potential,
 )
@@ -40,12 +33,12 @@ def gaussian_closed_forms(A, s):
 
 
 def test_energy_zero(ctx_auto, grid4096):
-    z = RadialFunction(grid4096, np.zeros(grid4096.n))
-    assert energy(ctx_auto, z) == 0.0
-    assert energy_limit(ctx_auto, z) == 0.0
-    assert pohozaev(ctx_auto, z) == 0.0
-    assert pohozaev_limit(ctx_auto, z) == 0.0
-    assert psi(ctx_auto, z) == 0.0
+    fv = fiber_values(ctx_auto, RadialFunction(grid4096, np.zeros(grid4096.n)))
+    assert fv.energy() == 0.0
+    assert fv.energy_limit() == 0.0
+    assert fv.pohozaev() == 0.0
+    assert fv.pohozaev_limit() == 0.0
+    assert fv.psi() == 0.0
 
 
 def test_energy_gaussian_oracle(ctx_auto, grid4096, grid8192, f_cubic):
@@ -58,24 +51,26 @@ def test_energy_gaussian_oracle(ctx_auto, grid4096, grid8192, f_cubic):
     # the Dirichlet seminorm uses second-order differencing: O(h^2) only
     assert fv.grad == pytest.approx(G, rel=1e-4)
     e_exact = 0.5 * (G + M) - F
-    err4096 = abs(energy(ctx_auto, u) - e_exact)
+    err4096 = abs(fv.energy() - e_exact)
     assert err4096 < 1e-3
     ctx8 = FunctionalContext(grid8192, constant_potential(1.0), f_cubic)
-    err8192 = abs(energy(ctx8, gaussian_bump(grid8192, A, s)) - e_exact)
+    err8192 = abs(fiber_values(ctx8, gaussian_bump(grid8192, A, s)).energy()
+                  - e_exact)
     assert err8192 <= err4096 / 3.0  # discretization, not a bias
 
 
 def test_constant_potential_definitional_agreement(ctx_auto, grid4096):
-    u = gaussian_bump(grid4096, 1.7, 1.2)
-    assert energy(ctx_auto, u) == energy_limit(ctx_auto, u)
-    assert pohozaev(ctx_auto, u) == pohozaev_limit(ctx_auto, u)
+    fv = fiber_values(ctx_auto, gaussian_bump(grid4096, 1.7, 1.2))
+    assert fv.energy() == fv.energy_limit()
+    assert fv.pohozaev() == fv.pohozaev_limit()
 
 
 def test_energy_limit_dominates_energy(ctx_well, grid4096):
     # energy_limit - energy = (1/2) int (V_inf - V) u^2 >= 0 under domination
     rng = np.random.default_rng(5)
     for u in random_bumps(grid4096, rng, 20):
-        gap = energy_limit(ctx_well, u) - energy(ctx_well, u)
+        fv = fiber_values(ctx_well, u)
+        gap = fv.energy_limit() - fv.energy()
         assert gap >= -1e-12 * (1.0 + h1_norm_sq(u))
 
 
@@ -83,12 +78,13 @@ def test_psi_identity_and_constant_case(ctx_auto, ctx_well, grid4096):
     rng = np.random.default_rng(6)
     for ctx in (ctx_auto, ctx_well):
         for u in random_bumps(grid4096, rng, 10):
-            lhs = psi(ctx, u)
-            rhs = energy(ctx, u) - pohozaev(ctx, u) / 3.0
+            fv = fiber_values(ctx, u)
+            lhs = fv.psi()
+            rhs = fv.energy() - fv.pohozaev() / 3.0
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
     u = gaussian_bump(grid4096, 2.0, 1.5)
     fv = fiber_values(ctx_auto, u)
-    assert psi(ctx_auto, u) == pytest.approx(fv.grad / 3.0, rel=1e-14)
+    assert fv.psi() == pytest.approx(fv.grad / 3.0, rel=1e-14)
 
 
 def test_psi_lower_bound(ctx_well_est, grid4096):
@@ -99,7 +95,7 @@ def test_psi_lower_bound(ctx_well_est, grid4096):
     for u in random_bumps(grid4096, rng, 100):
         fv = fiber_values(ctx_well_est, u)
         bound = (1.0 - theta) / 3.0 * fv.grad
-        assert psi(ctx_well_est, u) >= bound - 1e-10 * (1.0 + fv.grad)
+        assert fv.psi() >= bound - 1e-10 * (1.0 + fv.grad)
 
 
 def test_g_of_t_values_and_positivity():
@@ -115,12 +111,12 @@ def test_g_of_t_values_and_positivity():
 
 
 def test_iip_gap_trivial_cases(ctx_auto, grid4096):
-    u = gaussian_bump(grid4096, 2.0, 1.0)
-    assert iip_gap(ctx_auto, u, 1.0) == 0.0
+    fv = fiber_values(ctx_auto, gaussian_bump(grid4096, 2.0, 1.0))
+    assert fv.iip_gap(1.0) == 0.0
     z = RadialFunction(grid4096, np.zeros(grid4096.n))
-    assert iip_gap(ctx_auto, z, 2.0) == 0.0
+    assert fiber_values(ctx_auto, z).iip_gap(2.0) == 0.0
     with pytest.raises(DomainError):
-        iip_gap(ctx_auto, u, 0.0)
+        fv.iip_gap(0.0)
 
 
 def test_iip_gap_constant_potential(ctx_auto, grid4096):
@@ -130,8 +126,9 @@ def test_iip_gap_constant_potential(ctx_auto, grid4096):
     for u in random_bumps(grid4096, rng, 50, width_range=(0.5, 2.0),
                           center_max=1.5):
         scale = 1.0 + h1_norm_sq(u)
+        fv = fiber_values(ctx_auto, u)
         for t in (0.5, 2.0):
-            assert iip_gap(ctx_auto, u, t) >= -1e-8 * scale
+            assert fv.iip_gap(t) >= -1e-8 * scale
 
 
 def test_iip_gap_well_potential(ctx_well, ctx_well_est, grid4096):
@@ -141,28 +138,31 @@ def test_iip_gap_well_potential(ctx_well, ctx_well_est, grid4096):
     for ctx in (ctx_well, ctx_well_est):
         for u in bumps:
             scale = 1.0 + h1_norm_sq(u)
+            fv = fiber_values(ctx, u)
             for t in (0.25, 0.9, 1.1, 4.0):
-                assert iip_gap(ctx, u, t) >= -1e-6 * scale
+                assert fv.iip_gap(t) >= -1e-6 * scale
 
 
-def test_hardy_gap_oracle(grid4096):
+def test_hardy_gap_oracle(ctx_auto, grid4096):
     z = RadialFunction(grid4096, np.zeros(grid4096.n))
-    assert hardy_gap(z) == 0.0
+    assert fiber_values(ctx_auto, z).hardy_gap() == 0.0
     # ||grad e^{-r}||^2 - (1/4) int e^{-2r}/r^2 = pi - pi/2
     u = RadialFunction.sampled(grid4096, lambda r: np.exp(-r))
-    assert hardy_gap(u) == pytest.approx(math.pi / 2.0, abs=1e-3)
+    assert fiber_values(ctx_auto, u).hardy_gap() == pytest.approx(math.pi / 2.0,
+                                                                  abs=1e-3)
 
 
-def test_hardy_gap_scan(grid4096):
+def test_hardy_gap_scan(ctx_auto, grid4096):
     rng = np.random.default_rng(2)
     for u in random_bumps(grid4096, rng, 100):
-        assert hardy_gap(u) >= -1e-8
+        assert fiber_values(ctx_auto, u).hardy_gap() >= -1e-8
 
 
-def test_hardy_gap_higher_dimension():
+def test_hardy_gap_higher_dimension(f_cubic):
     g = make_grid(4, 20.0, 2048)
+    ctx = FunctionalContext(g, constant_potential(1.0), f_cubic)
     u = RadialFunction.sampled(g, lambda r: np.exp(-(r**2)))
-    assert hardy_gap(u) >= -1e-8
+    assert fiber_values(ctx, u).hardy_gap() >= -1e-8
 
 
 def test_norm_equivalence_sampled_constants(ctx_well, grid4096):
@@ -184,10 +184,11 @@ def test_lambda_weight_enters_functionals(grid4096, f_cubic):
     ctx_half = ctx1.with_lambda(0.5)
     u = gaussian_bump(grid4096, 2.0, 1.5)
     fv = fiber_values(ctx1, u)
-    assert energy(ctx_half, u) == pytest.approx(
-        energy(ctx1, u) + 0.5 * fv.f_int, rel=1e-12)
-    assert pohozaev(ctx_half, u) == pytest.approx(
-        pohozaev(ctx1, u) + 3.0 * 0.5 * fv.f_int, rel=1e-12)
+    fv_half = fiber_values(ctx_half, u)
+    assert fv_half.energy() == pytest.approx(
+        fv.energy() + 0.5 * fv.f_int, rel=1e-12)
+    assert fv_half.pohozaev() == pytest.approx(
+        fv.pohozaev() + 3.0 * 0.5 * fv.f_int, rel=1e-12)
     with pytest.raises(DomainError):
         FunctionalContext(grid4096, constant_potential(1.0), f_cubic, 1.5)
 
@@ -261,17 +262,6 @@ def test_equal_contexts_stay_equal_once_theta_is_read(grid4096, f_cubic):
     assert a == b
 
 
-def test_iip_gap_wrapper_is_fiber_method(ctx_well, grid4096):
-    from nlsground.verify import DILATIONS
-
-    rng = np.random.default_rng(13)
-    for u in random_bumps(grid4096, rng, 5, width_range=(0.5, 2.0),
-                          center_max=1.5):
-        fv = fiber_values(ctx_well, u)
-        for t in DILATIONS:
-            assert iip_gap(ctx_well, u, t) == fv.iip_gap(t)
-
-
 def test_fiber_at_another_weight_is_a_context_swap(ctx_well, grid4096):
     # the quadratures do not depend on lam, so swapping the context's weight
     # gives the fiber of the same u at that weight, bit for bit
@@ -290,7 +280,7 @@ def test_pohozaev_limit_is_the_fiber_formula(ctx_well, grid4096):
     u = RadialFunction.sampled(grid4096, lambda r: 2.0 * np.exp(-r**2))
     fv = fiber_values(ctx_well, u)
     N = grid4096.N
-    assert pohozaev_limit(ctx_well, u) == fv.pohozaev_limit() == (
+    assert fv.pohozaev_limit() == (
         0.5 * (N - 2.0) * fv.grad + 0.5 * N * ctx_well.V.v_inf * fv.mass
         - N * ctx_well.lam * fv.f_int)
 
@@ -304,9 +294,9 @@ def test_fiber_formulas_are_the_methods(ctx_well, grid4096):
     for u in random_bumps(grid4096, rng, 5):
         fv = fiber_values(ctx_well, u)
         ctx, N = ctx_well, grid4096.N
-        assert energy_limit(ctx, u) == fv.energy_limit() == (
+        assert fv.energy_limit() == (
             0.5 * (fv.grad + ctx.V.v_inf * fv.mass) - ctx.lam * fv.f_int)
-        assert psi(ctx, u) == fv.psi() == fv.grad / N - fv.pot_w / (2.0 * N)
+        assert fv.psi() == fv.grad / N - fv.pot_w / (2.0 * N)
         assert fiber_membership(fv)[1] == fv.admissibility() == (
             0.5 * ctx.V.v_inf * fv.mass - ctx.lam * fv.f_int)
 
@@ -328,7 +318,7 @@ def test_psi_is_energy_minus_pohozaev_over_N(N, k_V, k_f, lam, amp, width, cente
     u = gaussian_bump(grid, amp, width, center)
     fv = fiber_values(ctx, u)
     scale = fv.grad + abs(fv.pot) + abs(fv.pot_w) + N * abs(lam * fv.f_int)
-    assert abs(psi(ctx, u) - (energy(ctx, u) - pohozaev(ctx, u) / N)) <= 1e-14 * scale
+    assert abs(fv.psi() - (fv.energy() - fv.pohozaev() / N)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("N", (3, 4, 5))
@@ -364,7 +354,7 @@ def test_stacked_fiber_values_match_each_row(N, V):
                       for fv in rows])
     for name in ("grad", "mass", "f_int", "pot", "pot_w"):
         assert _rel_close(getattr(stack, name), [getattr(fv, name) for fv in rows], scale)
-    assert _rel_close(stack.hardy_gap(), [hardy_gap(u) for u in bumps], scale)
+    assert _rel_close(stack.hardy_gap(), [fv.hardy_gap() for fv in rows], scale)
     t = _FIBER_T
     t_scale = np.outer(t ** N + t ** (N - 2.0), scale)
     table = np.array([fv.pohozaev_at(t) for fv in rows]).T

@@ -11,7 +11,7 @@ from nlsground import (
     FunctionalContext,
     SolveOptions,
     constant_potential,
-    hardy_gap,
+    fiber_values,
     make_grid,
     power_nonlinearity,
     shoot_oracle,
@@ -51,9 +51,9 @@ def test_n5_shoot_and_descend():
 
 
 def test_n4_hardy(setup_n4):
-    grid, _, _ = setup_n4
+    grid, _, ctx = setup_n4
     import numpy as np
     from nlsground import RadialFunction
 
     u = RadialFunction.sampled(grid, lambda r: np.exp(-(r**2)))
-    assert hardy_gap(u) >= -1e-8
+    assert fiber_values(ctx, u).hardy_gap() >= -1e-8

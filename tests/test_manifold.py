@@ -15,7 +15,6 @@ from nlsground import (
     ZeroFunctionError,
     constant_potential,
     dilate,
-    energy,
     fiber_profile,
     fiber_table,
     fiber_values,
@@ -23,15 +22,13 @@ from nlsground import (
     lambda_membership,
     make_grid,
     perturbed_potential,
-    pohozaev,
-    pohozaev_limit,
     power_nonlinearity,
     project_fiber,
     project_to_M,
     saturating_nonlinearity,
     well_potential,
 )
-from nlsground import functionals, manifold
+from nlsground import manifold
 from nlsground.functionals import FiberValues
 from nlsground.manifold import (
     BISECT_LOG_TOL,
@@ -86,7 +83,8 @@ def test_nonpositive_dilation_functional_implies_membership(ctx_well, grid4096):
     rng = np.random.default_rng(4)
     checked = 0
     for u in random_bumps(grid4096, rng, 60):
-        if min(pohozaev(ctx_well, u), pohozaev_limit(ctx_well, u)) <= 0.0:
+        fv = fiber_values(ctx_well, u)
+        if min(fv.pohozaev(), fv.pohozaev_limit()) <= 0.0:
             member, q = lambda_membership(ctx_well, u)
             assert q < 0.0
             assert member
@@ -99,7 +97,7 @@ def test_projection_basic(ctx_auto, grid4096):
     proj = project_to_M(ctx_auto, u)
     assert proj.sign_changes == 1
     assert proj.residual <= proj.tolerance
-    assert abs(pohozaev(ctx_auto, proj.projected)) == proj.residual
+    assert abs(fiber_values(ctx_auto, proj.projected).pohozaev()) == proj.residual
 
 
 def test_projection_fixed_point(ctx_auto, grid4096):
@@ -163,14 +161,14 @@ def test_projection_maximizes_fiber(ctx_well, grid4096):
         support = grid4096.r[np.nonzero(np.abs(u.values) >
                                         1e-10 * np.max(np.abs(u.values)))[0][-1]]
         proj = project_to_M(ctx_well, u)
-        level = energy(ctx_well, proj.projected)
+        level = fiber_values(ctx_well, proj.projected).energy()
         tol = 1e-3 * (1.0 + h1_norm_sq(proj.projected))
         for t in np.geomspace(0.25, 4.0, 64):
             tau = float(t * proj.t_u)
             if tau * support > grid4096.r_max:
                 continue
             checked += 1
-            assert level >= energy(ctx_well, dilate(u, tau)) - tol
+            assert level >= fiber_values(ctx_well, dilate(u, tau)).energy() - tol
     assert checked > 100
 
 
@@ -181,7 +179,7 @@ def test_projection_uniqueness_sample(ctx_well, grid4096):
     for u in bumps:
         proj = project_to_M(ctx_well, u)
         assert proj.sign_changes == 1
-        assert energy(ctx_well, proj.projected) > 0.0
+        assert fiber_values(ctx_well, proj.projected).energy() > 0.0
         assert h1_norm_sq(proj.projected) > 1e-4
 
 
@@ -218,7 +216,7 @@ def test_projection_dilates_only_when_its_profile_is_read(ctx_well, grid4096,
     # resampled once, on the first read; tolerance and residual reuse it
     want = real(u, proj.t_u)
     assert proj.tolerance == 5e-3 * (1.0 + h1_norm_sq(want))
-    assert proj.residual == abs(pohozaev(ctx_well, want))
+    assert proj.residual == abs(fiber_values(ctx_well, want).pohozaev())
     assert np.array_equal(proj.projected.values, want.values)
     assert calls == [proj.t_u]
 
@@ -239,16 +237,16 @@ def test_project_fiber_matches_project_to_M(ctx_well, grid4096):
 
 def test_projection_residual_is_computed_once(ctx_well):
     proj = project_to_M(ctx_well, initial_bump(ctx_well, 2.0, 1.5))
-    real, passes = functionals.fiber_values, []
+    real, passes = manifold.fiber_values, []
 
     def counted(ctx, u):
         passes.append(u)
         return real(ctx, u)
 
-    with mock.patch("nlsground.functionals.fiber_values", counted):
+    with mock.patch("nlsground.manifold.fiber_values", counted):
         first, second = proj.residual, proj.residual
     assert len(passes) == 1
-    assert first == second == abs(pohozaev(ctx_well, proj.projected))
+    assert first == second == abs(fiber_values(ctx_well, proj.projected).pohozaev())
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,6 @@ from nlsground import (
     estimate_theta_V3,
     estimate_theta_V4,
     make_grid,
-    make_nonlinearity,
-    make_potential,
     perturbed_potential,
     power_nonlinearity,
     run_condition_suite,
@@ -30,6 +28,7 @@ from nlsground import (
     well_potential,
     zero_nonlinearity,
 )
+from nlsground.model import NONLINEARITY_FACTORIES
 
 
 def test_constant_potential_passes_everything():
@@ -209,10 +208,6 @@ def test_condition_suite_rejects_inadmissible():
 
 
 def test_factories_reject_bad_input():
-    with pytest.raises(DomainError):
-        make_potential("nope")
-    with pytest.raises(DomainError):
-        make_nonlinearity("nope")
     with pytest.raises(DomainError):
         well_potential(1.0, 2.0, 2.0)  # a < b breaks nonnegativity
     with pytest.raises(DomainError):
@@ -413,7 +408,7 @@ def test_declared_degree_is_homogeneous(p, coeff):
 
 
 def test_degree_declared_only_by_power():
-    assert make_nonlinearity("power", p=3.0).degree == 2.0
+    assert NONLINEARITY_FACTORIES["power"](p=3.0).degree == 2.0
     assert power_nonlinearity(1.5, -2.0).degree == 0.5
     for c in (-1.0, 0.0, 4.0):
         assert saturating_nonlinearity(c).degree is None

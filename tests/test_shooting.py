@@ -5,6 +5,7 @@ stage: the same bracket scan, then bisection by classification alone.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -307,3 +308,41 @@ def test_bisection_stops_at_adjacent_floats():
     lo, hi = 1.0 - 2.0**-40, 1.0 + 2.0**-40
     a_star = solver._bisect_classes(classify, lo, hi, "turn", 1e-20)
     assert abs(a_star - 1.0) <= 2.0**-52
+
+
+def test_shot_step_bound_is_checked_before_the_first_shot(monkeypatch):
+    # 63 grid steps of 5 RK4 steps each: a shot is 315 steps
+    grid = make_grid(3, 30.0, 64)
+    f = power_nonlinearity(4.0)
+    opts = SolveOptions(ode_step=0.1, shoot_tol=1e-4)
+    shots = []
+    real = solver._integrate_shot
+
+    def counted(*args, **kwargs):
+        shots.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_integrate_shot", counted)
+    monkeypatch.setattr(solver, "SHOOT_MAX_STEPS", 315)
+    try:
+        shoot_oracle(1.0, f, 3, grid=grid, opts=opts)
+    except ConvergenceError:
+        pass        # a 64-node grid cannot certify the profile
+    assert shots
+    shots.clear()
+    monkeypatch.setattr(solver, "SHOOT_MAX_STEPS", 314)
+    with pytest.raises(DomainError, match="SHOOT_MAX_STEPS = 314"):
+        shoot_oracle(1.0, f, 3, grid=grid, opts=opts)
+    assert shots == []
+
+
+@pytest.mark.parametrize("ode_step", [1e-6, 5e-324])
+def test_tiny_ode_step_is_rejected_at_once(ode_step):
+    # 4095 * ceil(h / 1e-6) is ~3e7 steps a shot; at 5e-324, h / ode_step
+    # overflows to inf
+    grid = make_grid(3, 30.0, 4096)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="SHOOT_MAX_STEPS"):
+        shoot_oracle(1.0, power_nonlinearity(4.0), 3, grid=grid,
+                     opts=SolveOptions(ode_step=ode_step))
+    assert time.perf_counter() - t0 < 2.0

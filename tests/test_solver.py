@@ -29,7 +29,6 @@ from nlsground import (
     make_grid,
     pde_residual,
     perturbed_potential,
-    pohozaev_limit,
     project_to_M,
     saturating_nonlinearity,
     shoot_oracle,
@@ -72,7 +71,8 @@ def test_shooting_cubic_identities(rep_shoot, grid4096):
 
 
 def test_shooting_pohozaev_limit_small(rep_shoot, ctx_auto):
-    rel = abs(pohozaev_limit(ctx_auto, rep_shoot.u_star)) / h1_norm_sq(rep_shoot.u_star)
+    rel = (abs(fiber_values(ctx_auto, rep_shoot.u_star).pohozaev_limit())
+           / h1_norm_sq(rep_shoot.u_star))
     assert rel < 1e-3
 
 
@@ -495,9 +495,9 @@ def test_fiber_descent_certifies_its_last_fiber_pass(ctx_well, rep_fiber_well,
 
     monkeypatch.setattr(solver, "fiber_values", counting)
     rep = solve_fiber_descent(ctx_well)
-    # one failing polish check, one reprojection, one passing check whose
-    # quadratures the report is certified from
-    assert len(calls) == 2
+    # the starting level, then one failing polish check, one reprojection,
+    # one passing check whose quadratures the report is certified from
+    assert len(calls) == 3
     assert rep.u_star is calls[-1]
     assert rep.to_dict() == rep_fiber_well.to_dict()
 

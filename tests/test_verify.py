@@ -17,7 +17,6 @@ from nlsground import (
     constant_potential,
     fiber_values,
     h1_norm_sq,
-    hardy_gap,
     initial_bump,
     make_grid,
     perturbed_potential,
@@ -25,13 +24,13 @@ from nlsground import (
     project_fiber,
     project_to_M,
     run_suite,
-    sample_bumps,
     saturating_nonlinearity,
     well_potential,
 )
 from nlsground import verify
 from nlsground.grid import BLOCK, dilate
 from nlsground.manifold import fiber_membership, project_rows
+from conftest import random_bumps
 
 
 def test_suite_with_solution_passes(ctx_auto, rep_fiber):
@@ -170,13 +169,13 @@ def test_domination_programming_error_propagates(ctx_auto, rep_fiber,
 # ----------------------------------------------------------------------
 
 def _per_bump_samples(grid, rng, count, amp_range=(1e-2, 1e1),
-                      width_range=(0.5, 5.0), center_max=5.0, parts_max=3):
-    """sample_bumps as it built one array per bump, kept as the reference
-    for the row-filling construction."""
+                      width_range=(0.5, 5.0), center_max=5.0):
+    """The bump sample as it was built one array per bump, kept as the
+    reference for the row-filling construction (verify._bump_rows)."""
     out = []
     r = grid.r
     for _ in range(count):
-        parts = rng.integers(1, parts_max + 1)
+        parts = rng.integers(1, 4)
         vals = np.zeros(grid.n)
         for _ in range(parts):
             amp = 10.0 ** rng.uniform(np.log10(amp_range[0]), np.log10(amp_range[1]))
@@ -195,13 +194,11 @@ def test_sample_bumps_rows_are_the_per_bump_construction(seed, mesh):
     # run_suite's two families, and narrow bumps whose tails underflow
     for kw in ({}, {"width_range": (0.5, 2.0), "center_max": 1.5},
                {"width_range": (0.02, 0.3)}):
-        got = sample_bumps(grid, np.random.default_rng(seed), 24, **kw)
+        got = verify._bump_rows(grid, np.random.default_rng(seed), 24, **kw)
         want = _per_bump_samples(grid, np.random.default_rng(seed), 24, **kw)
-        base = got[0].values.base
-        assert base is not None and base.shape == (24, grid.n)
-        for u, v in zip(got, want):
-            assert u.values.base is base
-            assert u.values.tobytes() == v.tobytes()
+        assert got.shape == (24, grid.n)
+        for row, v in zip(got, want):
+            assert row.tobytes() == v.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -233,16 +230,16 @@ def _first_below(values: dict):
 def _per_bump_reference(ctx, m_hat, seed, n_samples):
     """{check name: (pass, samples, witness, values)} with values the
     per-sample margins {witness key: margin}, and the sampled constants;
-    from per-bump loops over fiber_values, hardy_gap, iip_gap,
+    from per-bump loops over fiber_values and its hardy_gap and iip_gap,
     fiber_membership and project_fiber."""
     rng = np.random.default_rng(seed)
-    bumps = sample_bumps(ctx.grid, rng, n_samples)
-    iip_bumps = sample_bumps(ctx.grid, rng, n_samples, width_range=(0.5, 2.0),
+    bumps = random_bumps(ctx.grid, rng, n_samples)
+    iip_bumps = random_bumps(ctx.grid, rng, n_samples, width_range=(0.5, 2.0),
                              center_max=1.5)
     fibers = [fiber_values(ctx, u) for u in bumps]
     out, constants = {}, {}
 
-    values = {(k,): hardy_gap(u) for k, u in enumerate(bumps)}
+    values = {(k,): fv.hardy_gap() for k, fv in enumerate(fibers)}
     worst, k = _first_below(values)
     out["hardy"] = (worst >= -verify.HARDY_TOL, n_samples,
                     {} if k is None else {"sample": k[0]}, values)

@@ -145,7 +145,7 @@ class RunConfig:
             raise ConfigError(f"unknown config entry {sec}.{key}")
         self._store(sec, key, raw)
 
-    def _store(self, sec: str, key: str, raw):
+    def _store(self, sec: str, key: str, raw: str):
         val = _coerce(sec, key, raw)
         entries = self.sections.setdefault(sec, {})
         if val is None:
@@ -175,10 +175,6 @@ class RunConfig:
 
     # ----- builders -------------------------------------------------
 
-    def build_grid(self):
-        return make_grid(self.get("grid", "N"), self.get("grid", "r_max"),
-                         self.get("grid", "n"))
-
     def _build_family(self, sec: str):
         """Call the factory of the section's family with the given keys;
         an unset key takes the factory's default."""
@@ -192,17 +188,12 @@ class RunConfig:
                 raise ConfigError(f"missing required key {sec}.{key}")
         return _FAMILIES[sec][fam](**params)
 
-    def build_potential(self):
-        return self._build_family("potential")
-
-    def build_nonlinearity(self):
-        return self._build_family("nonlinearity")
-
     def build_context(self):
-        grid = self.build_grid()
-        lam = self.get("solver", "lam")
-        return FunctionalContext(grid, self.build_potential(),
-                                 self.build_nonlinearity(), lam)
+        grid = make_grid(self.get("grid", "N"), self.get("grid", "r_max"),
+                         self.get("grid", "n"))
+        return FunctionalContext(grid, self._build_family("potential"),
+                                 self._build_family("nonlinearity"),
+                                 self.get("solver", "lam"))
 
     def build_options(self) -> SolveOptions:
         return SolveOptions(**{key: self.get("solver", key) for key in _OPTION_KEYS})
@@ -217,9 +208,7 @@ class RunConfig:
             raise ConfigError(f"bad sweep.lambda_grid: {raw!r}") from exc
 
 
-def _coerce(sec: str, key: str, raw):
-    if not isinstance(raw, str):
-        return raw
+def _coerce(sec: str, key: str, raw: str):
     typ = _SCHEMA[sec][key][0]
     raw = raw.strip()
     if raw == "":
@@ -235,8 +224,6 @@ def _coerce(sec: str, key: str, raw):
 
 
 def _format_value(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, float):
         return repr(v)  # shortest text that round-trips exactly
     return str(v)

@@ -22,6 +22,7 @@ from .model import (
     NonlinearitySpec,
     PotentialSpec,
     constant_potential,
+    default_radii,
     estimate_theta_V4,
     g_of_t,
 )
@@ -54,10 +55,11 @@ class FunctionalContext:
 
     @cached_property
     def theta(self) -> float:
-        """Decay parameter: declared on the potential, else estimate_theta_V4."""
+        """Decay parameter: declared on the potential, else estimate_theta_V4
+        on the lattice run_condition_suite samples for this grid."""
         if self.V.theta is not None:
             return self.V.theta
-        return estimate_theta_V4(self.V, self.grid.N)
+        return estimate_theta_V4(self.V, self.grid.N, default_radii(self.grid.r_max))
 
     def with_lambda(self, lam: float) -> "FunctionalContext":
         return FunctionalContext(self.grid, self.V, self.f, lam)

@@ -46,13 +46,12 @@ def unit_ball_volume(N: int) -> float:
 
 
 def _simpson_coeffs(n: int) -> np.ndarray:
-    """Composite Simpson coefficients (unit spacing) for n nodes.
+    """Composite Simpson coefficients (unit spacing) for n >= 5 nodes
+    (make_grid asks for 16).
 
     Needs an even interval count; if n-1 is odd the last three intervals
     get the Simpson-3/8 rule, which keeps the composite rule O(h^4).
     """
-    if n < 4:
-        raise DomainError(f"quadrature needs at least 4 nodes, got {n}")
     c = np.zeros(n)
     m = n - 1  # interval count
     if m % 2 == 0:
@@ -62,9 +61,7 @@ def _simpson_coeffs(n: int) -> np.ndarray:
         c /= 3.0
     else:
         # Simpson on the first m-3 intervals, 3/8 on the last three.
-        head = _simpson_coeffs(n - 3) if m > 3 else None
-        if head is not None:
-            c[: n - 3] += head
+        c[: n - 3] += _simpson_coeffs(n - 3)
         tail = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 / 8.0)
         c[n - 4 :] += tail
     return c
@@ -139,9 +136,6 @@ class RadialFunction:
         vals = vals.copy()
         vals[-1] = 0.0
         return RadialFunction(grid, vals)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
 
 
 def make_grid(N: int, r_max: float, n: int) -> RadialGrid:

@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DomainError,
     MultipleSignChangesError,
     NoSignChangeError,
     NotInLambdaError,
@@ -131,11 +132,11 @@ def fiber_profile(ctx: FunctionalContext, u: RadialFunction,
 
 def fiber_table(fv: FiberValues, t_grid: np.ndarray) -> np.ndarray:
     """fiber_profile from quadratures already computed for u."""
-    if fv.u.is_zero():
+    if not fv.values.any():
         raise ZeroFunctionError("fiber is undefined for the zero function")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be positive and strictly ascending")
+        raise DomainError("t_grid must be positive and strictly ascending")
     return np.column_stack([t, fv.energy_at(t), fv.pohozaev_at(t)])
 
 

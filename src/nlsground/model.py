@@ -111,9 +111,6 @@ class PotentialSpec:
         """N V(s) + s V'(s), the integrand of the dilation term of P(u_t)."""
         return N * self.V(s) + s * self.dV(s)
 
-    def is_constant(self) -> bool:
-        return self.family == "constant"
-
 
 @dataclass(frozen=True)
 class NonlinearitySpec:

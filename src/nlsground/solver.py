@@ -40,7 +40,13 @@ from .grid import (
     pde_residual,
 )
 from .manifold import false_position, lambda_membership, project_fiber, project_to_M
-from .model import Report, check_V1V2, constant_potential, estimate_theta_V4
+from .model import (
+    Report,
+    check_V1V2,
+    constant_potential,
+    default_radii,
+    estimate_theta_V4,
+)
 
 __all__ = [
     "SolveOptions",
@@ -476,15 +482,14 @@ def _restore_walk(c_of, target: float) -> Optional[float]:
     return math.exp(0.5 * (lo + hi))
 
 
-def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
-                       target: float = 1.0) -> Optional[float]:
-    """Scalar a > 0 with C(a*w) = target, where
+def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray) -> Optional[float]:
+    """Scalar a > 0 with C(a*w) = 1, where
     C(v) = int [lam F(v) - (V_inf/2) v^2]; None when unreachable.
 
     Returns the first crossing: the first scan amplitude with
-    C >= target, and the bracket below it polished by false position in
-    x = log a on (C(a) - target) / a^2.  That has the sign of
-    C(a) - target at every a, so the root is the same; without the
+    C >= 1, and the bracket below it polished by false position in
+    x = log a on (C(a) - 1) / a^2.  That has the sign of
+    C(a) - 1 at every a, so the root is the same; without the
     quadratic growth of C the polish does not creep in from one end.
 
     In general C(a)/a^2 need not be monotone (power 1 < p < 2 rises and
@@ -496,8 +501,8 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
     B = (V_inf/2) int w^2: one F pass gives the whole law, and the walk
     and polish run on it.  One more F pass checks the amplitude found:
     it is returned when C(a*w) is finite and within AMP_CHECK_RTOL of
-    target relative to |lam int F(a*w)| + B a^2, or, at the scan's low
-    end, reaches the target.  Any other outcome (no crossing of the law,
+    1 relative to |lam int F(a*w)| + B a^2, or, at the scan's low
+    end, reaches 1.  Any other outcome (no crossing of the law,
     a NaN or overflowing F, a declared degree that does not hold) runs
     the walk on C itself, as without the declared degree: two F passes
     per restore instead of one per scan point up to the crossing plus
@@ -522,15 +527,15 @@ def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray,
             except OverflowError:    # not reached; C itself decides
                 return math.nan
 
-        a = _restore_walk(c_law, target)
+        a = _restore_walk(c_law, 1.0)
         if a is not None:
             lf, mass_term = float(lam_F(a)), half_mass * a * a
             c = lf - mass_term
             if math.isfinite(c) and (
-                    abs(c - target) <= AMP_CHECK_RTOL * (abs(lf) + mass_term)
-                    or (a == AMP_SCAN[0] and c >= target)):
+                    abs(c - 1.0) <= AMP_CHECK_RTOL * (abs(lf) + mass_term)
+                    or (a == AMP_SCAN[0] and c >= 1.0)):
                 return a
-    return _restore_walk(c_of, target)
+    return _restore_walk(c_of, 1.0)
 
 
 def solve_limit_BL(ctx: FunctionalContext,
@@ -543,7 +548,7 @@ def solve_limit_BL(ctx: FunctionalContext,
     is rescaled by t = sqrt((N-2)/(2N)) ||grad w||_2, which places the
     dilated profile on the constraint set of the limit problem.
     """
-    if not ctx.V.is_constant():
+    if ctx.V.family != "constant":
         raise PreconditionError("constrained route requires a constant potential")
     grid = ctx.grid
     N = grid.N
@@ -560,19 +565,14 @@ def solve_limit_BL(ctx: FunctionalContext,
             "no sampled profile reaches the constraint value "
             "(one-point superquadraticity appears to fail)")
 
-    def zero_V(r):
-        return np.zeros_like(r)
-
-    def zero_f(t):
-        return np.zeros_like(t)
-
     G = grad_seminorm_sq(RadialFunction(grid, w))
     s = opts.step
     iters = 0
     kkt = math.inf
     for iters in range(1, opts.max_iters + 1):
         wf = RadialFunction(grid, w)
-        lap = pde_residual(wf, zero_V, zero_f, 0.0).values  # = -Laplacian w
+        # -Laplacian w: the residual with V = 0 and f = 0
+        lap = pde_residual(wf, np.zeros_like, np.zeros_like, 0.0).values
         gL = 2.0 * lap
         gC = ctx.lam * np.asarray(ctx.f.f(w), dtype=float) - ctx.V.v_inf * w
         gC[-1] = 0.0
@@ -825,7 +825,10 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     root then narrow the bracket, which is halved by classification to
     opts.shoot_tol (see ``_separatrix_amplitude``).  The reported u(0)
     is the midpoint of an undershoot/overshoot bracket no wider than
-    opts.shoot_tol whichever way the functional points.
+    opts.shoot_tol whichever way the functional points, unless a
+    classification shot decays: its amplitude is then taken as the
+    separatrix before the bracket is that narrow, and the residual
+    certificates alone decide.
 
     ``predicted``, when given, is an amplitude expected within
     opts.shoot_tol/2 of the separatrix.  Two classification shots next
@@ -942,7 +945,7 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
     """
     grid = ctx.grid
     N = grid.N
-    radii = grid.r[1:]
+    radii = default_radii(grid.r_max)
     v_vals = ctx.V.V(radii)
     if float(np.max(np.abs(v_vals - ctx.V.v_inf))) <= 1e-12 * max(1.0, ctx.V.v_inf):
         raise PositivityBallError(
@@ -985,31 +988,23 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
     def fiber_at(lam: float) -> FiberValues:
         return replace(fv1, ctx=ctx.with_lambda(lam))
 
-    def path_end_negative(T: float, lams) -> bool:
-        return all(float(fiber_at(lam).energy_at(T)[0]) < 0.0 for lam in lams)
-
+    # the path endpoint at T is negative for every requested weight, so
+    # also for the rows kept below
     probe = requested if requested is not None else [1.0]
     T = 2.0
-    while not path_end_negative(T, probe):
+    while not all(float(fiber_at(lam).energy_at(T)[0]) < 0.0 for lam in probe):
         T *= 1.5
         if T > t_cap:
             raise ConvergenceError(
                 f"no path length below the cap {t_cap} makes the endpoint negative")
 
-    def lambda_bar_of(T: float) -> float:
-        s_grid = np.linspace(1.0 - zeta0, 1.0 + zeta0, 33)
-        u2 = u1f.values**2
-        d_vals = []
-        for s in s_grid:
-            vs = ctx.V.V(s * grid.r)
-            d_vals.append(float(grid.weights @ ((ctx.V.v_inf - vs) * u2)))
-        d_min = min(d_vals)
-        g_min = min(g_of_t(1.0 - zeta0, N), g_of_t(1.0 + zeta0, N))
-        term2 = 1.0 - (1.0 - zeta0) ** N * d_min / (T**N * f_int)
-        term3 = 1.0 - g_min * fv1.grad / (N * T**N * f_int)
-        return max(0.5, term2, term3)
-
-    lam_bar = lambda_bar_of(T)
+    u2 = u1f.values**2
+    d_min = min(float(grid.weights @ ((ctx.V.v_inf - ctx.V.V(s * grid.r)) * u2))
+                for s in np.linspace(1.0 - zeta0, 1.0 + zeta0, 33))
+    g_min = min(g_of_t(1.0 - zeta0, N), g_of_t(1.0 + zeta0, N))
+    term2 = 1.0 - (1.0 - zeta0) ** N * d_min / (T**N * f_int)
+    term3 = 1.0 - g_min * fv1.grad / (N * T**N * f_int)
+    lam_bar = max(0.5, term2, term3)
     if not (0.5 <= lam_bar < 1.0):
         raise ConvergenceError(f"weight threshold {lam_bar} escaped [1/2, 1)")
 
@@ -1019,8 +1014,6 @@ def sweep_lambda(ctx: FunctionalContext, lambda_grid=None,
     else:
         lams = [la for la in requested if lam_bar < la <= 1.0]
         dropped = [la for la in requested if not (lam_bar < la <= 1.0)]
-        if lams and not path_end_negative(T, lams):
-            raise ConvergenceError("path endpoint not negative on the kept rows")
 
     def predicted_amplitude(lam: float) -> Optional[float]:
         # s u solves the lam problem when u solves the lam = 1 problem and

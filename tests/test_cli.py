@@ -265,18 +265,46 @@ AS_SATURATING = ["nonlinearity.family=saturating", "nonlinearity.p=", "nonlinear
     ("check-conditions", ["grid.N=2"]),
     ("check-conditions", ["potential.family=nope"]),
     ("sweep-lambda", ["sweep.lambda_grid=abc"]),
+    ("oracle-shoot", [*AS_CONSTANT, "potential.value=0"]),
+    ("check-conditions", ["potential.theta=1"]),
+    ("check-conditions", [*AS_PERTURBED, "potential.eps=2"]),
+    ("check-conditions", [*AS_PERTURBED, "potential.shape=box"]),
 ])
 def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, overrides):
+    code, err = _run_quietly(tmp_path, capsys, command, overrides)
+    assert code == 1
+    assert err.splitlines()[0].startswith("config error:")
+
+
+def _run_quietly(tmp_path, capsys, command, overrides, solution=None):
+    """(exit code, stderr) of command on WELL_INI at n = 512, asserting
+    that it printed no traceback and raised no RuntimeWarning."""
     cfg = tmp_path / "well.ini"
     cfg.write_text(WELL_INI.format(n=512, out=tmp_path / "out"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(command, str(cfg), overrides=overrides)
+        code = run(command, str(cfg), overrides=overrides,
+                   solution_path=solution and str(tmp_path / solution))
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.splitlines()[0].startswith("config error:")
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, err
+
+
+# documented exits outside the config-error class, and config errors
+# that no config value triggers
+@pytest.mark.parametrize("command, overrides, solution, code, label", [
+    ("nope", [], None, 1, "error: unknown command 'nope'"),
+    ("verify", [], "missing.json", 1, "config error: cannot read solution file"),
+    ("project", [*AS_SATURATING, "nonlinearity.c=1"], None, 2,
+     "non-convergence: no admissible amplitude found for the initial bump"),
+    ("sweep-lambda", ["potential.b=0.3"], None, 3,
+     "verification failure: potential fails the derivative-decay bound"),
+])
+def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, label):
+    got, err = _run_quietly(tmp_path, capsys, command, overrides, solution)
+    assert got == code
+    assert err.startswith(label)
 
 
 @pytest.mark.parametrize("command", ["oracle-shoot", "sweep-lambda"])
@@ -569,19 +597,20 @@ def _family_ini(pot, nl, pot_keys=None, nl_keys=None):
 def test_builders_match_direct_factory_calls(pot, nl):
     from nlsground.model import NONLINEARITY_FACTORIES, POTENTIAL_FACTORIES
 
-    cfg = RunConfig.from_ini(_family_ini(pot, nl))
-    V = cfg.build_potential()
+    ctx = RunConfig.from_ini(_family_ini(pot, nl)).build_context()
+    V = ctx.V
     want_V = POTENTIAL_FACTORIES[pot](**POTENTIAL_CASES[pot][0])
     assert (V.family, V.params, V.theta) == (want_V.family, want_V.params, want_V.theta)
-    f = cfg.build_nonlinearity()
+    f = ctx.f
     want_f = NONLINEARITY_FACTORIES[nl](**NONLINEARITY_CASES[nl][0])
     assert (f.family, f.params) == (want_f.family, want_f.params)
 
 
 def test_constant_value_and_power_p_defaults():
     cfg = RunConfig.from_ini(_family_ini("constant", "power", "", "coeff = 2.0\n"))
-    assert cfg.build_potential().params == {"value": 1.0}
-    assert cfg.build_nonlinearity().params == {"p": 4.0, "coeff": 2.0}
+    ctx = cfg.build_context()
+    assert ctx.V.params == {"value": 1.0}
+    assert ctx.f.params == {"p": 4.0, "coeff": 2.0}
 
 
 @pytest.mark.parametrize("pot, nl, key", [
@@ -678,7 +707,7 @@ def _readme_config() -> str:
 
 def test_readme_example_config_parses():
     cfg = RunConfig.from_ini(_readme_config())
-    assert cfg.build_potential().params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
+    assert cfg.build_context().V.params == {"a": 1.0, "b": 0.2, "alpha": 2.0}
     assert cfg.lambda_grid() is None
 
 

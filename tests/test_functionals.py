@@ -262,6 +262,16 @@ def test_equal_contexts_stay_equal_once_theta_is_read(grid4096, f_cubic):
     assert a == b
 
 
+@pytest.mark.parametrize("r_max", [15.0, 60.0])
+def test_theta_estimate_is_the_condition_suites(f_cubic, r_max):
+    # verification.json writes both: one estimate on one lattice
+    from nlsground import run_condition_suite
+
+    V = well_potential(1.0, 0.2, 2.0)
+    ctx = FunctionalContext(make_grid(3, r_max, 512), V, f_cubic)
+    assert ctx.theta == run_condition_suite(V, f_cubic, 3, r_max)["theta_min"]
+
+
 def test_fiber_at_another_weight_is_a_context_swap(ctx_well, grid4096):
     # the quadratures do not depend on lam, so swapping the context's weight
     # gives the fiber of the same u at that weight, bit for bit

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsground import (
+    DomainError,
     FunctionalContext,
     MultipleSignChangesError,
     NoSignChangeError,
@@ -185,9 +186,9 @@ def test_projection_uniqueness_sample(ctx_well, grid4096):
 
 def test_fiber_profile_validates_grid(ctx_auto, grid4096):
     u = gaussian_bump(grid4096, 3.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fiber_profile(ctx_auto, u, np.array([2.0, 1.0]))  # not ascending
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fiber_profile(ctx_auto, u, np.array([-1.0, 1.0]))
 
 
@@ -231,7 +232,7 @@ def test_project_fiber_matches_project_to_M(ctx_well, grid4096):
     assert np.array_equal(proj.projected.values, ref.projected.values)
     t = np.geomspace(proj.t_u / 8.0, proj.t_u * 8.0, 33)
     assert np.array_equal(fiber_table(fv, t), fiber_profile(ctx_well, u, t))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fiber_table(fv, t[::-1])
 
 

@@ -310,6 +310,74 @@ def test_bisection_stops_at_adjacent_floats():
     assert abs(a_star - 1.0) <= 2.0**-52
 
 
+def _banded(lo_decay, hi_decay, calls):
+    """A fake classification: turn below [lo_decay, hi_decay], decay on
+    it, cross above; every amplitude classified is appended to calls."""
+    def classify(a):
+        calls.append(a)
+        if a < lo_decay:
+            return "turn"
+        return "decay" if a <= hi_decay else "cross"
+
+    return classify
+
+
+def test_bisection_takes_a_decaying_midpoint():
+    calls = []
+    a = solver._bisect_classes(_banded(0.9, 1.1, calls), 0.0, 2.0, "turn", 1e-10)
+    assert a == 1.0 and calls == [1.0]
+
+
+def test_separatrix_probe_takes_a_decaying_shot():
+    # the functional's root is 1.3; the first probe next to it decays
+    calls, tol = [], 1e-3
+    a = solver._separatrix_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3,
+                                     1.0, 2.0, "turn", tol)
+    assert calls == [a]
+    assert abs(a - 1.3) <= tol
+
+
+def test_scan_takes_a_decaying_shot():
+    # the scan classifies 1 (turn), then 2 (decay); the functional is
+    # never read
+    calls = []
+
+    def growth(a):
+        raise AssertionError("the scan's decay ends the search")
+
+    a = solver._searched_amplitude(_banded(1.5, 3.0, calls), growth, 1e-10)
+    assert a == 2.0 and calls == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_confirmation_probe_takes_a_decaying_shot(side):
+    # the band is the probe on `side` of the prediction 1.0 alone: the
+    # lower probe decays at once, or turns and the upper one decays
+    tol = 1e-6
+    d = solver._probe_offset(1.0, tol)
+    probe, calls = 1.0 + side * d, []
+    assert solver._confirmed_amplitude(_banded(probe, probe, calls), 1.0, tol) == probe
+    assert calls == ([1.0 - d] if side < 0 else [1.0 - d, 1.0 + d])
+
+
+def test_decaying_shot_is_reported_and_certifies(monkeypatch):
+    # README's case: the fifth classification shot, the first midpoint of
+    # a bracket 3.5e-10 wide, decays and ends the search
+    real, kinds = solver._integrate_shot, []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if args[6] != solver.SHOOT_R and kwargs.get("record") is None:
+            kinds.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_integrate_shot", counted)
+    rep = shoot_oracle(0.2, power_nonlinearity(4.0), 3, grid=make_grid(3, 30.0, 2048))
+    assert kinds == ["turn", "cross", "cross", "turn", "decay"]
+    assert rep.converged
+    assert f"{rep.u_at_zero:.10f}" == "1.9397387394"
+
+
 def test_shot_step_bound_is_checked_before_the_first_shot(monkeypatch):
     # 63 grid steps of 5 RK4 steps each: a shot is 315 steps
     grid = make_grid(3, 30.0, 64)

@@ -436,9 +436,9 @@ def _bl_restore_passes(f, monkeypatch, grid=_RESTORE_GRID, opts=_BL_OPTS_1024):
     ctx, passes = _counting_context(f, grid)
     per_call = []
 
-    def counting(ctx, w, target=1.0):
+    def counting(ctx, w):
         before = passes[0]
-        a = _RESTORE(ctx, w, target)
+        a = _RESTORE(ctx, w)
         per_call.append(passes[0] - before)
         return a
 

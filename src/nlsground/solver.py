@@ -616,7 +616,7 @@ def solve_limit_BL(ctx: FunctionalContext,
 
 def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
                     h: float, r_end: float, blow: float,
-                    record: Optional[list] = None):
+                    record: Optional[list] = None, start: Optional[tuple] = None):
     """RK4 on u'' = V_inf u - lam f(u) - (N-1)/r u' from r = 0 to r_end.
 
     Returns (classification, r, u, v) at the stop, with classification in
@@ -626,14 +626,18 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     (amplitude too small; for bounded nonlinearities such trajectories
     settle at a positive rest point rather than diverging, so the turn
     is the reliable signature).  "decay": neither happened before r_end.
-    ``record``, when given, receives u after every step.
+    ``record``, when given, receives u after every step.  ``start``,
+    when given, is the state (u, v, r, k) of this shot after its first k
+    steps, as a run of k steps without an event returns it: the shot
+    continues from there and ends, and records, as the run from r = 0
+    does, float for float.
 
     A state with u' = 0 and u'' = 0 exactly is a fixed point of the
     discrete step at every r, so a shot that reaches one returns its
     "decay" at once, with the r the remaining steps would accumulate.
     """
     n_steps = int(round(r_end / h))
-    u, v, r = a, 0.0, 0.0
+    u, v, r, k_start = (a, 0.0, 0.0, 0) if start is None else start
     sgn = 1.0 if a >= 0 else -1.0
     thresh = blow * abs(a)
     # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
@@ -643,7 +647,7 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     h6 = h / 6.0
     n1 = N - 1.0
 
-    for k in range(n_steps):
+    for k in range(k_start, n_steps):
         k1u = v
         fu = v_inf * u - lam * f_scalar(u)
         if r == 0.0:
@@ -717,8 +721,11 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
     """Amplitude between the classes of a scan bracket [lo, hi].
 
     The functional stage brackets a sign change of the continuous
-    ``growth`` by false position and takes the midpoint a_g.  The
-    classification stage then probes a_g - tol/2; when that lands on the
+    ``growth`` by false position to width <= tol, midpoint a_g.  The
+    classification stage first classifies that bracket's two ends, whose
+    shots the functional stage has run to SHOOT_R already: when one turns
+    and the other crosses, the bracket is the certificate and a_g the
+    result.  Otherwise it probes a_g - tol/2; when that lands on the
     ``lo_class`` side it probes a_g + tol/2, a_g + SHOOT_WIDEN tol/2, ...
     until a probe lands on the other side, otherwise a_g - SHOOT_WIDEN
     tol/2, ... until one lands on the ``lo_class`` side.  Every probe
@@ -733,6 +740,16 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
         return _bisect_classes(classify, lo, hi, lo_class, tol)
     g_root_lo, g_root_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
     a_g = 0.5 * (g_root_lo + g_root_hi)
+    # the scan bracket's ends are classified already
+    known = {lo: lo_class, hi: "cross" if lo_class == "turn" else "turn"}
+    end_classes = set()
+    for x in (g_root_lo, g_root_hi):
+        c = known[x] if x in known else classify(x)
+        if c == "decay":
+            return x
+        end_classes.add(c)
+    if len(end_classes) == 2:
+        return a_g
     d, side, first = _probe_offset(a_g, tol), -1.0, True
     x = a_g - d
     while lo < x < hi:
@@ -784,24 +801,28 @@ def _searched_amplitude(classify, growth, tol: float) -> float:
 def _confirmed_amplitude(classify, predicted: float, tol: float) -> Optional[float]:
     """Separatrix amplitude next to a predicted one, or None.
 
-    Classifies predicted -/+ d (d as the probes of
-    ``_separatrix_amplitude`` use); a turn and a cross bracket the
-    separatrix, and that bracket is halved by classification to width
-    <= tol.  A "decay" probe is taken as the separatrix itself.  Two
-    probes of one class confirm nothing: None, and the caller searches
-    as if no prediction had been made.
+    Classifies the midpoint of predicted -/+ d (d as the probes of
+    ``_separatrix_amplitude`` use), keeping its shot, and then the probe
+    on the far side of the midpoint's class: predicted + d after a turn,
+    predicted - d after a cross.  A turn and a cross bracket the
+    separatrix no wider than tol/2, and the midpoint is the result.  A
+    "decay" shot is taken as the separatrix itself.  Two shots of one
+    class confirm nothing: None, and the caller searches as if no
+    prediction had been made.
     """
     d = _probe_offset(predicted, tol)
     lo, hi = predicted - d, predicted + d
-    c_lo = classify(lo)
-    if c_lo == "decay":
-        return lo
-    c_hi = classify(hi)
-    if c_hi == "decay":
-        return hi
-    if {c_lo, c_hi} != {"turn", "cross"}:
+    mid = 0.5 * (lo + hi)
+    c_mid = classify(mid, keep=True)
+    if c_mid == "decay":
+        return mid
+    far = hi if c_mid == "turn" else lo
+    c_far = classify(far)
+    if c_far == "decay":
+        return far
+    if {c_mid, c_far} != {"turn", "cross"}:
         return None
-    return _bisect_classes(classify, lo, hi, c_lo, tol)
+    return mid
 
 
 def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
@@ -820,22 +841,30 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     each class.  Inside that bracket the root of the growing-mode
     coefficient 1/2 (w + w'/kappa) e^{-kappa r} of w = r^{(N-1)/2} u,
     kappa = sqrt(V_inf), read at r = SHOOT_R or at the shot's event if
-    that comes first, is found by false position; it changes sign
-    smoothly at the ground state.  Classification shots next to that
-    root then narrow the bracket, which is halved by classification to
-    opts.shoot_tol (see ``_separatrix_amplitude``).  The reported u(0)
-    is the midpoint of an undershoot/overshoot bracket no wider than
-    opts.shoot_tol whichever way the functional points, unless a
-    classification shot decays: its amplitude is then taken as the
-    separatrix before the bracket is that narrow, and the residual
-    certificates alone decide.
+    that comes first (see below), is found by false position; it changes sign
+    smoothly at the ground state.  The ends of its final bracket are
+    classified next, and when they do not straddle the separatrix,
+    classification shots next to the root narrow the scan bracket, which
+    is halved by classification to opts.shoot_tol (see
+    ``_separatrix_amplitude``).  The reported u(0) is the midpoint of an
+    undershoot/overshoot bracket no wider than opts.shoot_tol whichever
+    way the functional points, unless a classification shot decays: its
+    amplitude is then taken as the separatrix before the bracket is that
+    narrow, and the residual certificates alone decide.
+
+    Every shot first runs to SHOOT_R (r_max if that is smaller), or to
+    its event, and its state there is kept: the functional reads it,
+    and a classification resumes it, so the two stages never integrate
+    the same stretch twice.  The recorded profile is one more shot of
+    the reported amplitude, unless the search kept that amplitude's shot.
 
     ``predicted``, when given, is an amplitude expected within
-    opts.shoot_tol/2 of the separatrix.  Two classification shots next
-    to it either bracket the separatrix, which skips the scan and the
-    functional stage, or they do not, and the search runs as without a
-    prediction (see ``_confirmed_amplitude``).  The certificate is the
-    same either way.
+    opts.shoot_tol/2 of the separatrix.  The midpoint of predicted -/+ d
+    is shot first and kept, then the probe on its far side; they either
+    bracket the separatrix, which skips the scan and the functional
+    stage and makes the kept shot the recorded one, or they do not, and
+    the search runs as without a prediction (see
+    ``_confirmed_amplitude``).  The certificate is the same either way.
     """
     if v_inf <= 0:
         raise DomainError("shooting requires V_inf > 0")
@@ -858,16 +887,30 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     r_end, blow = grid.r_max, BLOWUP_FACTOR
     f_scalar = f.f_scalar
     kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
-    # end states (r, u, u') of classification shots whose event came by
-    # SHOOT_R: a shot of the same amplitude run only to SHOOT_R stops at
-    # that same step, so growth reads them (the scan bracket's ends)
-    early = {}
+    # every shot runs to r_R first and is resumed from there when it is
+    # classified, so growth and classify share what either integrated
+    r_R = min(SHOOT_R, r_end)
+    k_R = int(round(r_R / h))
+    at_R = {}     # amplitude -> (kind, r, u, u') at its event or at r_R
+    kept = {}     # amplitude -> its recorded u, the kept shot
 
-    def classify(a):
-        kind, r, u_end, v_end = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
-                                                r_end, blow)
-        if r <= SHOOT_R:
-            early[a] = (r, u_end, v_end)
+    def shot(a, r_stop, record=None, start=None):
+        return _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_stop, blow,
+                               record, start)
+
+    def state_at_R(a, record=None):
+        if a not in at_R:
+            at_R[a] = shot(a, r_R, record)
+        return at_R[a]
+
+    def classify(a, keep=False):
+        # keep: record the shot of an amplitude not shot before
+        us = [a] if keep else None
+        kind, r, u_end, v_end = state_at_R(a, us)
+        if kind == "decay":
+            kind, r, u_end, v_end = shot(a, r_end, us, (u_end, v_end, r, k_R))
+        if keep:
+            kept[a] = us
         if kind == "decay" and abs(u_end) > 0.5 * abs(a):
             # the trajectory never left the neighborhood of a rest point
             # of the autonomous flow: the amplitude is too small
@@ -876,21 +919,19 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
 
     def growth(a):
         # w = r^m u and w' = r^m (u' + m u / r)
-        if a in early:
-            r, u, v = early[a]
-        else:
-            _, r, u, v = _integrate_shot(a, v_inf, f_scalar, N, lam, h,
-                                         SHOOT_R, blow)
+        _, r, u, v = state_at_R(a)
         return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
 
     a_star = None
     if predicted is not None:
         a_star = _confirmed_amplitude(classify, predicted, opts.shoot_tol)
+    us = kept.pop(a_star, None)
+    kept.clear()
     if a_star is None:
         a_star = _searched_amplitude(classify, growth, opts.shoot_tol)
-
-    us = [a_star]
-    _integrate_shot(a_star, v_inf, f_scalar, N, lam, h, r_end, blow, record=us)
+    if us is None:
+        us = [a_star]
+        shot(a_star, r_end, us)
     full = np.zeros((grid.n - 1) * k_sub + 1)
     full[: len(us)] = us
     sgn = 1.0 if a_star > 0 else -1.0

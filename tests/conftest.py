@@ -1,3 +1,6 @@
+import inspect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from nlsground import (
     solve_limit_BL,
     well_potential,
 )
+from nlsground import solver
 
 # measured once with the shooting oracle on the default grid and frozen;
 # the ODE route is independent of the quadrature/descent code paths
@@ -74,6 +78,44 @@ def rep_shoot_8192(grid8192, f_cubic):
 @pytest.fixture(scope="session")
 def rep_bl(ctx_auto):
     return solve_limit_BL(ctx_auto)
+
+
+@pytest.fixture
+def shot_counter(monkeypatch):
+    """Route C's RK4 work from here to the end of the test.
+
+    ``counts`` holds the calls of ``solver._integrate_shot`` by kind,
+    "shot" (from r = 0), "record" (from r = 0, recording the profile) and
+    "resume" (continuing a saved state), and under "steps" the RK4 steps
+    they took; ``calls`` lists each call's (kind, amplitude, outcome).
+    Every argument is forwarded, with f_scalar counted: a step evaluates
+    it four times, and a rest-point exit once more.
+    """
+    real = solver._integrate_shot
+    signature = inspect.signature(real)
+    counter = SimpleNamespace(
+        counts=dict.fromkeys(("shot", "record", "resume", "steps"), 0), calls=[])
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        given = bound.arguments
+        kind = ("resume" if given.get("start") is not None
+                else "record" if given.get("record") is not None else "shot")
+        f_scalar, evals = given["f_scalar"], [0]
+
+        def counted_f(s):
+            evals[0] += 1
+            return f_scalar(s)
+
+        given["f_scalar"] = counted_f
+        out = real(*bound.args, **bound.kwargs)
+        counter.counts[kind] += 1
+        counter.counts["steps"] += evals[0] // 4
+        counter.calls.append((kind, given["a"], out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "_integrate_shot", counting)
+    return counter
 
 
 @pytest.fixture(scope="session")

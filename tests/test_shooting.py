@@ -8,7 +8,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsground import (
@@ -22,6 +22,7 @@ from nlsground import (
     shoot_oracle,
 )
 from nlsground import solver
+from nlsground.manifold import false_position
 
 # one grid step per RK4 step keeps the 18-case matrix to a few seconds;
 # the search is the same at any step
@@ -95,63 +96,59 @@ def reference_search(f, N, lam, grid, opts):
     return 0.5 * (lo + hi), shots[0]
 
 
-def counted_search(f, N, lam, grid, opts, monkeypatch, predicted=None):
-    """(u(0), shots by kind) of shoot_oracle; the kinds are "classify"
-    (run to r_max), "functional" (run to SHOOT_R) and "record"."""
-    shots = {"classify": 0, "functional": 0, "record": 0}
-    real = solver._integrate_shot
-
-    def counting(a, v_inf, f_scalar, N, lam, h, r_end, blow, record=None):
-        kind = ("record" if record is not None
-                else "functional" if r_end == solver.SHOOT_R else "classify")
-        shots[kind] += 1
-        return real(a, v_inf, f_scalar, N, lam, h, r_end, blow, record)
-
-    monkeypatch.setattr(solver, "_integrate_shot", counting)
+def counted_search(f, N, lam, grid, opts, counter, predicted=None):
+    """(u(0), work) of shoot_oracle: ``counter.counts`` (the
+    ``shot_counter`` fixture) for this search alone."""
+    counter.counts.update(dict.fromkeys(counter.counts, 0))
+    counter.calls.clear()
     try:
         a_star = shoot_oracle(1.0, f, N, lam=lam, grid=grid, opts=opts,
                               predicted=predicted).u_at_zero
     except ConvergenceError as exc:
         # the search is under test here, not the profile's certificates
         a_star = exc.report.u_at_zero
-    finally:
-        monkeypatch.setattr(solver, "_integrate_shot", real)
-    return a_star, shots
+    return a_star, dict(counter.counts)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.997])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("N", [3, 4, 5])
-def test_search_agrees_with_bisection(N, family, lam, monkeypatch):
+def test_search_agrees_with_bisection(N, family, lam, shot_counter):
     f = FAMILIES[family]()
     grid = make_grid(N, 30.0, 4096)
     tol = COARSE.shoot_tol
     try:
-        a_ref, ref_shots = reference_search(f, N, lam, grid, COARSE)
+        a_ref, _ = reference_search(f, N, lam, grid, COARSE)
     except BracketNotFoundError:
         # no ground state to find (power p=4 is supercritical for N=5)
         with pytest.raises(BracketNotFoundError):
             shoot_oracle(1.0, f, N, lam=lam, grid=grid, opts=COARSE)
         return
-    a_star, shots = counted_search(f, N, lam, grid, COARSE, monkeypatch)
+    ref_steps = shot_counter.counts["steps"]
+    a_star, shots = counted_search(f, N, lam, grid, COARSE, shot_counter)
     assert abs(a_star - a_ref) <= tol
     classify = _classifier(f, N, lam, grid, COARSE)
     assert classify(a_star - 0.5 * tol) == "turn"
     assert classify(a_star + 0.5 * tol) == "cross"
-    assert shots["classify"] <= ref_shots
+    # fewer RK4 steps than bisection's classification shots alone, the
+    # functional stage and the recorded shot included
+    assert shots["steps"] < ref_steps
     assert shots["record"] == 1
 
 
-def test_readme_search_integrations(grid4096, f_cubic, rep_shoot, monkeypatch):
+def test_readme_search_integrations(grid4096, f_cubic, rep_shoot, shot_counter):
     # the scan-and-bisect search made 43 integrations here (42 to classify)
     a_star, shots = counted_search(f_cubic, 3, 1.0, grid4096, SolveOptions(),
-                                   monkeypatch)
+                                   shot_counter)
     assert a_star == rep_shoot.u_at_zero
-    assert sum(shots.values()) <= 20
-    # the scan bracket [4, 8] has both events before SHOOT_R, so the
-    # functional reads its ends from their classification shots: the 8
-    # false-position shots are the only ones run to SHOOT_R
-    assert shots == {"classify": 8, "functional": 8, "record": 1}
+    # 6 scan shots, of which only the rest point u(0) = 1 reaches SHOOT_R
+    # (its resume takes no step); 8 false-position shots to SHOOT_R; both
+    # ends of their bracket resumed, which turn and cross; and the
+    # recorded shot of the bracket's midpoint
+    assert {k: shots[k] for k in ("shot", "resume", "record")} == \
+        {"shot": 14, "resume": 3, "record": 1}
+    # 118,426 before the bracket's ends were resumed instead of probed
+    assert shots["steps"] <= 97_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +167,37 @@ def test_early_event_is_the_functional_shot(family, N, a):
         assert full == short
     else:
         assert short[0] == "decay"
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), N=st.sampled_from([3, 4, 5]),
+       a=st.floats(0.2, 40.0))
+@example(family="power p=4", N=3, a=1.0)    # a rest point: resumed at rest
+def test_resumed_shot_is_the_uninterrupted_shot(family, N, a):
+    # route C resumes a shot from its state at SHOOT_R; it must end, and
+    # record, bit for bit what one shot from r = 0 does
+    f = FAMILIES[family]()
+    h = _step(make_grid(N, 30.0, 4096), COARSE)
+    args = (a, 1.0, f.f_scalar, N, 1.0, h)
+    whole, parts = [a], [a]
+    full = solver._integrate_shot(*args, 30.0, solver.BLOWUP_FACTOR, whole)
+    kind, r, u, v = solver._integrate_shot(*args, solver.SHOOT_R,
+                                           solver.BLOWUP_FACTOR, parts)
+    if kind == "decay":
+        k = int(round(solver.SHOOT_R / h))
+        assert solver._integrate_shot(*args, 30.0, solver.BLOWUP_FACTOR, parts,
+                                      (u, v, r, k)) == full
+    else:
+        assert (kind, r, u, v) == full
+    assert parts == whole
+
+
+def test_frozen_cubic_reports(rep_shoot, rep_shoot_8192):
+    # route C's u(0) and level on the README cubic, float for float
+    assert rep_shoot.u_at_zero == 4.337387680011085
+    assert rep_shoot.energy == 18.897185211724505
+    assert rep_shoot_8192.u_at_zero == 4.337387679960987
+    assert rep_shoot_8192.energy == 18.89723478357312
 
 
 # ----------------------------------------------------------------------
@@ -205,25 +233,28 @@ _SUBCRITICAL_POWERS = [(N, p) for N in (3, 4, 5) for p in (3.0, 4.0)
 
 @pytest.mark.parametrize("lam", [0.997, 0.9986])
 @pytest.mark.parametrize("N,p", _SUBCRITICAL_POWERS)
-def test_predicted_search_agrees_with_unpredicted(N, p, lam, monkeypatch):
+def test_predicted_search_agrees_with_unpredicted(N, p, lam, shot_counter):
     f = power_nonlinearity(p)
     grid = make_grid(N, 30.0, 4096)
     tol = COARSE.shoot_tol
-    a_one, _ = counted_search(f, N, 1.0, grid, COARSE, monkeypatch)
-    a_ref, _ = counted_search(f, N, lam, grid, COARSE, monkeypatch)
+    a_one, _ = counted_search(f, N, 1.0, grid, COARSE, shot_counter)
+    a_ref, _ = counted_search(f, N, lam, grid, COARSE, shot_counter)
     predicted = a_one * lam ** (-1.0 / (f.degree - 1.0))
-    a_star, shots = counted_search(f, N, lam, grid, COARSE, monkeypatch, predicted)
+    a_star, shots = counted_search(f, N, lam, grid, COARSE, shot_counter, predicted)
     assert abs(a_star - a_ref) <= tol
     classify = _classifier(f, N, lam, grid, COARSE)
     assert classify(a_star - 0.5 * tol) == "turn"
     assert classify(a_star + 0.5 * tol) == "cross"
-    # the two probes bracket the separatrix: no scan, no functional stage
-    assert shots == {"classify": 2, "functional": 0, "record": 1}
+    # the recorded midpoint and one probe bracket the separatrix, each
+    # shot to SHOOT_R and resumed: no scan, no functional stage, and the
+    # midpoint's shot is the report's
+    assert {k: shots[k] for k in ("shot", "resume", "record")} == \
+        {"shot": 1, "resume": 2, "record": 1}
 
 
 @pytest.mark.parametrize("miss", [lambda a: 2.0 * a, lambda a: a + 1e-6],
                          ids=["double", "nudged"])
-def test_wrong_prediction_gives_the_unpredicted_report(miss, monkeypatch):
+def test_wrong_prediction_gives_the_unpredicted_report(miss, shot_counter):
     f = power_nonlinearity(4.0)
     grid = make_grid(3, 30.0, 4096)
     ref = shoot_oracle(1.0, f, 3, lam=0.997, grid=grid, opts=COARSE)
@@ -231,12 +262,13 @@ def test_wrong_prediction_gives_the_unpredicted_report(miss, monkeypatch):
     rep = shoot_oracle(1.0, f, 3, lam=0.997, grid=grid, opts=COARSE,
                        predicted=predicted)
     assert rep.to_dict() == ref.to_dict()
-    # the two probes are all a wrong prediction costs
-    _, ref_shots = counted_search(f, 3, 0.997, grid, COARSE, monkeypatch)
-    _, shots = counted_search(f, 3, 0.997, grid, COARSE, monkeypatch, predicted)
-    assert shots["classify"] == ref_shots["classify"] + 2
-    assert {k: shots[k] for k in ("functional", "record")} == \
-        {k: ref_shots[k] for k in ("functional", "record")}
+    # the two probes are all a wrong prediction costs: the kept midpoint
+    # (a recorded shot), the far probe and their resumes past SHOOT_R
+    _, ref_shots = counted_search(f, 3, 0.997, grid, COARSE, shot_counter)
+    _, shots = counted_search(f, 3, 0.997, grid, COARSE, shot_counter, predicted)
+    assert shots["shot"] == ref_shots["shot"] + 1
+    assert shots["record"] == ref_shots["record"] + 1
+    assert shots["resume"] <= ref_shots["resume"] + 2
 
 
 @pytest.mark.parametrize("predicted", [math.nan, math.inf])
@@ -258,7 +290,7 @@ def test_functional_without_sign_change_falls_back_to_bisection(N, monkeypatch):
     assert rep.converged
 
 
-def test_misleading_functional_is_certified(monkeypatch):
+def test_misleading_functional_is_certified(monkeypatch, shot_counter):
     # at r = 3 the functional's root sits far from the separatrix; the
     # classification stage must still end on a turn/cross bracket
     f = power_nonlinearity(3.0)
@@ -266,10 +298,12 @@ def test_misleading_functional_is_certified(monkeypatch):
     tol = COARSE.shoot_tol
     a_ref, _ = reference_search(f, 4, 1.0, grid, COARSE)
     monkeypatch.setattr(solver, "SHOOT_R", 3.0)
-    a_star, shots = counted_search(f, 4, 1.0, grid, COARSE, monkeypatch)
-    assert shots["functional"] > 2          # the functional stage ran
-    # more than the scan's 8 shots and the 2 probes next to the root
-    assert shots["classify"] > 10
+    a_star, shots = counted_search(f, 4, 1.0, grid, COARSE, shot_counter)
+    # every classification shot has its event past r = 3 and is resumed;
+    # the functional stage's shots are not
+    assert shots["shot"] - shots["resume"] > 2  # the functional stage ran
+    # more than the scan's 8 shots and the bracket's ends
+    assert shots["resume"] > 10
     assert abs(a_star - a_ref) <= tol
     classify = _classifier(f, 4, 1.0, grid, COARSE)
     assert classify(a_star - 0.5 * tol) == "turn"
@@ -313,7 +347,7 @@ def test_bisection_stops_at_adjacent_floats():
 def _banded(lo_decay, hi_decay, calls):
     """A fake classification: turn below [lo_decay, hi_decay], decay on
     it, cross above; every amplitude classified is appended to calls."""
-    def classify(a):
+    def classify(a, keep=False):
         calls.append(a)
         if a < lo_decay:
             return "turn"
@@ -329,7 +363,8 @@ def test_bisection_takes_a_decaying_midpoint():
 
 
 def test_separatrix_probe_takes_a_decaying_shot():
-    # the functional's root is 1.3; the first probe next to it decays
+    # the functional's root is 1.3; the first shot next to it, an end of
+    # the false-position bracket, decays
     calls, tol = [], 1e-3
     a = solver._separatrix_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3,
                                      1.0, 2.0, "turn", tol)
@@ -349,48 +384,86 @@ def test_scan_takes_a_decaying_shot():
     assert a == 2.0 and calls == [1.0, 2.0]
 
 
+def test_separatrix_bracket_ends_that_straddle_certify():
+    # both ends of the false-position bracket around the root 1.3 are
+    # classified, turn and cross: no probe, and the midpoint is the result
+    calls, tol = [], 1e-3
+
+    def growth(x):
+        return x - 1.3
+
+    lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
+    # the separatrix 1.3001 lies inside the bracket, ends [1.3, 1.3005]
+    a = solver._separatrix_amplitude(_banded(1.3001, 0.0, calls), growth,
+                                     1.0, 2.0, "turn", tol)
+    assert calls == [lo_end, hi_end]
+    assert a == 0.5 * (lo_end + hi_end)
+
+
+def test_separatrix_bracket_ends_on_one_side_are_probed_past():
+    # the separatrix 1.3 + 2 tol lies beyond the functional's bracket:
+    # both ends turn, and the probes next to the root run as before
+    calls, tol = [], 1e-3
+    sep = 1.3 + 2 * tol
+    a = solver._separatrix_amplitude(_banded(sep, 0.0, calls),
+                                     lambda x: x - 1.3, 1.0, 2.0, "turn", tol)
+    assert len(calls) > 2
+    assert abs(a - sep) <= tol
+
+
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_confirmation_probe_takes_a_decaying_shot(side):
     # the band is the probe on `side` of the prediction 1.0 alone: the
-    # lower probe decays at once, or turns and the upper one decays
+    # midpoint 1.0 turns or crosses, and the probe on its far side decays
     tol = 1e-6
     d = solver._probe_offset(1.0, tol)
     probe, calls = 1.0 + side * d, []
     assert solver._confirmed_amplitude(_banded(probe, probe, calls), 1.0, tol) == probe
-    assert calls == ([1.0 - d] if side < 0 else [1.0 - d, 1.0 + d])
+    assert calls == [1.0, probe]
 
 
-def test_decaying_shot_is_reported_and_certifies(monkeypatch):
-    # README's case: the fifth classification shot, the first midpoint of
-    # a bracket 3.5e-10 wide, decays and ends the search
-    real, kinds = solver._integrate_shot, []
+def test_confirmation_midpoint_takes_a_decaying_shot():
+    # the midpoint, shot first, decays: one shot confirms the prediction
+    tol, calls = 1e-6, []
+    assert solver._confirmed_amplitude(_banded(1.0, 1.0, calls), 1.0, tol) == 1.0
+    assert calls == [1.0]
 
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        if args[6] != solver.SHOOT_R and kwargs.get("record") is None:
-            kinds.append(out[0])
-        return out
 
-    monkeypatch.setattr(solver, "_integrate_shot", counted)
+def test_decaying_shot_is_reported_and_certifies(shot_counter):
+    # README's case: the scan's 1 and 2 turn and cross by SHOOT_R; every
+    # later classification shot is resumed past it.  The functional
+    # bracket's ends both cross, the probes next to its root cross and
+    # turn, and the first midpoint of that bracket, 3.5e-10 wide, decays
+    # and ends the search
     rep = shoot_oracle(0.2, power_nonlinearity(4.0), 3, grid=make_grid(3, 30.0, 2048))
-    assert kinds == ["turn", "cross", "cross", "turn", "decay"]
+    resumed = [(a, out) for kind, a, out in shot_counter.calls if kind == "resume"]
+    assert [out for _, out in resumed] == ["cross", "cross", "cross", "turn", "decay"]
+    assert rep.u_at_zero == resumed[-1][0]
     assert rep.converged
     assert f"{rep.u_at_zero:.10f}" == "1.9397387394"
 
 
-def test_shot_step_bound_is_checked_before_the_first_shot(monkeypatch):
+def test_tail_falls_back_to_the_linear_decay_rate():
+    # one RK4 step per grid step of 2: the saturating separatrix shot
+    # stays above 100x its value at the event for its first three points
+    # only, too few to measure a decay rate, so the tail decays at
+    # kappa = sqrt(V_inf)
+    grid = make_grid(3, 30.0, 16)
+    try:
+        rep = shoot_oracle(1.0, saturating_nonlinearity(4.0), 3, grid=grid,
+                           opts=SolveOptions(ode_step=grid.h))
+    except ConvergenceError as exc:
+        rep = exc.report        # a 16-node grid cannot certify the profile
+    vals = rep.u_star.values
+    assert vals[3:-1] / vals[2:-2] == pytest.approx(math.exp(-grid.h), rel=1e-12)
+
+
+def test_shot_step_bound_is_checked_before_the_first_shot(monkeypatch, shot_counter):
     # 63 grid steps of 5 RK4 steps each: a shot is 315 steps
     grid = make_grid(3, 30.0, 64)
     f = power_nonlinearity(4.0)
     opts = SolveOptions(ode_step=0.1, shoot_tol=1e-4)
-    shots = []
-    real = solver._integrate_shot
-
-    def counted(*args, **kwargs):
-        shots.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_integrate_shot", counted)
+    shots = shot_counter.calls
     monkeypatch.setattr(solver, "SHOOT_MAX_STEPS", 315)
     try:
         shoot_oracle(1.0, f, 3, grid=grid, opts=opts)

@@ -81,12 +81,10 @@ def test_shooting_linear_problem_has_no_bracket(grid4096):
         shoot_oracle(1.0, zero_nonlinearity(), 3, grid=grid4096)
 
 
-def test_shooting_rejects_a_dimension_off_the_grid(f_cubic, monkeypatch):
-    shots = []
-    monkeypatch.setattr(solver, "_integrate_shot", lambda *a, **k: shots.append(a))
+def test_shooting_rejects_a_dimension_off_the_grid(f_cubic, shot_counter):
     with pytest.raises(DomainError, match="N = 4"):
         shoot_oracle(1.0, f_cubic, 4, grid=make_grid(3, 30.0, 1024))
-    assert shots == []
+    assert shot_counter.calls == []
 
 
 def test_shooting_lambda_scaling(grid4096, f_cubic, rep_shoot):
@@ -651,26 +649,21 @@ def test_sweep_without_declared_degree_predicts_nothing(grid4096, monkeypatch):
     assert all(predicted is None for _, predicted in calls)
 
 
-def test_sweep_shot_budget(ctx_well, monkeypatch):
-    shots, steps = [0], [0]
-    real = solver._integrate_shot
-
-    def counting(a, v_inf, f_scalar, N, lam, h, r_end, blow, record=None):
-        out = real(a, v_inf, f_scalar, N, lam, h, r_end, blow, record)
-        shots[0] += 1
-        steps[0] += int(round(out[1] / h))
-        return out
-
-    monkeypatch.setattr(solver, "_integrate_shot", counting)
+def test_sweep_shot_budget(ctx_well, shot_counter):
     sweep_lambda(ctx_well)
-    # u1's search: 8 scan, 8 functional and the recorded shot (151,185
-    # steps).  Each of the two rows below lam = 1: two probes next to its
-    # predicted amplitude, which bracket the separatrix, and the recorded
-    # shot (45,258 steps).  A row searched from the scan takes 17 shots
-    # and ~118k steps, so both bounds fail unless both rows confirm their
-    # prediction.
-    assert shots[0] <= 17 + 2 * 3
-    assert steps[0] <= 250_000
+    counts = shot_counter.counts
+    # u1's search: 6 scan and 8 functional shots, the 2 ends of the
+    # functional's bracket resumed from SHOOT_R (they straddle), and the
+    # recorded shot; the scan's rest point u(0) = 1 resumes without a
+    # step.  Each of the two rows below lam = 1: the recorded midpoint of
+    # its predicted amplitude -/+ d and the probe on its far side, both
+    # resumed.  157,420 RK4 steps; 208,942 when the ends were probed and
+    # each row recorded a third shot.  A row searched from the scan takes
+    # 15 shots and ~97k steps, so both bounds fail unless both rows
+    # confirm their prediction.
+    assert counts["shot"] + counts["record"] <= 19
+    assert counts["resume"] <= 7
+    assert counts["steps"] <= 160_000
 
 
 def test_sweep_path_length_stops_at_its_cap():

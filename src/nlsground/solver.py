@@ -722,18 +722,17 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
 
     The functional stage brackets a sign change of the continuous
     ``growth`` by false position to width <= tol, midpoint a_g.  The
-    classification stage first classifies that bracket's two ends, whose
-    shots the functional stage has run to SHOOT_R already: when one turns
-    and the other crosses, the bracket is the certificate and a_g the
-    result.  Otherwise it probes a_g - tol/2; when that lands on the
-    ``lo_class`` side it probes a_g + tol/2, a_g + SHOOT_WIDEN tol/2, ...
-    until a probe lands on the other side, otherwise a_g - SHOOT_WIDEN
-    tol/2, ... until one lands on the ``lo_class`` side.  Every probe
-    only narrows [lo, hi], and the result is the midpoint of that bracket
-    halved by classification to width <= tol, so the functional only
-    decides how many shots the certificate costs.  Without a sign change
-    of ``growth`` on [lo, hi] the whole bracket is halved by
-    classification.
+    classification stage first classifies that bracket's ends, whose
+    shots the functional stage has run to SHOOT_R already, lower end
+    first: when it is of ``lo_class`` and the upper end is not (they
+    straddle the separatrix), the bracket is the certificate and a_g the
+    result.  Otherwise the ends narrow [lo, hi] to the side they point
+    to, and probes a_g +/- tol/2, a_g +/- SHOOT_WIDEN tol/2, ... on that
+    side narrow it further until one lands across.  The result is the
+    midpoint of that bracket halved by classification to width <= tol,
+    so the functional only decides how many shots the certificate costs.
+    Without a sign change of ``growth`` on [lo, hi] the whole bracket is
+    halved by classification.
     """
     g_lo, g_hi = growth(lo), growth(hi)
     if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
@@ -742,31 +741,33 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
     a_g = 0.5 * (g_root_lo + g_root_hi)
     # the scan bracket's ends are classified already
     known = {lo: lo_class, hi: "cross" if lo_class == "turn" else "turn"}
-    end_classes = set()
+    # classes are monotone in the amplitude: once g_root_lo is not of
+    # lo_class, neither is g_root_hi, which is left unshot
     for x in (g_root_lo, g_root_hi):
         c = known[x] if x in known else classify(x)
         if c == "decay":
             return x
-        end_classes.add(c)
-    if len(end_classes) == 2:
+        if c != lo_class:
+            hi = x
+            break
+        lo = x
+    if (lo, hi) == (g_root_lo, g_root_hi):
         return a_g
-    d, side, first = _probe_offset(a_g, tol), -1.0, True
-    x = a_g - d
+    # both ends on one side: probe outward from a_g on the far side
+    side = 1.0 if lo == g_root_hi else -1.0
+    d = _probe_offset(a_g, tol)
+    x = a_g + side * d
     while lo < x < hi:
         c = classify(x)
         if c == "decay":
             return x
         if c == lo_class:
-            lo, toward = x, 1.0
+            lo = x
         else:
-            hi, toward = x, -1.0
-        if toward == side:
-            d *= SHOOT_WIDEN
-        elif first:
-            side = toward
-        else:
-            break
-        first = False
+            hi = x
+        if (c == lo_class) != (side > 0):
+            break       # across from the ends: [lo, hi] straddles
+        d *= SHOOT_WIDEN
         x = a_g + side * d
     return _bisect_classes(classify, lo, hi, lo_class, tol)
 
@@ -843,9 +844,9 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     kappa = sqrt(V_inf), read at r = SHOOT_R or at the shot's event if
     that comes first (see below), is found by false position; it changes sign
     smoothly at the ground state.  The ends of its final bracket are
-    classified next, and when they do not straddle the separatrix,
-    classification shots next to the root narrow the scan bracket, which
-    is halved by classification to opts.shoot_tol (see
+    classified next, and when they do not straddle the separatrix, they
+    and classification shots past them narrow the scan bracket, which is
+    halved by classification to opts.shoot_tol (see
     ``_separatrix_amplitude``).  The reported u(0) is the midpoint of an
     undershoot/overshoot bracket no wider than opts.shoot_tol whichever
     way the functional points, unless a classification shot decays: its

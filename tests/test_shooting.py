@@ -263,12 +263,13 @@ def test_wrong_prediction_gives_the_unpredicted_report(miss, shot_counter):
                        predicted=predicted)
     assert rep.to_dict() == ref.to_dict()
     # the two probes are all a wrong prediction costs: the kept midpoint
-    # (a recorded shot), the far probe and their resumes past SHOOT_R
+    # (a recorded shot) and the far probe; both miss by far more than tol
+    # and cross by SHOOT_R, so neither is resumed
     _, ref_shots = counted_search(f, 3, 0.997, grid, COARSE, shot_counter)
     _, shots = counted_search(f, 3, 0.997, grid, COARSE, shot_counter, predicted)
     assert shots["shot"] == ref_shots["shot"] + 1
     assert shots["record"] == ref_shots["record"] + 1
-    assert shots["resume"] <= ref_shots["resume"] + 2
+    assert shots["resume"] == ref_shots["resume"]
 
 
 @pytest.mark.parametrize("predicted", [math.nan, math.inf])
@@ -362,14 +363,36 @@ def test_bisection_takes_a_decaying_midpoint():
     assert a == 1.0 and calls == [1.0]
 
 
-def test_separatrix_probe_takes_a_decaying_shot():
-    # the functional's root is 1.3; the first shot next to it, an end of
-    # the false-position bracket, decays
+def test_separatrix_bracket_end_takes_a_decaying_shot():
+    # the functional's root is 1.3; the lower end of the false-position
+    # bracket, the first amplitude classified, decays
     calls, tol = [], 1e-3
     a = solver._separatrix_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3,
                                      1.0, 2.0, "turn", tol)
     assert calls == [a]
     assert abs(a - 1.3) <= tol
+
+
+def test_separatrix_probe_takes_a_decaying_shot():
+    # the bracket's ends [1.3, 1.3005] lie on one side of a narrow band;
+    # the first probe, a_g -/+ d on the far side of the ends, decays
+    tol = 1e-3
+
+    def growth(x):
+        return x - 1.3
+
+    lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
+    # below the ends: the lower end crosses, and so must the upper one,
+    # which is left unshot
+    calls = []
+    a = solver._separatrix_amplitude(_banded(1.2997, 1.2998, calls), growth,
+                                     1.0, 2.0, "turn", tol)
+    assert calls == [lo_end, a] and 1.2997 <= a <= 1.2998
+    # above the ends: both turn
+    calls = []
+    a = solver._separatrix_amplitude(_banded(1.3006, 1.3008, calls), growth,
+                                     1.0, 2.0, "turn", tol)
+    assert calls == [lo_end, hi_end, a] and 1.3006 <= a <= 1.3008
 
 
 def test_scan_takes_a_decaying_shot():
@@ -400,14 +423,24 @@ def test_separatrix_bracket_ends_that_straddle_certify():
     assert a == 0.5 * (lo_end + hi_end)
 
 
-def test_separatrix_bracket_ends_on_one_side_are_probed_past():
-    # the separatrix 1.3 + 2 tol lies beyond the functional's bracket:
-    # both ends turn, and the probes next to the root run as before
+@pytest.mark.parametrize("offset", [2.0, -2.0])
+def test_separatrix_bracket_ends_on_one_side_are_probed_past(offset):
+    # the separatrix 1.3 +/- 2 tol lies beyond the functional's bracket:
+    # both ends turn (or the lower one crosses), the ends become the
+    # bracket's new end, and every probe lies past them
     calls, tol = [], 1e-3
-    sep = 1.3 + 2 * tol
-    a = solver._separatrix_amplitude(_banded(sep, 0.0, calls),
-                                     lambda x: x - 1.3, 1.0, 2.0, "turn", tol)
-    assert len(calls) > 2
+    sep = 1.3 + offset * tol
+
+    def growth(x):
+        return x - 1.3
+
+    lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
+    a = solver._separatrix_amplitude(_banded(sep, 0.0, calls), growth,
+                                     1.0, 2.0, "turn", tol)
+    ends = [lo_end, hi_end] if offset > 0 else [lo_end]
+    assert calls[: len(ends)] == ends
+    probes = calls[len(ends):]
+    assert probes and all(p > hi_end if offset > 0 else p < lo_end for p in probes)
     assert abs(a - sep) <= tol
 
 
@@ -432,12 +465,12 @@ def test_confirmation_midpoint_takes_a_decaying_shot():
 def test_decaying_shot_is_reported_and_certifies(shot_counter):
     # README's case: the scan's 1 and 2 turn and cross by SHOOT_R; every
     # later classification shot is resumed past it.  The functional
-    # bracket's ends both cross, the probes next to its root cross and
-    # turn, and the first midpoint of that bracket, 3.5e-10 wide, decays
-    # and ends the search
+    # bracket's lower end crosses (so its upper end is not classified),
+    # the probes below it cross and turn, and the first midpoint of that
+    # bracket, 3.5e-10 wide, decays and ends the search
     rep = shoot_oracle(0.2, power_nonlinearity(4.0), 3, grid=make_grid(3, 30.0, 2048))
     resumed = [(a, out) for kind, a, out in shot_counter.calls if kind == "resume"]
-    assert [out for _, out in resumed] == ["cross", "cross", "cross", "turn", "decay"]
+    assert [out for _, out in resumed] == ["cross", "cross", "turn", "decay"]
     assert rep.u_at_zero == resumed[-1][0]
     assert rep.converged
     assert f"{rep.u_at_zero:.10f}" == "1.9397387394"

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .grid import RadialFunction, RadialGrid, grad_seminorm_sq, row_blocks, row_norms_sq
+from .grid import RadialFunction, RadialGrid, row_blocks, row_norms_sq
 from .model import (
     NonlinearitySpec,
     PotentialSpec,
@@ -249,37 +249,27 @@ def fiber_values(ctx: FunctionalContext, u) -> FiberValues:
     """Quadratures of u, a RadialFunction on ctx.grid, or of each row of
     a (k, n) stack of nodal values on it (finite, zero at r_max).
 
-    A stack is taken as matrix-vector products BLOCK rows at a time, with
-    one evaluation of V(r) and V'(r) per call and of F per block."""
+    A RadialFunction is taken as a stack of one row.  A stack is taken
+    as matrix-vector products BLOCK rows at a time, with one evaluation
+    of V(r) and r V'(r) per call and of F per block, in the order
+    _pot_at takes them, so energy() is energy_at(1) float for float."""
     w = ctx.grid.weights
-    r = ctx.grid.r
-    if isinstance(u, RadialFunction):
-        if not u.grid.same_mesh(ctx.grid):
-            raise DomainError("function grid does not match context grid")
-        vals = u.values
-        return FiberValues(
-            ctx=ctx,
-            u=u,
-            grad=grad_seminorm_sq(u),
-            mass=float(w @ vals**2),
-            f_int=float(w @ np.asarray(ctx.f.F(vals), dtype=float)),
-            pot=float(w @ (ctx.V.V(r) * vals**2)),
-            pot_w=float(w @ (r * ctx.V.dV(r) * vals**2)),
-        )
-    vals = np.asarray(u, dtype=float)
+    one = isinstance(u, RadialFunction)
+    if one and not u.grid.same_mesh(ctx.grid):
+        raise DomainError("function grid does not match context grid")
+    vals = u.values[None] if one else np.asarray(u, dtype=float)
     if vals.ndim != 2 or vals.shape[1] != ctx.grid.n:
         raise DomainError(f"stack shape {vals.shape} does not match grid size {ctx.grid.n}")
-    w_pot = w * ctx.V.V(r)
-    w_pot_w = w * r * ctx.V.dV(r)
+    V_r, rdV_r = ctx.V.V(ctx.grid.r), ctx.V.rdV(ctx.grid.r)
     f_int, pot, pot_w = np.empty((3, len(vals)))
     for b in row_blocks(len(vals)):
         if not np.all(np.isfinite(vals[b])) or np.any(vals[b, -1] != 0.0):
             raise DomainError("stacked profiles must be finite and vanish at r_max")
         u2 = vals[b] ** 2
         f_int[b] = np.asarray(ctx.f.F(vals[b]), dtype=float) @ w
-        pot[b] = u2 @ w_pot
-        pot_w[b] = u2 @ w_pot_w
-    grad, mass = row_norms_sq(ctx.grid, vals)
-    return FiberValues(ctx=ctx, u=vals, grad=grad, mass=mass, f_int=f_int,
-                       pot=pot, pot_w=pot_w)
-
+        pot[b] = (V_r * u2) @ w
+        pot_w[b] = (rdV_r * u2) @ w
+    quads = (*row_norms_sq(ctx.grid, vals), f_int, pot, pot_w)
+    if one:
+        return FiberValues(ctx, u, *(float(x[0]) for x in quads))
+    return FiberValues(ctx, vals, *quads)

@@ -78,7 +78,10 @@ def _check_theta(theta: float):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Radial potential with derivative, limit at infinity, decay parameter.
+    """Radial potential with r V'(r), limit at infinity, decay parameter.
+
+    ``rdV`` is r V'(r), the radial form of grad V(x) . x: the hypotheses
+    and the dilation identity read V' only through it.
 
     ``theta`` is the declared decay parameter (None means: estimate it
     from the derivative bound when a dimension is available, see
@@ -87,7 +90,7 @@ class PotentialSpec:
     ``dilation_bounds`` maps a dimension N to (w_lo, w_hi) with
     w_lo <= dilation_integrand(N, s) <= w_hi for every s >= 0: a proven
     range of the integrand of the dilation term of P(u_t), up to round-off
-    in evaluating V and V'.  The built-in factories set it; the fiber
+    in evaluating V and r V'.  The built-in factories set it; the fiber
     projection uses it to skip scan points whose sign of P(u_t) it
     certifies.  None (a hand-built spec) means every scan point is
     evaluated.  A declared range that does not hold voids that
@@ -98,7 +101,7 @@ class PotentialSpec:
     family: str
     params: dict
     V: Callable[[np.ndarray], np.ndarray]
-    dV: Callable[[np.ndarray], np.ndarray]
+    rdV: Callable[[np.ndarray], np.ndarray]
     v_inf: float
     theta: Optional[float] = None
     dilation_bounds: Optional[Callable[[int], tuple]] = None
@@ -109,7 +112,7 @@ class PotentialSpec:
 
     def dilation_integrand(self, N: int, s: np.ndarray) -> np.ndarray:
         """N V(s) + s V'(s), the integrand of the dilation term of P(u_t)."""
-        return N * self.V(s) + s * self.dV(s)
+        return N * self.V(s) + self.rdV(s)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def constant_potential(value: float = 1.0) -> PotentialSpec:
         family="constant",
         params={"value": v},
         V=lambda r: np.full_like(np.asarray(r, dtype=float), v),
-        dV=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        rdV=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         v_inf=v,
         theta=0.0,
         dilation_bounds=lambda N: (N * v, N * v),
@@ -224,18 +227,13 @@ def well_potential(a: float, b: float, alpha: float = 2.0,
         with np.errstate(over="ignore"):
             return a - b / (1.0 + r**alpha)
 
-    def dV(r):
-        """V'(r); at r = 0 with alpha < 1, where V' is infinite, 0, which
-        makes r V'(r), the only way V' enters, equal its limit 0 there."""
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
-        # inf / inf where r^(alpha-1) overflows; the quotient there is
-        # below the smallest float
-        out = np.where(np.isnan(out), 0.0, out)
-        if alpha < 1.0:
-            out[r == 0.0] = 0.0
-        return out
+    def rdV(r):
+        """r V'(r) = alpha b x / (1 + x)^2 with x = r^alpha, as
+        alpha b / (1 + 1/x) / (1 + x): exactly 0 at r = 0 (1/0 = inf) and
+        where x overflows, its limits there for every alpha > 0."""
+        with np.errstate(over="ignore", divide="ignore"):
+            x = np.asarray(r, dtype=float) ** alpha
+            return alpha * b / (1.0 + 1.0 / x) / (1.0 + x)
 
     def dilation_bounds(N):
         # N V + s V' = N a - b (1 - x)(N - alpha x) with x = s^alpha / (1 + s^alpha)
@@ -245,22 +243,22 @@ def well_potential(a: float, b: float, alpha: float = 2.0,
         return N * (a - b), top
 
     return PotentialSpec(family="well", params={"a": a, "b": b, "alpha": alpha},
-                         V=V, dV=dV, v_inf=a, theta=theta,
+                         V=V, rdV=rdV, v_inf=a, theta=theta,
                          dilation_bounds=dilation_bounds)
 
 
-# shape -> (h, h', N -> range of N h(s) + s h'(s) over s >= 0)
+# shape -> (h, r h', N -> range of N h(s) + s h'(s) over s >= 0)
 _PERTURBATIONS = {
     # (1 - y)(N - 2 y) with y = s^2 / (1 + s^2) in [0, 1)
     "lorentzian": (
         lambda r: 1.0 / (1.0 + r**2),
-        lambda r: -2.0 * r / (1.0 + r**2) ** 2,
+        lambda r: -2.0 * r**2 / (1.0 + r**2) ** 2,
         lambda N: (0.0, float(N)),
     ),
     # e^{-z} (N - 2 z) with z = s^2, least at z = (N + 2) / 2
     "gaussian": (
         lambda r: np.exp(-(r**2)),
-        lambda r: -2.0 * r * np.exp(-(r**2)),
+        lambda r: -2.0 * r**2 * np.exp(-(r**2)),
         lambda N: (-2.0 * np.exp(-(N + 2.0) / 2.0), float(N)),
     ),
 }
@@ -274,7 +272,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
     _require_finite(v_inf=v_inf, eps=eps)
     if eps < 0 or v_inf < eps:
         raise DomainError("need 0 <= eps <= v_inf for nonnegativity")
-    h, dh, h_range = _PERTURBATIONS[shape]
+    h, rdh, h_range = _PERTURBATIONS[shape]
     v_inf, eps = float(v_inf), float(eps)
 
     def dilation_bounds(N):
@@ -285,7 +283,7 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
         family="perturbed",
         params={"v_inf": v_inf, "eps": eps, "shape": shape},
         V=lambda r: v_inf - eps * h(np.asarray(r, dtype=float)),
-        dV=lambda r: -eps * dh(np.asarray(r, dtype=float)),
+        rdV=lambda r: -eps * rdh(np.asarray(r, dtype=float)),
         v_inf=v_inf,
         theta=theta,
         dilation_bounds=dilation_bounds,
@@ -411,8 +409,7 @@ def estimate_theta_V4(V: PotentialSpec, N: int,
     derivative-decay hypothesis holds (on the lattice) iff this is < 1.
     """
     radii = default_radii() if radii is None else np.asarray(radii, dtype=float)
-    w = radii * V.dV(radii)
-    sup = float(np.max(2.0 * radii**2 * w / (N - 2.0) ** 2))
+    sup = float(np.max(2.0 * radii**2 * V.rdV(radii) / (N - 2.0) ** 2))
     return max(0.0, sup)
 
 
@@ -431,11 +428,10 @@ def _v3_forms(V: PotentialSpec, theta: float, N: int, radii) -> tuple:
     rs = default_radii() if radii is None else np.asarray(radii, dtype=float)
     t = ts[:, None]
     r = rs[None, :]
-    w = lambda x: x * V.dV(x)  # radial form of grad V . x
     dv = V.V(r) - V.V(t * r)
-    pointwise = (N * dv + (w(r) - w(t * r)),
+    pointwise = (N * dv + (V.rdV(r) - V.rdV(t * r)),
                  (N - 2.0) ** 3 * theta * (t**2 - 1.0) / (4.0 * t**2 * r**2))
-    integrated = (N * t**N * dv + (t**N - 1.0) * w(r),
+    integrated = (N * t**N * dv + (t**N - 1.0) * V.rdV(r),
                   (N - 2.0) ** 2 * theta * g_of_t(t, N) / (4.0 * r**2))
     return ts, rs, pointwise, integrated
 

@@ -300,6 +300,10 @@ def _run_quietly(tmp_path, capsys, command, overrides, solution=None):
      "non-convergence: no admissible amplitude found for the initial bump"),
     ("sweep-lambda", ["potential.b=0.3"], None, 3,
      "verification failure: potential fails the derivative-decay bound"),
+    # at alpha = 0.5, V(5) = 0.938 lies outside check_V1V2's 5e-2 band
+    # around the limit 1
+    ("sweep-lambda", ["grid.r_max=5", "potential.alpha=0.5"], None, 3,
+     "verification failure: potential fails nonnegativity/domination checks"),
 ])
 def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, label):
     got, err = _run_quietly(tmp_path, capsys, command, overrides, solution)

@@ -219,7 +219,7 @@ def _separate_loops(fv, t):
     mid_t = np.empty(t.size)
     for i, ti in enumerate(t):
         tr = ti * r
-        mid = N * fv.ctx.V.V(tr) + tr * fv.ctx.V.dV(tr)
+        mid = N * fv.ctx.V.V(tr) + fv.ctx.V.rdV(tr)
         mid_t[i] = float(w @ (mid * u2))
     zeta = (0.5 * t ** (N - 2.0) * fv.grad + 0.5 * t**N * pot_t
             - fv.ctx.lam * t**N * fv.f_int)
@@ -238,6 +238,17 @@ def test_fiber_scans_match_separate_loops(V, grid4096, f_cubic):
         assert np.array_equal(fv.energy_at(_FIBER_T), zeta)
         assert np.array_equal(fv.pohozaev_at(_FIBER_T), poho)
         assert fv.energy_at(1.0)[0] == fv.energy()
+
+
+@pytest.mark.parametrize("V", _FIBER_POTENTIALS, ids=lambda V: V.family)
+def test_stack_energy_is_energy_at_one(V, grid4096, f_cubic):
+    # I(u) = zeta(1) float for float on every row of a stack, as for one
+    # profile: fiber_values and energy_at take the same products
+    ctx = FunctionalContext(grid4096, V, f_cubic, 0.8)
+    rng = np.random.default_rng(12)
+    stack = np.stack([u.values for u in random_bumps(grid4096, rng, 40)])
+    fv = fiber_values(ctx, stack)
+    assert np.array_equal(fv.energy_at(np.ones(len(stack))), fv.energy())
 
 
 @pytest.mark.parametrize("V", _FIBER_POTENTIALS, ids=lambda V: V.family)

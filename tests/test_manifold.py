@@ -641,9 +641,9 @@ def test_scan_window_outcomes_and_savings():
 
 @pytest.mark.parametrize("claimed", [5.0, 0.1, 0.0])
 def test_wrong_declared_bounds_fall_back_to_full_scan(claimed):
-    # the well's V and V', declared with a range that N V + s V' leaves
+    # the well's V and r V', declared with a range that N V + s V' leaves
     true = well_potential(1.0, 0.2, 2.0)
-    liar = PotentialSpec("custom", {}, V=true.V, dV=true.dV, v_inf=1.0,
+    liar = PotentialSpec("custom", {}, V=true.V, rdV=true.rdV, v_inf=1.0,
                          dilation_bounds=lambda N: (N * claimed, N * claimed))
     grid = _WINDOW_GRIDS[(3, 1024)]
     u = gaussian_bump(grid, 3.0, 1.0)
@@ -657,7 +657,7 @@ def test_wrong_declared_bounds_fall_back_to_full_scan(claimed):
 
 def test_undeclared_bounds_scan_every_point():
     true = well_potential(1.0, 0.2, 2.0)
-    plain = PotentialSpec("custom", {}, V=true.V, dV=true.dV, v_inf=1.0)
+    plain = PotentialSpec("custom", {}, V=true.V, rdV=true.rdV, v_inf=1.0)
     grid = _WINDOW_GRIDS[(3, 1024)]
     fv = fiber_values(FunctionalContext(grid, plain, power_nonlinearity(4.0)),
                       gaussian_bump(grid, 3.0, 1.0))

@@ -45,7 +45,7 @@ def test_v1v2_well_and_violator():
     bad = PotentialSpec(
         "custom", {},
         V=lambda r: 1.0 + 0.1 * np.exp(-np.asarray(r, dtype=float)),
-        dV=lambda r: -0.1 * np.exp(-np.asarray(r, dtype=float)),
+        rdV=lambda r: -0.1 * r * np.exp(-np.asarray(r, dtype=float)),
         v_inf=1.0)
     rep = check_V1V2(bad)
     assert not rep.passed
@@ -85,7 +85,7 @@ def test_check_v3_steep_potential_fails_at_zero_theta():
     steep = PotentialSpec(
         "custom", {},
         V=lambda r: 1.0 - np.exp(-np.asarray(r, dtype=float)),
-        dV=lambda r: np.exp(-np.asarray(r, dtype=float)),
+        rdV=lambda r: r * np.exp(-np.asarray(r, dtype=float)),
         v_inf=1.0)
     rep = check_V3(steep, 0.0, 3)
     assert not rep.passed
@@ -328,9 +328,9 @@ _BUILT_IN_POTENTIALS = st.one_of(
 @given(V=_BUILT_IN_POTENTIALS, N=st.sampled_from((3, 4, 5)))
 def test_declared_dilation_bounds_hold_and_are_sharp(V, N):
     w_lo, w_hi = V.dilation_bounds(N)
-    vals = N * V.V(_S_LATTICE) + _S_LATTICE * V.dV(_S_LATTICE)
+    vals = N * V.V(_S_LATTICE) + V.rdV(_S_LATTICE)
     scale = max(abs(w_lo), abs(w_hi), 1e-300)
-    # inside, up to round-off in evaluating V and V'
+    # inside, up to round-off in evaluating V and r V'
     assert vals.min() >= w_lo - 1e-13 * scale
     assert vals.max() <= w_hi + 1e-13 * scale
     # and neither bound is loose
@@ -338,38 +338,40 @@ def test_declared_dilation_bounds_hold_and_are_sharp(V, N):
     assert vals.max() >= w_hi - 1e-6 * scale
 
 
-def test_well_derivative_is_zero_where_r_alpha_overflows():
-    # r^(alpha-1) overflows at r = 1e4 for alpha = 100; V' there is below
-    # the smallest float, and N V + r V' is its limit N a
-    V = well_potential(1.0, 0.2, 100.0)
-    r = np.array([1e4, 1e300])
-    assert np.array_equal(V.dV(r), [0.0, 0.0])
-    assert np.array_equal(3.0 * V.V(r) + r * V.dV(r), [3.0, 3.0])
-
-
-def _well_dV_as_written_for_alpha_at_least_1(b, alpha, r):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = b * alpha * r ** (alpha - 1.0) / (1.0 + r**alpha) ** 2
-    return np.where(np.isnan(out), 0.0, out)
-
-
-def test_well_derivative_at_the_origin():
-    # for alpha < 1, V' is infinite at r = 0; r V'(r) takes its limit 0
-    # there, with no numpy warning, on the grid and at the scan's least t
-    r = make_grid(3, 30.0, 512).r
-    for alpha in (0.5, 1e-12):
-        V = well_potential(1.0, 0.2, alpha)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for s in (r, 1e-3 * r, np.float64(0.0)):
-                assert np.all(np.isfinite(s * V.dV(s)))
-            assert V.dV(0.0) == 0.0
-    # for alpha >= 1 the formula is unchanged, bit for bit, everywhere
+def test_well_r_derivative_is_its_formula_and_its_limits():
+    # r V'(r) is s times V' as written, s alpha b s^(alpha-1) / (1 + s^alpha)^2,
+    # and alpha b x / (1 + x)^2 with x = s^alpha, wherever those are normal
+    # floats; exactly its limit 0 at s = 0 and where s^alpha overflows, for
+    # alpha below 1 too; no numpy warning anywhere
+    b = 0.2
     s = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 1e8, 97),
                         [1e200, 1e300, np.inf]])
-    for alpha in (1.0, 2.0, 7.0):
-        want = _well_dV_as_written_for_alpha_at_least_1(0.2, alpha, s)
-        assert np.array_equal(well_potential(1.0, 0.2, alpha).dV(s), want)
+    for alpha in (1e-12, 0.5, 1.0, 2.0, 7.0, 100.0):
+        V = well_potential(1.0, b, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = V.rdV(s)
+            assert V.rdV(0.0) == 0.0
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = s**alpha
+            as_written = s * alpha * b * s ** (alpha - 1.0) / (1.0 + x) ** 2
+            in_x = alpha * b * x / (1.0 + x) ** 2
+        limit = (s == 0.0) | ~np.isfinite(x)
+        assert np.all(got[limit] == 0.0)
+        # the written product is a reference only where alpha - 1 is exact:
+        # for alpha = 1e-12 its rounding moves s^(alpha-1) by 1.5e-14 at 1e300
+        refs = (as_written, in_x) if (alpha - 1.0) + 1.0 == alpha else (in_x,)
+        for want in refs:
+            normal = np.isfinite(want) & (want > 1e-290)
+            assert normal.sum() > 25
+            assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
+    # r^alpha overflows at r = 1e4 for alpha = 100: N V + r V' is its
+    # limit N a there
+    V = well_potential(1.0, 0.2, 100.0)
+    r = np.array([1e4, 1e300])
+    assert np.array_equal(V.rdV(r), [0.0, 0.0])
+    assert np.array_equal(V.dilation_integrand(3, r), [3.0, 3.0])
 
 
 def test_well_value_is_silent_where_r_alpha_overflows():

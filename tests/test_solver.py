@@ -15,6 +15,7 @@ from nlsground import (
     DomainError,
     FunctionalContext,
     PositivityBallError,
+    PotentialSpec,
     PreconditionError,
     RadialFunction,
     SingularSystemError,
@@ -673,6 +674,28 @@ def test_sweep_path_length_stops_at_its_cap():
                             power_nonlinearity(4.0))
     with pytest.raises(ConvergenceError, match="no path length below the cap 64"):
         sweep_lambda(ctx, [0.01], SolveOptions(grad_tol=2e-2))
+
+
+def test_sweep_positivity_ball_off_the_centre():
+    # V = 1 - 0.1 r^2 e^{-r^2} equals its limit at r = 0, so the ball where
+    # V stays below it starts at the first node past the centre
+    def V(r):
+        r = np.asarray(r, dtype=float)
+        return 1.0 - 0.1 * r**2 * np.exp(-(r**2))
+
+    def rdV(r):
+        r = np.asarray(r, dtype=float)
+        return -0.1 * (2.0 * r**2 - 2.0 * r**4) * np.exp(-(r**2))
+
+    grid = make_grid(3, 30.0, 1024)
+    ctx = FunctionalContext(grid, PotentialSpec("custom", {}, V=V, rdV=rdV, v_inf=1.0,
+                                                theta=0.9),
+                            power_nonlinearity(4.0))
+    report = sweep_lambda(ctx, opts=SolveOptions(ode_step=1e-2, grad_tol=2e-2))
+    assert report.x_bar == grid.r[1]
+    assert report.x_bar < report.r_bar < grid.r_max
+    assert len(report.rows) == 3
+    assert all(row["margin"] > 0.0 for row in report.rows)
 
 
 def test_sweep_rejects_constant_potential(ctx_auto):

@@ -338,11 +338,10 @@ def test_declared_dilation_bounds_hold_and_are_sharp(V, N):
     assert vals.max() >= w_hi - 1e-6 * scale
 
 
-def test_well_r_derivative_is_its_formula_and_its_limits():
+def test_well_r_derivative_is_its_formula():
     # r V'(r) is s times V' as written, s alpha b s^(alpha-1) / (1 + s^alpha)^2,
     # and alpha b x / (1 + x)^2 with x = s^alpha, wherever those are normal
-    # floats; exactly its limit 0 at s = 0 and where s^alpha overflows, for
-    # alpha below 1 too; no numpy warning anywhere
+    # floats; no numpy warning anywhere on the lattice
     b = 0.2
     s = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 1e8, 97),
                         [1e200, 1e300, np.inf]])
@@ -351,14 +350,11 @@ def test_well_r_derivative_is_its_formula_and_its_limits():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = V.rdV(s)
-            assert V.rdV(0.0) == 0.0
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = s**alpha
             as_written = s * alpha * b * s ** (alpha - 1.0) / (1.0 + x) ** 2
             in_x = alpha * b * x / (1.0 + x) ** 2
-        limit = (s == 0.0) | ~np.isfinite(x)
-        assert np.all(got[limit] == 0.0)
         # the written product is a reference only where alpha - 1 is exact:
         # for alpha = 1e-12 its rounding moves s^(alpha-1) by 1.5e-14 at 1e300
         refs = (as_written, in_x) if (alpha - 1.0) + 1.0 == alpha else (in_x,)
@@ -366,12 +362,46 @@ def test_well_r_derivative_is_its_formula_and_its_limits():
             normal = np.isfinite(want) & (want > 1e-290)
             assert normal.sum() > 25
             assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
+
+
+def test_well_derivative_at_the_origin():
+    # V' is infinite at r = 0 for alpha < 1; r V'(r) takes its limit 0 there
+    # for every alpha, with no numpy warning, on the grid and at the scan's
+    # least t
+    r = make_grid(3, 30.0, 512).r
+    for alpha in (1e-12, 0.5, 1.0, 2.0, 7.0, 100.0):
+        V = well_potential(1.0, 0.2, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (r, 1e-3 * r, np.zeros(3)):
+                got = V.rdV(s)
+                assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+                assert np.all(got[s == 0.0] == 0.0)
+            assert V.rdV(0.0) == 0.0
+            assert V.rdV(np.float64(0.0)) == 0.0
+
+
+def test_well_derivative_is_zero_where_r_alpha_overflows():
+    # where s^alpha overflows, r V'(r) is exactly its limit 0, silently,
+    # for alpha below 1 too
+    s = np.concatenate([np.geomspace(1e-8, 1e8, 97), [1e200, 1e300, np.inf]])
+    for alpha in (1e-12, 0.5, 1.0, 2.0, 7.0, 100.0):
+        V = well_potential(1.0, 0.2, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = V.rdV(s)
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite(s**alpha)
+        assert overflows.any()
+        assert np.all(got[overflows] == 0.0)
     # r^alpha overflows at r = 1e4 for alpha = 100: N V + r V' is its
     # limit N a there
     V = well_potential(1.0, 0.2, 100.0)
     r = np.array([1e4, 1e300])
-    assert np.array_equal(V.rdV(r), [0.0, 0.0])
-    assert np.array_equal(V.dilation_integrand(3, r), [3.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(V.rdV(r), [0.0, 0.0])
+        assert np.array_equal(V.dilation_integrand(3, r), [3.0, 3.0])
 
 
 def test_well_value_is_silent_where_r_alpha_overflows():

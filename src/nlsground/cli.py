@@ -5,7 +5,7 @@ are errors), JSON reports with floats fixed to 17 significant digits,
 CSV profiles, and a stable exit-code contract:
 
     0  success / all checks passed
-    1  configuration error
+    1  configuration or usage error
     2  solver non-convergence or bracket failure
     3  condition-check or verification failure
 
@@ -476,7 +476,12 @@ def main(argv=None) -> int:
                     help="solve report JSON for `verify`")
     ap.add_argument("--dump-config", action="store_true",
                     help="print the normalized config and exit")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error is a configuration error, not
+        # argparse's 2, which the contract gives to non-convergence
+        return 1 if exc.code else 0
     return run(args.command, args.config, out_dir=args.out, seed=args.seed,
                overrides=args.set, solution_path=args.solution,
                dump_config=args.dump_config)

@@ -59,7 +59,8 @@ class LeftLambdaError(ConvergenceError):
 
 
 class ConstraintInfeasibleError(NlsgroundError):
-    """No sampled profile reaches the minimization constraint (F3 failure)."""
+    """No ladder bump has C > 0, where C is route B's constraint
+    int [lam F(w) - (V_inf/2) w^2] (F3 failure)."""
 
     exit_code, label = 2, "non-convergence"
 

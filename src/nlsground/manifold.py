@@ -7,7 +7,7 @@ maximizer t_u, found here as the unique sign change of t -> P(u_t) on a
 log-t scan and polished by safeguarded false position (Illinois) on
 log t.  One projection computes the quadratures of u once: admissibility,
 the scan and the polish all read the same FiberValues.  The polisher,
-``false_position``, also serves route B's amplitude restore.
+``false_position``, also serves route C's growing-mode functional.
 
 The scan evaluates P(u_t) only where its sign is not already proven.
 With A = (N-2)/2 ||grad u||^2, P(u_t) / t^{N-2} = A + t^2 (W(t)/2 -

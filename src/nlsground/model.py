@@ -128,13 +128,10 @@ class NonlinearitySpec:
     f(c s) = c^degree f(s) for every c > 0 and every s, so
     F(c s) = c^(degree+1) F(s).  The sweep then predicts each row's
     shooting amplitude from the lam = 1 root, which route C confirms by
-    two classification shots or discards; route B's amplitude restore
-    reads the constraint's whole scalar law from one F pass and checks
-    the amplitude it finds with one more.  None (a hand-built spec, or a
-    family that is not homogeneous) means neither shortcut.  A declared
+    two classification shots or discards.  None (a hand-built spec, or a
+    family that is not homogeneous) means no prediction.  A declared
     degree that does not hold costs the sweep those two shots, never a
-    different certificate, and costs the restore the walk on C itself,
-    never an amplitude off the constraint's crossing.
+    different certificate.
     """
 
     family: str

@@ -1,10 +1,10 @@
 """Ground-state solvers: three independent routes plus the homotopy sweep.
 
 Route A (fiber descent): residual descent projected onto the constraint
-set after every step.  Route B: constrained gradient minimization of the
-Dirichlet seminorm with the classical rescaling to a solution.  Route C:
-an ODE shooting oracle, independent of the variational code paths.  The
-sweep runs the autonomous solves for a family of nonlinearity weights
+set after every step.  Route B: gradient minimization of the
+Berestycki-Lions quotient at fixed mass with the classical rescaling to
+a solution.  Route C: an ODE shooting oracle, independent of the
+variational code paths.  The sweep runs the autonomous solves for a family of nonlinearity weights
 and certifies the strict level gap used for compactness.
 """
 
@@ -127,13 +127,15 @@ SHOOT_MAX_STEPS = 2**20
 BUMP_DOUBLINGS = 60
 
 # Residual levels the routes certify at the default n = 4096 grid.  Grid
-# refinement is asserted on the levels, not on these residuals: routes A
-# and C converge at second order in the mesh width (tests/test_refinement.py).
-# Route A's grad_tol is both its stopping rule and its certificate, and its
-# stalled residual does not shrink steadily with the grid (const: 6.1e-3,
-# 6.4e-4, 1.45e-3 at n = 1024/2048/4096).  The strong-form residual of the
-# constrained route is limited by the variational-vs-strong-form
-# discretization mismatch, the others by plain truncation error.
+# refinement is asserted on the levels, not on these residuals: routes A,
+# B and C converge at second order in the mesh width
+# (tests/test_refinement.py).  Route A's grad_tol is both its stopping rule
+# and its certificate, and its stalled residual does not shrink steadily
+# with the grid (const: 6.1e-3, 6.4e-4, 1.45e-3 at n = 1024/2048/4096).
+# The strong-form residual of the constrained route is limited by the
+# variational-vs-strong-form discretization mismatch (const: 2.3e-4,
+# 2.7e-4, 4.0e-5 at n = 1024/2048/4096), the others by plain truncation
+# error.
 ROUTE_GRAD_TOL = {
     "fiber-descent": 5e-3,
     "bl-constrained": 1e-2,
@@ -445,127 +447,51 @@ def solve_fiber_descent(ctx: FunctionalContext,
 
 
 # ----------------------------------------------------------------------
-# route B: constrained minimization of the Dirichlet seminorm
+# route B: Berestycki-Lions quotient at fixed mass
 # ----------------------------------------------------------------------
-
-# amplitudes scanned in order for the first crossing C(a) >= target
-AMP_SCAN = np.geomspace(1e-4, 1e4, 81)
-# final bracket width in log a: a few ulp at the scan's ends, |log a| ~ 9.2
-AMP_LOG_TOL = 1e-14
-# relative slack within which one real F pass confirms the amplitude that
-# a restore found on the homogeneous law A a^(degree+1) - B a^2
-AMP_CHECK_RTOL = 1e-12
-
-
-def _restore_walk(c_of, target: float) -> Optional[float]:
-    """First crossing c_of(a) >= target on AMP_SCAN, walked up from its
-    low end and polished by false position; None when no scan point
-    reaches the target.  See _amplitude_restore."""
-    def excess(x: float) -> float:
-        a = math.exp(x)
-        return (c_of(a) - target) / (a * a)
-
-    c_prev = None
-    for j, a in enumerate(AMP_SCAN):
-        c = c_of(a)
-        if c >= target:
-            break
-        c_prev = c
-    else:
-        return None
-    if j == 0:
-        return float(AMP_SCAN[0])
-    a_prev = AMP_SCAN[j - 1]
-    lo, hi = false_position(excess, math.log(a_prev), math.log(a),
-                            (c_prev - target) / (a_prev * a_prev),
-                            (c - target) / (a * a), AMP_LOG_TOL)
-    return math.exp(0.5 * (lo + hi))
-
-
-def _amplitude_restore(ctx: FunctionalContext, w: np.ndarray) -> Optional[float]:
-    """Scalar a > 0 with C(a*w) = 1, where
-    C(v) = int [lam F(v) - (V_inf/2) v^2]; None when unreachable.
-
-    Returns the first crossing: the first scan amplitude with
-    C >= 1, and the bracket below it polished by false position in
-    x = log a on (C(a) - 1) / a^2.  That has the sign of
-    C(a) - 1 at every a, so the root is the same; without the
-    quadratic growth of C the polish does not creep in from one end.
-
-    In general C(a)/a^2 need not be monotone (power 1 < p < 2 rises and
-    falls), so the scan is walked up from its low end, not bisected.  A
-    NaN value counts as not reached.
-
-    When the nonlinearity declares its ``degree`` k, F(a s) = a^(k+1) F(s),
-    so C(a*w) = A a^(k+1) - B a^2 with A = lam int F(w) and
-    B = (V_inf/2) int w^2: one F pass gives the whole law, and the walk
-    and polish run on it.  One more F pass checks the amplitude found:
-    it is returned when C(a*w) is finite and within AMP_CHECK_RTOL of
-    1 relative to |lam int F(a*w)| + B a^2, or, at the scan's low
-    end, reaches 1.  Any other outcome (no crossing of the law,
-    a NaN or overflowing F, a declared degree that does not hold) runs
-    the walk on C itself, as without the declared degree: two F passes
-    per restore instead of one per scan point up to the crossing plus
-    the polish.
-    """
-    wt = ctx.grid.weights
-    half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
-
-    def lam_F(a: float):
-        return ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
-
-    def c_of(a: float) -> float:
-        return float(lam_F(a) - half_mass * a * a)
-
-    if ctx.f.degree is not None:
-        big_a, power = float(lam_F(1.0)), ctx.f.degree + 1.0
-
-        def c_law(a: float) -> float:
-            a = float(a)
-            try:
-                return big_a * a ** power - half_mass * a * a
-            except OverflowError:    # not reached; C itself decides
-                return math.nan
-
-        a = _restore_walk(c_law, 1.0)
-        if a is not None:
-            lf, mass_term = float(lam_F(a)), half_mass * a * a
-            c = lf - mass_term
-            if math.isfinite(c) and (
-                    abs(c - 1.0) <= AMP_CHECK_RTOL * (abs(lf) + mass_term)
-                    or (a == AMP_SCAN[0] and c >= 1.0)):
-                return a
-    return _restore_walk(c_of, 1.0)
-
 
 def solve_limit_BL(ctx: FunctionalContext,
                    opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Constrained route for the constant-potential problem.
 
-    Minimizes ||grad w||^2 subject to int [lam F(w) - (V_inf/2) w^2] = 1
-    by tangentially projected, smoothed gradient steps; the constraint is
-    restored after each step by a scalar amplitude solve.  The minimizer
-    is rescaled by t = sqrt((N-2)/(2N)) ||grad w||_2, which places the
-    dilated profile on the constraint set of the limit problem.
+    Berestycki and Lions minimize ||grad w||^2 subject to
+    C(w) = int [lam F(w) - (V_inf/2) w^2] = 1.  Under dilation that is the
+    same as minimizing the scale-free quotient
+    J(w) = ||grad w||^2 / C(w)^q, q = (N-2)/N, over C(w) > 0, which needs
+    no constraint restored.  Smoothed gradient steps on J are taken with
+    backtracking, each trial rescaled to the starting bump's mass int w^2:
+    dilation leaves J invariant in the continuum but the grid tilts it
+    slightly, and an unpinned descent drifts along the dilation orbit,
+    which the fixed-mass slice meets once.  A trial is accepted when
+    C > 0 and J falls.  The minimizer is rescaled by
+    t = sqrt((N-2) ||grad w||^2 / (2N C(w))), which places the dilated
+    profile on the constraint set of the limit problem.
     """
     if ctx.V.family != "constant":
         raise PreconditionError("constrained route requires a constant potential")
     grid = ctx.grid
     N = grid.N
+    q = (N - 2.0) / N
     psolve = _h1_preconditioner(grid)
     wts = grid.weights
 
+    def constraint(v: np.ndarray) -> float:
+        return float(ctx.lam * (wts @ np.asarray(ctx.f.F(v), dtype=float))
+                     - 0.5 * ctx.V.v_inf * (wts @ v**2))
+
     for cand in _bump_ladder(grid, opts.amp, opts.width):
-        a = _amplitude_restore(ctx, cand.values)
-        if a is not None:
-            w = a * cand.values
+        C = constraint(cand.values)
+        if C > 0.0:
+            w = cand.values
             break
     else:
         raise ConstraintInfeasibleError(
-            "no sampled profile reaches the constraint value "
+            "no ladder bump has C > 0 "
             "(one-point superquadraticity appears to fail)")
 
+    mass = float(wts @ w**2)
     G = grad_seminorm_sq(RadialFunction(grid, w))
+    J = G / C**q
     s = opts.step
     iters = 0
     kkt = math.inf
@@ -576,9 +502,8 @@ def solve_limit_BL(ctx: FunctionalContext,
         gL = 2.0 * lap
         gC = ctx.lam * np.asarray(ctx.f.f(w), dtype=float) - ctx.V.v_inf * w
         gC[-1] = 0.0
-        denom = float(wts @ gC**2)
-        mu = float(wts @ (gL * gC)) / denom if denom > 0 else 0.0
-        d_raw = gL - mu * gC
+        # C^q grad J
+        d_raw = gL - q * (G / C) * gC
         kkt = math.sqrt(max(float(wts @ d_raw**2), 0.0)
                         / max(float(wts @ gL**2), 1e-300))
         if kkt <= BL_KKT_TOL:
@@ -588,23 +513,22 @@ def solve_limit_BL(ctx: FunctionalContext,
         while s >= STEP_MIN:
             trial = w - s * d
             trial[-1] = 0.0
-            a = _amplitude_restore(ctx, trial)
-            if a is None:
-                s *= STEP_SHRINK
-                continue
-            w_new = a * trial
-            G_new = grad_seminorm_sq(RadialFunction(grid, w_new))
-            if G_new < G:
-                w, G = w_new, G_new
-                accepted = True
-                s = min(s * STEP_GROW, STEP_MAX)
-                break
+            trial *= math.sqrt(mass / float(wts @ trial**2))
+            C_new = constraint(trial)
+            if C_new > 0.0:     # NaN fails
+                G_new = grad_seminorm_sq(RadialFunction(grid, trial))
+                J_new = G_new / C_new**q
+                if J_new < J:
+                    w, G, C, J = trial, G_new, C_new, J_new
+                    accepted = True
+                    s = min(s * STEP_GROW, STEP_MAX)
+                    break
             s *= STEP_SHRINK
         if not accepted:
             break
 
     w_hat = RadialFunction(grid, w)
-    t_hat = math.sqrt((N - 2.0) / (2.0 * N) * grad_seminorm_sq(w_hat))
+    t_hat = math.sqrt((N - 2.0) * G / (2.0 * N * C))
     return _finish(fiber_values(ctx, dilate(w_hat, t_hat)), w_hat, t_hat,
                    "bl-constrained", iters, opts.tolerances("bl-constrained"),
                    f"constrained route stopped after {iters} iterations at kkt {kkt:.3e}")

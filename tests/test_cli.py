@@ -750,8 +750,7 @@ print(json.dumps({"codes": codes,
 
 def test_no_command_loads_scipy(tmp_path):
     # numpy is the only runtime dependency: a CLI invocation never pays the
-    # scipy import.  The README pipeline runs at n = 2048 to stay fast;
-    # route B needs the default grid to certify.
+    # scipy import.  The README pipeline runs at n = 2048 to stay fast.
     readme = tmp_path / "readme.ini"
     readme.write_text(_readme_config())
     const = tmp_path / "const.ini"
@@ -769,6 +768,30 @@ def _fresh_python(code: str, *args):
                + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-conditions", "--config", "{cfg}", "--out", "{out}"], 0),
+    (["nope", "--config", "{cfg}"], 1),
+    (["solve"], 1),
+    (["--help"], 0),
+], ids=["check-conditions", "unknown-command", "missing-config", "help"])
+def test_main_exit_codes(well_cfg, tmp_path, capsys, argv, code):
+    # a usage error is a configuration error (1): argparse's own 2 would
+    # read as non-convergence
+    args = [a.format(cfg=well_cfg, out=tmp_path / "cc") for a in argv]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    assert ("usage: nlsground" in err) == (code == 1)
+
+
+def test_atomic_write_leaves_nothing_when_the_write_fails(tmp_path):
+    # a lone surrogate cannot be encoded, so the write fails inside the
+    # temporary file
+    target = tmp_path / "out" / "report.json"
+    with pytest.raises(UnicodeEncodeError):
+        cli.atomic_write(str(target), "\ud800")
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_zero_bump_width_is_a_config_error(tmp_path):

@@ -1,6 +1,7 @@
-"""Grid refinement as an asserted property: the ground levels of routes A
-and C converge at second order in the mesh width, and the Richardson
-extrapolations of the two independent routes agree."""
+"""Grid refinement as an asserted property: the ground levels of routes A,
+B and C converge at second order in the mesh width, and the Richardson
+extrapolations of the independent routes agree.  Route B certifies with
+its default tolerances on every grid."""
 
 import math
 
@@ -15,6 +16,7 @@ from nlsground import (
     power_nonlinearity,
     shoot_oracle,
     solve_fiber_descent,
+    solve_limit_BL,
     well_potential,
 )
 from nlsground import solver
@@ -55,6 +57,12 @@ def _shooting_level(f, n):
     return rep.energy
 
 
+def _constrained_level(ctx):
+    rep = solve_limit_BL(ctx)
+    assert rep.converged
+    return rep.energy
+
+
 @pytest.fixture(scope="module")
 def levels():
     f = power_nonlinearity(4.0)
@@ -65,6 +73,8 @@ def levels():
             FunctionalContext(grid, constant_potential(1.0), f), n)
         out["well", "A", n] = _descent_level(
             FunctionalContext(grid, well_potential(1.0, 0.2, 2.0, theta=0.95), f), n)
+        out["const", "B", n] = _constrained_level(
+            FunctionalContext(grid, constant_potential(1.0), f))
         out["const", "C", n] = _shooting_level(f, n)
     return out
 
@@ -75,14 +85,22 @@ def _order_and_limit(levels, potential, route):
     return order, e4 + (e4 - e2) / 3.0
 
 
-@pytest.mark.parametrize("potential, route", [("const", "A"), ("const", "C"),
-                                              ("well", "A")])
+@pytest.mark.parametrize("potential, route", [("const", "A"), ("const", "B"),
+                                              ("const", "C"), ("well", "A")])
 def test_levels_converge_at_second_order(levels, potential, route):
     order, _ = _order_and_limit(levels, potential, route)
     assert 1.8 <= order <= 2.2, order
 
 
+def _limits_agree(levels, route, other):
+    _, limit = _order_and_limit(levels, "const", route)
+    _, limit_other = _order_and_limit(levels, "const", other)
+    return abs(limit - limit_other) <= 1e-6 * limit_other
+
+
 def test_extrapolated_levels_of_routes_A_and_C_agree(levels):
-    _, limit_a = _order_and_limit(levels, "const", "A")
-    _, limit_c = _order_and_limit(levels, "const", "C")
-    assert abs(limit_a - limit_c) <= 1e-6 * limit_c
+    assert _limits_agree(levels, "A", "C")
+
+
+def test_extrapolated_levels_of_routes_B_and_C_agree(levels):
+    assert _limits_agree(levels, "B", "C")

@@ -210,267 +210,51 @@ def test_cyclic_reduction_rejects_bad_pivots(sub, diag, sup):
 
 
 # ----------------------------------------------------------------------
-# route B's amplitude restore against the full scan plus bisection
+# route B: the Berestycki-Lions quotient at fixed mass
 # ----------------------------------------------------------------------
 
-_RESTORE_GRID = make_grid(3, 30.0, 1024)
+_BL_CASES = [(N, f) for N in (3, 4, 5)
+             for f in (power_nonlinearity(3.0), saturating_nonlinearity(4.0))]
 
 
-def _counting_context(f, grid=_RESTORE_GRID):
-    """Constant-potential context whose F counts its full-array passes."""
-    passes = [0]
-
-    def F(t):
-        passes[0] += 1
-        return f.F(t)
-
-    ctx = FunctionalContext(grid, constant_potential(1.0),
-                            dataclasses.replace(f, F=F))
-    return ctx, passes
+@pytest.fixture(scope="module")
+def bl_levels_against_shots():
+    """(route B, route C) reports on V_inf = 1, n = 4096, per _BL_CASES."""
+    out = []
+    for N, f in _BL_CASES:
+        grid = make_grid(N, 30.0, 4096)
+        ctx = FunctionalContext(grid, constant_potential(1.0), f)
+        out.append((solve_limit_BL(ctx), shoot_oracle(1.0, f, N, grid=grid)))
+    return out
 
 
-def _restore_reference(ctx, w, target=1.0):
-    """(j, a): all 81 scan values, the first index with C >= target, and
-    80 geometric bisection steps of its bracket; (None, None) when no
-    scan point reaches the target."""
-    wt = ctx.grid.weights
-
-    def c_of(a):
-        av = a * w
-        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(av), dtype=float))
-                     - 0.5 * ctx.V.v_inf * (wt @ av**2))
-
-    scan = np.geomspace(1e-4, 1e4, 81)
-    above = np.nonzero(np.array([c_of(a) for a in scan]) >= target)[0]
-    if above.size == 0:
-        return None, None
-    j = int(above[0])
-    if j == 0:
-        return 0, float(scan[0])
-    lo, hi = scan[j - 1], scan[j]
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if c_of(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return j, float(math.sqrt(lo * hi))
+@pytest.mark.parametrize("case", range(len(_BL_CASES)),
+                         ids=[f"N{N}-{f.family}" for N, f in _BL_CASES])
+def test_bl_route_matches_shooting_level(bl_levels_against_shots, case):
+    rep_b, rep_c = bl_levels_against_shots[case]
+    assert rep_b.converged and rep_c.converged
+    assert abs(rep_b.energy - rep_c.energy) <= 1e-5 * rep_c.energy
 
 
-def _cold_restore(ctx, w, target=1.0):
-    """The walk on C from the low end of the scan and its false-position
-    polish, written out apart from solver._restore_walk: every restore
-    that walks C must return its amplitude bit for bit."""
-    wt = ctx.grid.weights
-    half_mass = 0.5 * ctx.V.v_inf * float(wt @ w**2)
-
-    def c_of(a: float) -> float:
-        return float(ctx.lam * (wt @ np.asarray(ctx.f.F(a * w), dtype=float))
-                     - half_mass * a * a)
-
-    def excess(x: float) -> float:
-        a = math.exp(x)
-        return (c_of(a) - target) / (a * a)
-
-    c_prev = None
-    for j, a in enumerate(solver.AMP_SCAN):
-        c = c_of(a)
-        if c >= target:
-            break
-        c_prev = c
-    else:
-        return None
-    if j == 0:
-        return float(solver.AMP_SCAN[0])
-    a_prev = solver.AMP_SCAN[j - 1]
-    lo, hi = solver.false_position(excess, math.log(a_prev), math.log(a),
-                                   (c_prev - target) / (a_prev * a_prev),
-                                   (c - target) / (a * a), solver.AMP_LOG_TOL)
-    return math.exp(0.5 * (lo + hi))
-
-
-def _check_restore(f, w):
-    ctx, passes = _counting_context(f)
-    j, a_ref = _restore_reference(ctx, w)
-    a_cold = _cold_restore(ctx, w)
-    passes[0] = 0
-    a = solver._amplitude_restore(ctx, w)
-    scan = np.geomspace(1e-4, 1e4, 81)
-    # scan passes: the walk up from index 0 reaches j in j + 1 of them,
-    # and the polish adds at most 12.  A declared degree reads the law from
-    # one pass and checks its amplitude with one more; when no amplitude
-    # passes the check, the walk on C runs as without the degree.
-    homogeneous = f.degree is not None
-    if not homogeneous:
-        assert a == a_cold
-    if j is None:
-        assert a is None
-        assert passes[0] - scan.size in ((1, 2) if homogeneous else (0,))
-        return None
-    if j == 0:
-        assert a == scan[0]
-    else:
-        assert scan[j - 1] <= a <= scan[j]
-        assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
-    if homogeneous:
-        assert passes[0] <= 2
-    else:
-        assert passes[0] <= j + 1 + 12
-    return a
-
-
-_W_PART = st.tuples(st.floats(-4.0, 6.0),       # log10 amplitude
-                    st.booleans(),               # negative lobe
-                    st.floats(0.3, 5.0),         # width
-                    st.floats(0.0, 5.0))         # center
-
-
-# p stays off 2: there lam F and the mass term cancel, and rounding moves
-# the crossing by more than the 1e-13 both restores are held to.  p < 2
-# keeps a C that rises and falls exercised; saturating and specs stripped
-# of their degree keep the walk on C itself exercised.
-_HIGH_F = st.one_of(st.floats(2.05, 5.95).map(power_nonlinearity),
-                    st.floats(1.1, 5.0).map(saturating_nonlinearity))
-_LOW_POWER_F = st.floats(1.1, 1.9).map(power_nonlinearity)
-_RESTORE_F = st.one_of(
-    _HIGH_F,
-    _LOW_POWER_F,
-    _HIGH_F.map(lambda f: dataclasses.replace(f, degree=None)),
-    _LOW_POWER_F.map(lambda f: dataclasses.replace(f, degree=None)),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(f=_RESTORE_F, signed=st.booleans(),
-       parts=st.lists(_W_PART, min_size=1, max_size=3))
-def test_amplitude_restore_matches_full_scan(f, signed, parts):
-    r = _RESTORE_GRID.r
-    w = sum((-1.0 if signed and neg else 1.0) * 10.0**lg
-            * np.exp(-(((r - c) / width) ** 2))
-            for lg, neg, width, c in parts)
-    w[-1] = 0.0
-    _check_restore(f, w)
-
-
-def test_amplitude_restore_unreachable():
-    w = np.exp(-_RESTORE_GRID.r**2)
-    w[-1] = 0.0
-    assert _check_restore(power_nonlinearity(4.0), np.zeros_like(w)) is None
-    for c in (0.5, 1.0):       # F(t) <= t^2/2: C(a) <= 0 for every a
-        assert _check_restore(saturating_nonlinearity(c), w) is None
-
-
-def test_amplitude_restore_nan_is_not_reached():
-    # F is NaN past |s| = 1, where C would first reach the target: a NaN
-    # counts as not reached, so the walk on C scans on and finds nothing.
-    # The homogeneous law, read where |w| < 1, does cross; its check reads
-    # a NaN there and hands over to the walk on C.
+def test_bl_route_reads_no_declared_degree():
+    grid = make_grid(3, 30.0, 1024)
     f = power_nonlinearity(4.0)
-    w = 1e-2 * np.exp(-_RESTORE_GRID.r**2)
-    w[-1] = 0.0
-    nan_f = dataclasses.replace(
-        f, F=lambda t: np.where(np.abs(t) > 1.0, np.nan, f.F(t)))
-    assert _check_restore(nan_f, w) is None
+    declared, stripped = (
+        solve_limit_BL(FunctionalContext(grid, constant_potential(1.0), g))
+        for g in (f, dataclasses.replace(f, degree=None)))
+    assert declared.converged
+    assert format_json(declared.to_dict()) == format_json(stripped.to_dict())
 
 
-def test_amplitude_restore_first_scan_point():
-    w = 1e6 * np.exp(-_RESTORE_GRID.r**2)
-    w[-1] = 0.0
-    assert _check_restore(power_nonlinearity(4.0), w) == 1e-4
-
-
-def test_amplitude_restore_keeps_first_crossing():
-    # p = 1.5: C(a) = A a^1.5 - B a^2 rises, peaks at a* = (3A/4B)^2 and
-    # falls, so it crosses the target twice; the lower crossing is kept
-    f = power_nonlinearity(1.5)
-    r = _RESTORE_GRID.r
-    w = 40.0 * np.exp(-(r / 2.0) ** 2)
-    w[-1] = 0.0
-    wt = _RESTORE_GRID.weights
-    A = float(wt @ f.F(w))
-    B = 0.5 * float(wt @ w**2)
-    a_peak = (0.75 * A / B) ** 2
-    assert A * a_peak**1.5 - B * a_peak**2 > 2.0
-    a = _check_restore(f, w)
-    assert 1e-4 < a < a_peak
-    assert abs(A * a**1.5 - B * a**2 - 1.0) < 1e-9
-    # the second crossing lies above the peak
-    assert A * (4.0 * a_peak) ** 1.5 - B * (4.0 * a_peak) ** 2 < 1.0
-
-
-def test_amplitude_restore_false_degree_walks_on_C():
-    # declared degree 2 for p = 4: the law A a^3 - B a^2 crosses the target
-    # where C does not, the check rejects that amplitude, and the walk on C
-    # returns its crossing bit for bit
-    f = power_nonlinearity(4.0)
-    false_f = dataclasses.replace(f, degree=2.0)
-    w = 0.05 * np.exp(-_RESTORE_GRID.r**2)
-    w[-1] = 0.0
-    ctx, passes = _counting_context(false_f)
-    j, a_ref = _restore_reference(ctx, w)
-    a_cold = _cold_restore(ctx, w)
-    assert j is not None
-    wt = _RESTORE_GRID.weights
-    A, B = float(wt @ f.F(w)), 0.5 * float(wt @ w**2)
-    law = solver._restore_walk(lambda a: A * a**3 - B * a**2, 1.0)
-    assert law is not None and abs(math.log(law) - math.log(a_ref)) > 1e-3
-    passes[0] = 0
-    a = solver._amplitude_restore(ctx, w)
-    assert a == a_cold
-    assert abs(math.log(a) - math.log(a_ref)) <= 1e-13
-    # the law's pass, its check, and the walk on C from the low end
-    assert passes[0] > 2 + j
-
-
-# route B on the restore grid; the default tolerances are set for n = 4096
-# and scale by (4096/n)^2
-_RESTORE = solver._amplitude_restore
-_BL_OPTS_1024 = SolveOptions(grad_tol=16 * solver.ROUTE_GRAD_TOL["bl-constrained"],
-                             poho_tol=16 * solver.ROUTE_POHO_TOL["bl-constrained"])
-
-
-def _bl_restore_passes(f, monkeypatch, grid=_RESTORE_GRID, opts=_BL_OPTS_1024):
-    """Route B's report (on the restore grid by default), and the F passes
-    of each of its amplitude restores."""
-    ctx, passes = _counting_context(f, grid)
-    per_call = []
-
-    def counting(ctx, w):
-        before = passes[0]
-        a = _RESTORE(ctx, w)
-        per_call.append(passes[0] - before)
-        return a
-
-    monkeypatch.setattr(solver, "_amplitude_restore", counting)
-    return solve_limit_BL(ctx, opts), per_call
-
-
-def test_bl_route_same_report_without_the_declared_fact(monkeypatch):
-    f = power_nonlinearity(4.0)
-    declared, warm = _bl_restore_passes(f, monkeypatch)
-    # without the degree every restore walks C from the low end; its
-    # amplitudes differ from the law's at round-off, so the iterates do too
-    stripped, cold = _bl_restore_passes(dataclasses.replace(f, degree=None),
-                                        monkeypatch)
-    assert declared.converged and stripped.converged
-    assert abs(declared.energy - stripped.energy) <= 1e-12 * abs(stripped.energy)
-    u, u_cold = declared.u_star.values, stripped.u_star.values
-    assert np.max(np.abs(u - u_cold)) <= 1e-8 * np.max(np.abs(u_cold))
-    assert abs(declared.iterations - stripped.iterations) <= 1
-    # deterministic work: 2 F passes per restore with the degree, ~48 from
-    # 1e-4 without it
-    assert sum(warm) / len(warm) <= 2
-    assert sum(cold) / len(cold) > 40
-
-
-def test_bl_route_restores_from_two_passes_at_8192(monkeypatch):
-    # the const benchmark configuration: every restore reaches the target
-    # on the law's pass and its check (an unreached one makes ~43)
-    rep, per_call = _bl_restore_passes(power_nonlinearity(4.0), monkeypatch,
-                                       make_grid(3, 30.0, 8192), SolveOptions())
+def test_bl_route_mass_pin_stops_the_dilation_drift(grid4096):
+    # the grid tilts the dilation-invariant quotient slightly; without
+    # the fixed-mass slice this case creeps along the dilation orbit for
+    # all 20,000 iterations
+    ctx = FunctionalContext(grid4096, constant_potential(1.0),
+                            power_nonlinearity(3.0), 0.9)
+    rep = solve_limit_BL(ctx)
     assert rep.converged
-    assert len(per_call) > rep.iterations
-    assert set(per_call) == {2}
+    assert rep.iterations <= 100
 
 
 def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):

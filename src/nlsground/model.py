@@ -121,8 +121,9 @@ class NonlinearitySpec:
 
     ``f_scalar`` is f on one Python float, for the shooting integrator's
     per-step calls; it must agree with ``float(f(t))`` bit for bit (nan
-    where f gives nan), so the scalar and vectorised code paths produce
-    the same profiles.
+    where f gives nan), so a shot sees the f that a 0-d array gets.  An
+    array may differ by an ulp where numpy's SIMD loops round otherwise;
+    the power family agrees on arrays too at p = 2.5, 3 and 4.
 
     ``degree`` declares the proven fact that f is homogeneous:
     f(c s) = c^degree f(s) for every c > 0 and every s, so
@@ -294,9 +295,41 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
         raise DomainError("power exponent must exceed 1")
     p, coeff = float(p), float(coeff)
 
+    q = p - 2.0
+    # |t|^q as numpy's array power takes it at q = 2, 1/2 and 1 (square,
+    # square root, copy), written out: an array, a 0-d array and a float
+    # then give the same floats, and a shot's RK4 stage calls no libm pow
+    if q == 2.0:
+        mag = np.square
+
+        def f_scalar(t):
+            return coeff * (t * t) * t
+    elif q == 0.5:
+        def mag(t):
+            return np.sqrt(np.abs(t))
+
+        def f_scalar(t):
+            return coeff * math.sqrt(abs(t)) * t
+    elif q == 1.0:
+        mag = np.abs
+
+        def f_scalar(t):
+            return coeff * abs(t) * t
+    else:
+        def mag(t):
+            return np.abs(t) ** q
+
+        def f_scalar(t):
+            try:
+                return coeff * abs(t) ** q * t
+            except (ZeroDivisionError, OverflowError):
+                # float ** raises where numpy returns inf (0 ** q for p < 2,
+                # overflow); the vectorised form gives the IEEE result
+                return float(f(t))
+
     def f(t):
         t = np.asarray(t, dtype=float)
-        return coeff * np.abs(t) ** (p - 2.0) * t
+        return coeff * mag(t) * t
 
     # |t|^p rounds to 0 where |t| < 2^(-1076/p), a quarter of the least
     # subnormal, and pow takes some 30x longer there: those entries keep 0
@@ -305,16 +338,6 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
     def F(t):
         a = np.abs(np.asarray(t, dtype=float))
         return coeff * np.power(a, p, out=np.zeros_like(a), where=~(a < F_zero_below)) / p
-
-    q = p - 2.0
-
-    def f_scalar(t):
-        try:
-            return coeff * abs(t) ** q * t
-        except (ZeroDivisionError, OverflowError):
-            # float ** raises where numpy returns inf (0 ** q for p < 2,
-            # overflow); the vectorised form gives the IEEE result
-            return float(f(t))
 
     # f(c s) = c^{p-1} f(s) for c > 0
     return NonlinearitySpec(family="power", params={"p": p, "coeff": coeff},

@@ -696,10 +696,10 @@ def _separatrix_amplitude(classify, growth, lo: float, hi: float,
     return _bisect_classes(classify, lo, hi, lo_class, tol)
 
 
-def _searched_amplitude(classify, growth, tol: float) -> float:
-    """Separatrix amplitude from no prior knowledge: a scan over
-    u(0) = 1, 2, 1/2, 4, 1/4, ... finds one amplitude of each class, and
-    ``_separatrix_amplitude`` searches the bracket between them."""
+def _scanned_bracket(classify) -> tuple:
+    """Scan over u(0) = 1, 2, 1/2, 4, 1/4, ... for one amplitude of each
+    class: (lo, hi, class of lo) between the largest turn and the smallest
+    cross seen, or (a, a, "decay") at the first shot that decays."""
     a_lo = a_hi = None   # lo: turn side, hi: cross side
     seen = {}
     for k in range(61):
@@ -712,7 +712,7 @@ def _searched_amplitude(classify, growth, tol: float) -> float:
         if c == "cross" and (a_hi is None or cand < a_hi):
             a_hi = cand
         if c == "decay":
-            return cand
+            return cand, cand, c
         if a_lo is not None and a_hi is not None:
             break
     if a_lo is None or a_hi is None:
@@ -720,7 +720,49 @@ def _searched_amplitude(classify, growth, tol: float) -> float:
             "no amplitude bracket separating undershoot from overshoot; "
             f"behaviors seen: {sorted(set(seen.values()))}")
     lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-    return _separatrix_amplitude(classify, growth, lo, hi, seen[lo], tol)
+    return lo, hi, seen[lo]
+
+
+def _searched_amplitude(classify, growth, tol: float) -> float:
+    """Separatrix amplitude from no prior knowledge: ``_scanned_bracket``,
+    then ``_separatrix_amplitude`` on the bracket it finds."""
+    lo, hi, lo_class = _scanned_bracket(classify)
+    if lo_class == "decay":
+        return lo
+    return _separatrix_amplitude(classify, growth, lo, hi, lo_class, tol)
+
+
+def _coarse_prediction(classify, growth, fine_growth, tol: float) -> Optional[float]:
+    """Separatrix amplitude at the fine step predicted from a search at a
+    coarse one, or None.
+
+    ``classify`` and ``growth`` shoot at the coarse step.  Its scan and
+    functional stage run as ``_searched_amplitude``'s do, and the ends
+    of the functional's final bracket are classified (the gate).  Only
+    when they straddle the coarse separatrix, the lower end of the scan's
+    lower class and the upper end of the other, is ``fine_growth`` read,
+    once, at the bracket's midpoint a_c; one Newton step with the
+    coarse growth's secant slope s_c across the bracket then predicts
+    a_c - fine_growth(a_c) / s_c.  A scan that decays, a functional
+    without a sign change, ends that do not straddle and a prediction
+    that is not finite and positive all give None.
+    """
+    lo, hi, lo_class = _scanned_bracket(classify)
+    if lo_class == "decay":
+        return None
+    g_lo, g_hi = growth(lo), growth(hi)
+    if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
+        return None
+    a_lo, a_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
+    hi_class = "cross" if lo_class == "turn" else "turn"
+    # classes are monotone in the amplitude: an a_lo not of lo_class
+    # leaves a_hi unshot
+    if classify(a_lo) != lo_class or classify(a_hi) != hi_class:
+        return None
+    a_c = 0.5 * (a_lo + a_hi)
+    slope = (growth(a_hi) - growth(a_lo)) / (a_hi - a_lo)
+    a_pred = a_c - fine_growth(a_c) / slope
+    return a_pred if math.isfinite(a_pred) and a_pred > 0.0 else None
 
 
 def _confirmed_amplitude(classify, predicted: float, tol: float) -> Optional[float]:
@@ -748,6 +790,53 @@ def _confirmed_amplitude(classify, predicted: float, tol: float) -> Optional[flo
     if {c_mid, c_far} != {"turn", "cross"}:
         return None
     return mid
+
+
+def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
+                   r_end: float, kept: Optional[dict] = None) -> tuple:
+    """(classify, growth) of route C's shots at RK4 step h to r_end.
+
+    Every shot first runs to SHOOT_R (r_end if that is smaller), or to
+    its event, and its state there is kept in a map of this pair alone:
+    ``growth`` reads it, and ``classify`` resumes it, so the two never
+    integrate the same stretch twice.  ``classify(a, keep=True)`` stores
+    the u of an amplitude not shot before in ``kept[a]``; a pair built
+    without ``kept`` records nothing.
+    """
+    kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
+    r_R = min(SHOOT_R, r_end)
+    k_R = int(round(r_R / h))
+    at_R = {}     # amplitude -> (kind, r, u, u') at its event or at r_R
+
+    def shot(a, r_stop, record=None, start=None):
+        return _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_stop,
+                               BLOWUP_FACTOR, record, start)
+
+    def state_at_R(a, record=None):
+        if a not in at_R:
+            at_R[a] = shot(a, r_R, record)
+        return at_R[a]
+
+    def classify(a, keep=False):
+        # keep: record the shot of an amplitude not shot before
+        us = [a] if keep else None
+        kind, r, u_end, v_end = state_at_R(a, us)
+        if kind == "decay":
+            kind, r, u_end, v_end = shot(a, r_end, us, (u_end, v_end, r, k_R))
+        if keep:
+            kept[a] = us
+        if kind == "decay" and abs(u_end) > 0.5 * abs(a):
+            # the trajectory never left the neighborhood of a rest point
+            # of the autonomous flow: the amplitude is too small
+            return "turn"
+        return kind
+
+    def growth(a):
+        # w = r^m u and w' = r^m (u' + m u / r)
+        _, r, u, v = state_at_R(a)
+        return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
+
+    return classify, growth
 
 
 def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
@@ -790,6 +879,18 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     stage and makes the kept shot the recorded one, or they do not, and
     the search runs as without a prediction (see
     ``_confirmed_amplitude``).  The certificate is the same either way.
+
+    Without ``predicted``, when the ODE step is finer than the grid step
+    (k_sub > 1), the scan and the functional stage first run with shots
+    at the grid step, and the ends of the functional's final bracket are
+    classified there (the gate).  When they straddle that step's
+    separatrix, one shot at the ODE step reads the functional at the
+    bracket's midpoint, and one Newton step with the bracket's secant
+    slope gives the prediction (see ``_coarse_prediction``).  Otherwise,
+    and when the prediction is not confirmed, the search runs at the ODE
+    step alone.  On the README problem this takes 53,150 RK4 steps
+    (10,138 at the grid step) where the search at the ODE step alone
+    takes 96,224.
     """
     if v_inf <= 0:
         raise DomainError("shooting requires V_inf > 0")
@@ -809,54 +910,25 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                           f"{SHOOT_MAX_STEPS} RK4 steps: n = {grid.n}, "
                           f"h = {grid.h:.6g}, ode_step = {opts.ode_step:.6g}")
     h = grid.h / k_sub
-    r_end, blow = grid.r_max, BLOWUP_FACTOR
-    f_scalar = f.f_scalar
-    kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
-    # every shot runs to r_R first and is resumed from there when it is
-    # classified, so growth and classify share what either integrated
-    r_R = min(SHOOT_R, r_end)
-    k_R = int(round(r_R / h))
-    at_R = {}     # amplitude -> (kind, r, u, u') at its event or at r_R
+    r_end, f_scalar, tol = grid.r_max, f.f_scalar, opts.shoot_tol
     kept = {}     # amplitude -> its recorded u, the kept shot
-
-    def shot(a, r_stop, record=None, start=None):
-        return _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_stop, blow,
-                               record, start)
-
-    def state_at_R(a, record=None):
-        if a not in at_R:
-            at_R[a] = shot(a, r_R, record)
-        return at_R[a]
-
-    def classify(a, keep=False):
-        # keep: record the shot of an amplitude not shot before
-        us = [a] if keep else None
-        kind, r, u_end, v_end = state_at_R(a, us)
-        if kind == "decay":
-            kind, r, u_end, v_end = shot(a, r_end, us, (u_end, v_end, r, k_R))
-        if keep:
-            kept[a] = us
-        if kind == "decay" and abs(u_end) > 0.5 * abs(a):
-            # the trajectory never left the neighborhood of a rest point
-            # of the autonomous flow: the amplitude is too small
-            return "turn"
-        return kind
-
-    def growth(a):
-        # w = r^m u and w' = r^m (u' + m u / r)
-        _, r, u, v = state_at_R(a)
-        return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
-
+    classify, growth = _shot_closures(v_inf, f_scalar, N, lam, h, r_end, kept)
+    if predicted is None and k_sub > 1:
+        coarse = _shot_closures(v_inf, f_scalar, N, lam, grid.h, r_end)
+        try:
+            predicted = _coarse_prediction(*coarse, growth, tol)
+        except (BracketNotFoundError, StiffIntegrationError):
+            pass        # the search at the ODE step decides
     a_star = None
     if predicted is not None:
-        a_star = _confirmed_amplitude(classify, predicted, opts.shoot_tol)
+        a_star = _confirmed_amplitude(classify, predicted, tol)
     us = kept.pop(a_star, None)
     kept.clear()
     if a_star is None:
-        a_star = _searched_amplitude(classify, growth, opts.shoot_tol)
+        a_star = _searched_amplitude(classify, growth, tol)
     if us is None:
         us = [a_star]
-        shot(a_star, r_end, us)
+        _integrate_shot(a_star, v_inf, f_scalar, N, lam, h, r_end, BLOWUP_FACTOR, us)
     full = np.zeros((grid.n - 1) * k_sub + 1)
     full[: len(us)] = us
     sgn = 1.0 if a_star > 0 else -1.0
@@ -877,7 +949,7 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     if w >= 2 and full[c - w] > full[c] > 0.0:
         rate = math.log(full[c - w] / full[c]) / (w * h)
     else:
-        rate = kappa
+        rate = math.sqrt(v_inf)
     ext = np.arange(1, full.size - c)
     full[c + 1 :] = full[c] * np.exp(-rate * h * ext)
     full *= sgn

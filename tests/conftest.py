@@ -87,9 +87,10 @@ def shot_counter(monkeypatch):
     ``counts`` holds the calls of ``solver._integrate_shot`` by kind,
     "shot" (from r = 0), "record" (from r = 0, recording the profile) and
     "resume" (continuing a saved state), and under "steps" the RK4 steps
-    they took; ``calls`` lists each call's (kind, amplitude, outcome).
-    Every argument is forwarded, with f_scalar counted: a step evaluates
-    it four times, and a rest-point exit once more.
+    they took; ``calls`` lists each call's (kind, amplitude, outcome,
+    RK4 step h), which tells a shot at the grid step from one at the ODE
+    step.  Every argument is forwarded, with f_scalar counted: a
+    step evaluates it four times, and a rest-point exit once more.
     """
     real = solver._integrate_shot
     signature = inspect.signature(real)
@@ -111,7 +112,7 @@ def shot_counter(monkeypatch):
         out = real(*bound.args, **bound.kwargs)
         counter.counts[kind] += 1
         counter.counts["steps"] += evals[0] // 4
-        counter.calls.append((kind, given["a"], out[0]))
+        counter.calls.append((kind, given["a"], out[0], given["h"]))
         return out
 
     monkeypatch.setattr(solver, "_integrate_shot", counting)

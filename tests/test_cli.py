@@ -311,6 +311,57 @@ def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, 
     assert err.startswith(label)
 
 
+def _sweep_profile(kind):
+    """u1 values on WELL_INI's n = 512 grid that reach one of
+    sweep_lambda's exits after its shot (u vanishes at r_max)."""
+    r = make_grid(3, 30.0, 512).r
+    vals = {
+        # nonzero, but F(u) = u^4/4 underflows to 0: int F = 0
+        "f_int": np.full(r.size, 1e-100),
+        # zero where a gaussian well lies below its limit in floats
+        # (r < 6), nonzero only where V rounds to the limit
+        "no_ball": np.where(r >= 7.0, 3.0, 0.0),
+        # nonzero at r = 0 and zero at the next node: the ball ends there
+        "vanishing": np.where(np.arange(r.size) == 1, 0.0, 3.0),
+        # its mass sits where the gaussian well is its limit at every
+        # dilation s r, s >= 3/4, so the V-term of lambda_bar rounds to 1
+        "lambda_bar": np.where(r >= 10.0, 3.0, 1e-30),
+    }[kind]
+    vals[-1] = 0.0
+    return vals
+
+
+AS_GAUSSIAN = [*AS_PERTURBED, "potential.shape=gaussian"]
+
+
+# sweep_lambda's exits after its shot, which no built-in family reaches:
+# shoot_oracle is replaced by a report with a profile made to reach each
+@pytest.mark.parametrize("kind, overrides, code, label", [
+    ("f_int", [], 3,
+     "verification failure: autonomous ground state has nonpositive int F"),
+    ("no_ball", AS_GAUSSIAN, 3,
+     "verification failure: no sampled ball with V below its limit and a "
+     "nonzero profile"),
+    ("vanishing", [], 3, "verification failure: positivity ball has vanishing radius"),
+    ("lambda_bar", AS_GAUSSIAN, 2,
+     "non-convergence: weight threshold 1.0 escaped [1/2, 1)"),
+])
+def test_sweep_exits_after_the_shot(tmp_path, capsys, monkeypatch, kind, overrides,
+                                     code, label):
+    vals = _sweep_profile(kind)
+
+    def shoot(v_inf, f, N, lam=1.0, grid=None, opts=None, predicted=None):
+        return SolveReport(converged=True, route="shooting", energy=1.0,
+                           pohozaev_residual=0.0, pde_residual=0.0, iterations=0,
+                           u_at_zero=float(vals[0]), grad_tol=5e-3, poho_tol=1e-4,
+                           u_star=RadialFunction(grid, vals))
+
+    monkeypatch.setattr(solver, "shoot_oracle", shoot)
+    got, err = _run_quietly(tmp_path, capsys, "sweep-lambda", overrides)
+    assert got == code
+    assert err == label + "\n"
+
+
 @pytest.mark.parametrize("command", ["oracle-shoot", "sweep-lambda"])
 def test_unbounded_shot_exits_1_before_the_first_shot(tmp_path, capsys, command):
     # h = 1e6 / 511 with ode_step = 1e-3 is ~1e9 RK4 steps a shot, ~8 GB

@@ -259,6 +259,34 @@ def test_power_f_scalar_bit_identical(p, coeff, t):
         _assert_scalar_matches(power_nonlinearity(p, coeff), t)
 
 
+# at p - 2 = 1/2, 1 and 2 numpy's array power is a square root, a copy
+# and a square, and f writes these out: there an array, one float through
+# f and f_scalar give the same floats.  At other exponents f_scalar agrees
+# with f on one float only (numpy's SIMD pow and libm's differ on ~5% of
+# values at p = 3.5, 4.5, 5 and 6)
+_EXACT_POWERS = [2.5, 3.0, 4.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(_EXACT_POWERS), coeff=st.floats(min_value=0.05, max_value=20.0),
+       ts=st.lists(_SCALAR_ARGS, min_size=1, max_size=40))
+def test_power_f_arrays_agree_with_f_scalar(p, coeff, ts):
+    spec = power_nonlinearity(p, coeff)
+    with np.errstate(over="ignore"):
+        values = spec.f(np.array(ts)).tolist()
+        for t, got in zip(ts, values):
+            assert _same_float(got, float(spec.f(t))), (p, coeff, t)
+            assert _same_float(got, spec.f_scalar(t)), (p, coeff, t)
+
+
+@pytest.mark.parametrize("p", _EXACT_POWERS)
+def test_power_f_arrays_agree_with_f_scalar_densely(p):
+    # libm's pow(t, 2) differs from t * t on ~0.1% of t in [0, 10]
+    spec = power_nonlinearity(p)
+    t = np.random.default_rng(7).uniform(-10.0, 10.0, 100_000)
+    assert [spec.f_scalar(x) for x in t.tolist()] == spec.f(t).tolist()
+
+
 @settings(max_examples=400, deadline=None)
 @given(c=st.sampled_from([0.5, 1.0, 2.0, 3.7, 10.0]), t=_SCALAR_ARGS)
 def test_saturating_f_scalar_bit_identical(c, t):

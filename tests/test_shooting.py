@@ -6,7 +6,9 @@ stage: the same bracket scan, then bisection by classification alone.
 
 import math
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,14 @@ from nlsground import (
     ConvergenceError,
     DomainError,
     SolveOptions,
+    StiffIntegrationError,
     make_grid,
     power_nonlinearity,
     saturating_nonlinearity,
     shoot_oracle,
 )
 from nlsground import solver
+from nlsground.cli import format_json
 from nlsground.manifold import false_position
 
 # one grid step per RK4 step keeps the 18-case matrix to a few seconds;
@@ -96,6 +100,13 @@ def reference_search(f, N, lam, grid, opts):
     return 0.5 * (lo + hi), shots[0]
 
 
+def _calls_by_level(calls, grid_h):
+    """``shot_counter.calls`` split into those at the grid step h and the
+    rest, at the ODE step."""
+    coarse = [c for c in calls if c[3] == grid_h]
+    return coarse, [c for c in calls if c[3] != grid_h]
+
+
 def counted_search(f, N, lam, grid, opts, counter, predicted=None):
     """(u(0), work) of shoot_oracle: ``counter.counts`` (the
     ``shot_counter`` fixture) for this search alone."""
@@ -141,14 +152,21 @@ def test_readme_search_integrations(grid4096, f_cubic, rep_shoot, shot_counter):
     a_star, shots = counted_search(f_cubic, 3, 1.0, grid4096, SolveOptions(),
                                    shot_counter)
     assert a_star == rep_shoot.u_at_zero
-    # 6 scan shots, of which only the rest point u(0) = 1 reaches SHOOT_R
-    # (its resume takes no step); 8 false-position shots to SHOOT_R; both
-    # ends of their bracket resumed, which turn and cross; and the
-    # recorded shot of the bracket's midpoint
-    assert {k: shots[k] for k in ("shot", "resume", "record")} == \
-        {"shot": 14, "resume": 3, "record": 1}
-    # 118,426 before the bracket's ends were resumed instead of probed
-    assert shots["steps"] <= 97_000
+    coarse, fine = _calls_by_level(shot_counter.calls, grid4096.h)
+    # at the grid step: 6 scan shots, of which only the rest point
+    # u(0) = 1 reaches SHOOT_R (its resume takes no step); 8 false-position
+    # shots to SHOOT_R; and both ends of their bracket resumed, which turn
+    # and cross (the gate)
+    assert Counter(kind for kind, *_ in coarse) == {"shot": 14, "resume": 3}
+    # at the ODE step: the functional at the coarse bracket's midpoint,
+    # read by SHOOT_R; the predicted amplitude's recorded midpoint and the
+    # probe on its far side, both resumed, which cross and turn
+    assert [(kind, out) for kind, _, out, _ in fine] == [
+        ("shot", "cross"), ("record", "decay"), ("resume", "cross"),
+        ("shot", "decay"), ("resume", "turn")]
+    # 96,224 with the whole search at the ODE step, and 118,426 before the
+    # functional bracket's ends were resumed instead of probed
+    assert shots["steps"] <= 53_150
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,10 +212,10 @@ def test_resumed_shot_is_the_uninterrupted_shot(family, N, a):
 
 def test_frozen_cubic_reports(rep_shoot, rep_shoot_8192):
     # route C's u(0) and level on the README cubic, float for float
-    assert rep_shoot.u_at_zero == 4.337387680011085
-    assert rep_shoot.energy == 18.897185211724505
-    assert rep_shoot_8192.u_at_zero == 4.337387679960987
-    assert rep_shoot_8192.energy == 18.89723478357312
+    assert rep_shoot.u_at_zero == 4.337387679987567
+    assert rep_shoot.energy == 18.897185211661185
+    assert rep_shoot_8192.u_at_zero == 4.337387679985891
+    assert rep_shoot_8192.energy == 18.897234783546136
 
 
 # ----------------------------------------------------------------------
@@ -463,17 +481,192 @@ def test_confirmation_midpoint_takes_a_decaying_shot():
 
 
 def test_decaying_shot_is_reported_and_certifies(shot_counter):
-    # README's case: the scan's 1 and 2 turn and cross by SHOOT_R; every
-    # later classification shot is resumed past it.  The functional
+    # README's case, at the ODE step (the bracket's ends at the grid step
+    # do not straddle, so the search runs at the ODE step alone): the
+    # scan's 1 and 2 turn and cross by SHOOT_R; every later
+    # classification shot is resumed past it.  The functional
     # bracket's lower end crosses (so its upper end is not classified),
     # the probes below it cross and turn, and the first midpoint of that
     # bracket, 3.5e-10 wide, decays and ends the search
-    rep = shoot_oracle(0.2, power_nonlinearity(4.0), 3, grid=make_grid(3, 30.0, 2048))
-    resumed = [(a, out) for kind, a, out in shot_counter.calls if kind == "resume"]
+    grid = make_grid(3, 30.0, 2048)
+    rep = shoot_oracle(0.2, power_nonlinearity(4.0), 3, grid=grid)
+    _, fine = _calls_by_level(shot_counter.calls, grid.h)
+    resumed = [(a, out) for kind, a, out, _ in fine if kind == "resume"]
     assert [out for _, out in resumed] == ["cross", "cross", "turn", "decay"]
     assert rep.u_at_zero == resumed[-1][0]
     assert rep.converged
     assert f"{rep.u_at_zero:.10f}" == "1.9397387394"
+
+
+# ----------------------------------------------------------------------
+# the search at the grid step that predicts the root at the ODE step
+# ----------------------------------------------------------------------
+
+def _coarse_gate(f, N, grid, tol):
+    """Whether the ends of the functional's final bracket at the grid
+    step straddle the separatrix at that step: shoot_oracle's gate,
+    restated from the search's parts."""
+    classify, growth = solver._shot_closures(1.0, f.f_scalar, N, 1.0, grid.h,
+                                             grid.r_max)
+    lo, hi, lo_class = solver._scanned_bracket(classify)
+    if lo_class == "decay":
+        return False
+    g_lo, g_hi = growth(lo), growth(hi)
+    if not g_lo * g_hi < 0.0:
+        return False
+    a_lo, a_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
+    return {classify(a_lo), classify(a_hi)} == {"turn", "cross"}
+
+
+def _certified(calls, h, a_star, tol):
+    """Whether a turn and a cross among the shots at step h lie no more
+    than tol apart, one on each side of a_star.  An amplitude's class is
+    the outcome of its last integration: a shot that reaches SHOOT_R
+    "decays" there and is resumed."""
+    final = {a: out for _, a, out, step in calls if step == h}
+    turns = [a for a, c in final.items() if c == "turn"]
+    crosses = [a for a, c in final.items() if c == "cross"]
+    return any(min(t, x) <= a_star <= max(t, x) and abs(x - t) <= tol
+               for t in turns for x in crosses)
+
+
+_SMALL_GRID_FAMILIES = {
+    **FAMILIES,
+    "saturating c=8": lambda: saturating_nonlinearity(8.0),
+}
+
+
+def test_straddling_coarse_brackets_certify_at_the_ode_step(monkeypatch):
+    # every subcritical case of the matrix whose bracket at the grid step
+    # straddles ends on a turn/cross pair at the ODE step, whether its
+    # prediction confirms or the search at the ODE step runs after all.
+    # The calls are logged as shot_counter logs them, without its count
+    # of f_scalar evaluations, which doubles the cost of a step
+    real, calls = solver._integrate_shot, []
+
+    def logged(a, v_inf, f_scalar, N, lam, h, r_end, blow, record=None, start=None):
+        out = real(a, v_inf, f_scalar, N, lam, h, r_end, blow, record, start)
+        kind = ("resume" if start is not None
+                else "record" if record is not None else "shot")
+        calls.append((kind, a, out[0], h))
+        return out
+
+    monkeypatch.setattr(solver, "_integrate_shot", logged)
+    opts = SolveOptions()
+    tol, straddled, missed = opts.shoot_tol, [], []
+    for n in (1024, 2048):
+        for N in (3, 4, 5):
+            for family in sorted(_SMALL_GRID_FAMILIES):
+                if family == "power p=4" and N > 3:
+                    continue        # critical or supercritical
+                f = _SMALL_GRID_FAMILIES[family]()
+                grid = make_grid(N, 30.0, n)
+                if not _coarse_gate(f, N, grid, tol):
+                    continue
+                straddled.append((n, N, family))
+                calls.clear()
+                try:
+                    a_star = shoot_oracle(1.0, f, N, grid=grid).u_at_zero
+                except ConvergenceError as exc:
+                    a_star = exc.report.u_at_zero  # a small grid's residuals
+                h = _step(grid, opts)
+                assert _certified(calls, h, a_star, tol), (n, N, family)
+                # a confirmed prediction records its midpoint's shot, the
+                # report's; a missed one, like a sweep row's, keeps that
+                # shot unused, and the search that follows records one more
+                searched = any(a == 1.0 for _, a, _, step in calls if step == h)
+                if searched:
+                    missed.append((n, N, family))
+                records = [kind for kind, *_ in calls].count("record")
+                assert records == 1 + searched, (n, N, family)
+    # 7 of 11 cases at n = 1024 and 6 of 11 at n = 2048
+    assert len(straddled) == 13
+    # 30 RK4 steps per grid step at n = 1024: there one Newton step from
+    # the coarse root misses the separatrix by 1.5e-10 to 1.5e-9
+    assert missed == [(1024, 3, "power p=4"), (1024, 4, "saturating c=4"),
+                      (1024, 4, "saturating c=8"), (1024, 5, "saturating c=8")]
+
+
+def test_coarse_level_never_records(grid4096, f_cubic, shot_counter, monkeypatch):
+    # inside the search at the grid step every call but its one read of
+    # the functional at the ODE step is a shot or a resume at step
+    # grid.h; every call after it is at the ODE step, and one records
+    real, calls, inside = solver._coarse_prediction, shot_counter.calls, []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        finally:
+            inside.extend(calls)
+
+    monkeypatch.setattr(solver, "_coarse_prediction", watched)
+    shoot_oracle(1.0, f_cubic, 3, grid=grid4096)
+    h = _step(grid4096, SolveOptions())
+    coarse, fine = _calls_by_level(inside, grid4096.h)
+    assert {kind for kind, *_ in coarse} == {"shot", "resume"}
+    assert [(kind, step) for kind, _, _, step in fine] == [("shot", h)]
+    after = calls[len(inside):]
+    assert {step for *_, step in after} == {h}
+    assert [kind for kind, *_ in after].count("record") == 1
+
+
+def test_non_straddling_search_is_the_ode_step_search(shot_counter, monkeypatch):
+    # V_inf = 0.2: the lower end of the functional's bracket at the grid
+    # step crosses, so no prediction is made and the search at the ODE
+    # step runs shot for shot as it does alone, to the same report
+    f, grid = power_nonlinearity(4.0), make_grid(3, 30.0, 2048)
+    rep = shoot_oracle(0.2, f, 3, grid=grid)
+    coarse, fine = _calls_by_level(shot_counter.calls, grid.h)
+    assert coarse
+    shot_counter.calls.clear()
+    monkeypatch.setattr(solver, "_coarse_prediction", lambda *args: None)
+    alone = shoot_oracle(0.2, f, 3, grid=grid)
+    assert shot_counter.calls == fine
+    assert format_json(rep.to_dict()) == format_json(alone.to_dict())
+    # the report of the search at the ODE step alone, float for float
+    assert rep.u_at_zero == 1.9397387394038188
+    assert rep.energy == 8.451084049218316
+
+
+@pytest.mark.parametrize("p, n, error", [(5.0, 64, BracketNotFoundError),
+                                          (8.0, 16, StiffIntegrationError)])
+def test_failed_coarse_search_leaves_the_search_to_the_ode_step(p, n, error,
+                                                                monkeypatch):
+    # at the grid step of r_max = 10 the scan finds no cross (p = 5), or a
+    # shot overflows (p = 8); the search at the ODE step then runs as it
+    # does alone, to its report (p = 5) or its own error (p = 8)
+    grid, f = make_grid(3, 10.0, n), power_nonlinearity(p)
+    classify, _ = solver._shot_closures(1.0, f.f_scalar, 3, 1.0, grid.h, grid.r_max)
+
+    def outcome():
+        try:
+            return shoot_oracle(1.0, f, 3, grid=grid).to_dict()
+        except ConvergenceError as exc:
+            return exc.report.to_dict()     # too few nodes to certify
+        except StiffIntegrationError as exc:
+            return str(exc)
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(error):
+            solver._scanned_bracket(classify)
+        got = outcome()
+        monkeypatch.setattr(solver, "_coarse_prediction", lambda *args: None)
+        assert got == outcome()
+
+
+def test_grid_step_shots_search_at_one_level(monkeypatch, shot_counter):
+    # with k_sub == 1 there is no coarser step: the search and its report
+    # are those of the search at one level
+    def unreachable(*args):
+        raise AssertionError("no search at a coarser step when k_sub == 1")
+
+    monkeypatch.setattr(solver, "_coarse_prediction", unreachable)
+    grid = make_grid(3, 30.0, 4096)
+    a_star, shots = counted_search(power_nonlinearity(4.0), 3, 1.0, grid, COARSE,
+                                   shot_counter)
+    assert {step for *_, step in shot_counter.calls} == {grid.h}
+    assert shots == {"shot": 14, "record": 1, "resume": 3, "steps": 12_046}
+    assert a_star == 4.337387720163697
 
 
 def test_tail_falls_back_to_the_linear_decay_rate():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -437,18 +438,23 @@ def test_sweep_without_declared_degree_predicts_nothing(grid4096, monkeypatch):
 def test_sweep_shot_budget(ctx_well, shot_counter):
     sweep_lambda(ctx_well)
     counts = shot_counter.counts
-    # u1's search: 6 scan and 8 functional shots, the 2 ends of the
-    # functional's bracket resumed from SHOOT_R (they straddle), and the
-    # recorded shot; the scan's rest point u(0) = 1 resumes without a
-    # step.  Each of the two rows below lam = 1: the recorded midpoint of
-    # its predicted amplitude -/+ d and the probe on its far side, both
-    # resumed.  157,420 RK4 steps; 208,942 when the ends were probed and
-    # each row recorded a third shot.  A row searched from the scan takes
-    # 15 shots and ~97k steps, so both bounds fail unless both rows
-    # confirm their prediction.
-    assert counts["shot"] + counts["record"] <= 19
-    assert counts["resume"] <= 7
-    assert counts["steps"] <= 160_000
+    h = ctx_well.grid.h
+    coarse = Counter(kind for kind, _, _, step in shot_counter.calls if step == h)
+    fine = Counter(kind for kind, _, _, step in shot_counter.calls if step != h)
+    # u1's search at the grid step: 6 scan and 8 functional shots, and the
+    # 2 ends of the functional's bracket resumed from SHOOT_R (they
+    # straddle); the scan's rest point u(0) = 1 resumes without a step
+    assert coarse == {"shot": 14, "resume": 3}
+    # at the ODE step, u1: the functional at the coarse bracket's midpoint,
+    # then the recorded midpoint of its predicted amplitude -/+ d and the
+    # probe on its far side, both resumed.  Each of the two rows below
+    # lam = 1: the same pair around the amplitude the weight predicts.
+    assert fine == {"shot": 4, "record": 3, "resume": 6}
+    # 116,726 RK4 steps; 157,420 with u1 searched at the ODE step, and
+    # 208,942 when the ends were probed and each row recorded a third shot.
+    # A row searched from the scan takes 15 shots and ~97k steps, so the
+    # bound fails unless both rows confirm their prediction.
+    assert counts["steps"] <= 116_726
 
 
 def test_sweep_path_length_stops_at_its_cap():

@@ -354,18 +354,18 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
     _require_finite(c=c)
     c = float(c)
 
+    # t^3 is written as t * t * t here and in f_scalar, so arrays, 0-d
+    # arrays and floats give the same floats without a pow call
     def f(t):
         t = np.asarray(t, dtype=float)
-        return c * t**3 / (1.0 + t**2)
+        return c * (t * t * t) / (1.0 + t * t)
 
     def F(t):
         t = np.asarray(t, dtype=float)
         return 0.5 * c * (t**2 - np.log1p(t**2))
 
     def f_scalar(t):
-        # numpy's t**3 may differ from libm pow by an ulp (SIMD loop); the
-        # ufunc on a float runs that same loop, and numpy's t**2 is t*t
-        return c * float(np.power(t, 3.0)) / (1.0 + t * t)
+        return c * (t * t * t) / (1.0 + t * t)
 
     return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F,
                             f_scalar=f_scalar)

@@ -95,6 +95,9 @@ class SolveOptions:
                 continue
             if not 0.0 < val < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
+        # the line search of routes A and B never grows a step past STEP_MAX
+        if not self.step <= STEP_MAX:
+            raise DomainError(f"step must be <= STEP_MAX = {STEP_MAX:g}")
 
     def tolerances(self, route: str):
         gt = self.grad_tol if self.grad_tol is not None else ROUTE_GRAD_TOL[route]
@@ -539,14 +542,15 @@ def solve_limit_BL(ctx: FunctionalContext,
 # ----------------------------------------------------------------------
 
 def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
-                    h: float, r_end: float, blow: float,
+                    h: float, r_end: float,
                     record: Optional[list] = None, start: Optional[tuple] = None):
-    """RK4 on u'' = V_inf u - lam f(u) - (N-1)/r u' from r = 0 to r_end.
+    """RK4 on u'' = V_inf u - lam f(u) - (N-1)/r u' from u(0) = a >= 0 to
+    r_end.
 
     Returns (classification, r, u, v) at the stop, with classification in
     {"cross", "turn", "decay"}.  "cross": the profile passed through
     zero (amplitude too large).  "turn": it started moving away from
-    zero again while still sign-definite, or exceeded blow*|a|
+    zero again while still positive, or exceeded BLOWUP_FACTOR * a
     (amplitude too small; for bounded nonlinearities such trajectories
     settle at a positive rest point rather than diverging, so the turn
     is the reliable signature).  "decay": neither happened before r_end.
@@ -562,8 +566,7 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     """
     n_steps = int(round(r_end / h))
     u, v, r, k_start = (a, 0.0, 0.0, 0) if start is None else start
-    sgn = 1.0 if a >= 0 else -1.0
-    thresh = blow * abs(a)
+    thresh = BLOWUP_FACTOR * a
     # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
     # the four stages; at r = 0 the symmetric limit gives (V_inf u - lam f(u))/N.
     # Only the first stage of the first step sits at r = 0.
@@ -608,9 +611,9 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
                 f"shooting integration produced non-finite values at r={r:.3g}")
         if record is not None:
             record.append(u)
-        if u * sgn <= 0.0:          # crossed through zero
+        if u <= 0.0:          # crossed through zero
             return "cross", r, u, v
-        if v * sgn > 0.0 or abs(u) > thresh:
+        if v > 0.0 or u > thresh:
             return "turn", r, u, v
     return "decay", r, u, v
 
@@ -640,62 +643,6 @@ def _probe_offset(a: float, tol: float) -> float:
     return max(0.5 * tol - math.ulp(a), 0.25 * tol)
 
 
-def _separatrix_amplitude(classify, growth, lo: float, hi: float,
-                          lo_class: str, tol: float) -> float:
-    """Amplitude between the classes of a scan bracket [lo, hi].
-
-    The functional stage brackets a sign change of the continuous
-    ``growth`` by false position to width <= tol, midpoint a_g.  The
-    classification stage first classifies that bracket's ends, whose
-    shots the functional stage has run to SHOOT_R already, lower end
-    first: when it is of ``lo_class`` and the upper end is not (they
-    straddle the separatrix), the bracket is the certificate and a_g the
-    result.  Otherwise the ends narrow [lo, hi] to the side they point
-    to, and probes a_g +/- tol/2, a_g +/- SHOOT_WIDEN tol/2, ... on that
-    side narrow it further until one lands across.  The result is the
-    midpoint of that bracket halved by classification to width <= tol,
-    so the functional only decides how many shots the certificate costs.
-    Without a sign change of ``growth`` on [lo, hi] the whole bracket is
-    halved by classification.
-    """
-    g_lo, g_hi = growth(lo), growth(hi)
-    if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
-        return _bisect_classes(classify, lo, hi, lo_class, tol)
-    g_root_lo, g_root_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
-    a_g = 0.5 * (g_root_lo + g_root_hi)
-    # the scan bracket's ends are classified already
-    known = {lo: lo_class, hi: "cross" if lo_class == "turn" else "turn"}
-    # classes are monotone in the amplitude: once g_root_lo is not of
-    # lo_class, neither is g_root_hi, which is left unshot
-    for x in (g_root_lo, g_root_hi):
-        c = known[x] if x in known else classify(x)
-        if c == "decay":
-            return x
-        if c != lo_class:
-            hi = x
-            break
-        lo = x
-    if (lo, hi) == (g_root_lo, g_root_hi):
-        return a_g
-    # both ends on one side: probe outward from a_g on the far side
-    side = 1.0 if lo == g_root_hi else -1.0
-    d = _probe_offset(a_g, tol)
-    x = a_g + side * d
-    while lo < x < hi:
-        c = classify(x)
-        if c == "decay":
-            return x
-        if c == lo_class:
-            lo = x
-        else:
-            hi = x
-        if (c == lo_class) != (side > 0):
-            break       # across from the ends: [lo, hi] straddles
-        d *= SHOOT_WIDEN
-        x = a_g + side * d
-    return _bisect_classes(classify, lo, hi, lo_class, tol)
-
-
 def _scanned_bracket(classify) -> tuple:
     """Scan over u(0) = 1, 2, 1/2, 4, 1/4, ... for one amplitude of each
     class: (lo, hi, class of lo) between the largest turn and the smallest
@@ -723,85 +670,143 @@ def _scanned_bracket(classify) -> tuple:
     return lo, hi, seen[lo]
 
 
-def _searched_amplitude(classify, growth, tol: float) -> float:
-    """Separatrix amplitude from no prior knowledge: ``_scanned_bracket``,
-    then ``_separatrix_amplitude`` on the bracket it finds."""
-    lo, hi, lo_class = _scanned_bracket(classify)
-    if lo_class == "decay":
-        return lo
-    return _separatrix_amplitude(classify, growth, lo, hi, lo_class, tol)
+def _gated_bracket(classify, growth, tol: float) -> tuple:
+    """The scan, the functional stage and the gate of route C's search:
+    (lo, hi, lo_class, ends).
 
-
-def _coarse_prediction(classify, growth, fine_growth, tol: float) -> Optional[float]:
-    """Separatrix amplitude at the fine step predicted from a search at a
-    coarse one, or None.
-
-    ``classify`` and ``growth`` shoot at the coarse step.  Its scan and
-    functional stage run as ``_searched_amplitude``'s do, and the ends
-    of the functional's final bracket are classified (the gate).  Only
-    when they straddle the coarse separatrix, the lower end of the scan's
-    lower class and the upper end of the other, is ``fine_growth`` read,
-    once, at the bracket's midpoint a_c; one Newton step with the
-    coarse growth's secant slope s_c across the bracket then predicts
-    a_c - fine_growth(a_c) / s_c.  A scan that decays, a functional
-    without a sign change, ends that do not straddle and a prediction
-    that is not finite and positive all give None.
+    ``_scanned_bracket`` finds a bracket [lo, hi] between the classes.
+    The functional stage brackets a sign change of the continuous
+    ``growth`` on it by false position, to ``ends`` no wider than tol.
+    The gate classifies those ends, lower end first, and takes the class
+    of a scan end from the scan.  When the lower end is of ``lo_class``
+    and the upper end is not, they straddle the separatrix and are
+    returned as [lo, hi].  Otherwise both lie on one side, and [lo, hi]
+    is the scan bracket narrowed to that side: classes are monotone in
+    the amplitude, so after a lower end not of ``lo_class`` the upper
+    end is not shot.  A shot that decays returns (a, a, "decay", ends).
+    ``ends`` is None when the scan decays or ``growth`` has no sign
+    change on the scan bracket.
     """
     lo, hi, lo_class = _scanned_bracket(classify)
     if lo_class == "decay":
-        return None
+        return lo, hi, lo_class, None
     g_lo, g_hi = growth(lo), growth(hi)
     if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
+        return lo, hi, lo_class, None
+    ends = false_position(growth, lo, hi, g_lo, g_hi, tol)
+    # the scan classified its bracket's ends already
+    known = {lo: lo_class, hi: "cross" if lo_class == "turn" else "turn"}
+    for x in ends:
+        c = known[x] if x in known else classify(x)
+        if c == "decay":
+            return x, x, c, ends
+        if c != lo_class:
+            hi = x
+            break
+        lo = x
+    return lo, hi, lo_class, ends
+
+
+def _searched_amplitude(classify, growth, tol: float) -> float:
+    """Separatrix amplitude from no prior knowledge.
+
+    After ``_gated_bracket``, ends that straddle the separatrix are the
+    certificate and their midpoint a_g the result.  Ends on one side
+    leave [lo, hi] on that side, and probes a_g +/- tol/2,
+    a_g +/- SHOOT_WIDEN tol/2, ... on the far side narrow it until one
+    lands across.  The result is the midpoint of that bracket halved by
+    classification to width <= tol, so the functional only decides how
+    many shots the certificate costs.  Without a sign change of
+    ``growth`` the scan bracket is halved by classification.  A shot
+    that decays is taken as the separatrix itself.
+    """
+    lo, hi, lo_class, ends = _gated_bracket(classify, growth, tol)
+    if lo_class == "decay":
+        return lo
+    if ends is None:
+        return _bisect_classes(classify, lo, hi, lo_class, tol)
+    a_g = 0.5 * (ends[0] + ends[1])
+    if (lo, hi) == ends:
+        return a_g
+    # both ends on one side: probe outward from a_g on the far side
+    side = 1.0 if lo == ends[1] else -1.0
+    d = _probe_offset(a_g, tol)
+    x = a_g + side * d
+    while lo < x < hi:
+        c = classify(x)
+        if c == "decay":
+            return x
+        if c == lo_class:
+            lo = x
+        else:
+            hi = x
+        if (c == lo_class) != (side > 0):
+            break       # across from the ends: [lo, hi] straddles
+        d *= SHOOT_WIDEN
+        x = a_g + side * d
+    return _bisect_classes(classify, lo, hi, lo_class, tol)
+
+
+def _coarse_prediction(classify, growth, fine_growth, tol: float) -> Optional[float]:
+    """Separatrix amplitude at the fine step predicted from
+    ``_gated_bracket`` at a coarse one, or None.
+
+    ``classify`` and ``growth`` shoot at the coarse step.  Only when the
+    gate's ends straddle the coarse separatrix is ``fine_growth`` read,
+    once, at their midpoint a_c; one Newton step with the coarse
+    growth's secant slope s_c across them then predicts
+    a_c - fine_growth(a_c) / s_c.  Any other outcome of the gate, and a
+    prediction that is not finite and positive, give None.
+    """
+    lo, hi, _, ends = _gated_bracket(classify, growth, tol)
+    if (lo, hi) != ends:
         return None
-    a_lo, a_hi = false_position(growth, lo, hi, g_lo, g_hi, tol)
-    hi_class = "cross" if lo_class == "turn" else "turn"
-    # classes are monotone in the amplitude: an a_lo not of lo_class
-    # leaves a_hi unshot
-    if classify(a_lo) != lo_class or classify(a_hi) != hi_class:
-        return None
-    a_c = 0.5 * (a_lo + a_hi)
-    slope = (growth(a_hi) - growth(a_lo)) / (a_hi - a_lo)
+    a_c = 0.5 * (lo + hi)
+    slope = (growth(hi) - growth(lo)) / (hi - lo)
     a_pred = a_c - fine_growth(a_c) / slope
     return a_pred if math.isfinite(a_pred) and a_pred > 0.0 else None
 
 
-def _confirmed_amplitude(classify, predicted: float, tol: float) -> Optional[float]:
-    """Separatrix amplitude next to a predicted one, or None.
+def _confirmed_amplitude(classify, predicted: float, tol: float) -> tuple:
+    """(separatrix amplitude next to a predicted one, its recorded shot
+    or None), or (None, None).
 
     Classifies the midpoint of predicted -/+ d (d as the probes of
-    ``_separatrix_amplitude`` use), keeping its shot, and then the probe
+    ``_searched_amplitude`` use), recording its shot, and then the probe
     on the far side of the midpoint's class: predicted + d after a turn,
     predicted - d after a cross.  A turn and a cross bracket the
     separatrix no wider than tol/2, and the midpoint is the result.  A
     "decay" shot is taken as the separatrix itself.  Two shots of one
-    class confirm nothing: None, and the caller searches as if no
-    prediction had been made.
+    class confirm nothing, and the caller searches as if no prediction
+    had been made.
     """
     d = _probe_offset(predicted, tol)
     lo, hi = predicted - d, predicted + d
     mid = 0.5 * (lo + hi)
-    c_mid = classify(mid, keep=True)
+    record = [mid]
+    c_mid = classify(mid, record)
     if c_mid == "decay":
-        return mid
+        return mid, record
     far = hi if c_mid == "turn" else lo
     c_far = classify(far)
     if c_far == "decay":
-        return far
+        return far, None
     if {c_mid, c_far} != {"turn", "cross"}:
-        return None
-    return mid
+        return None, None
+    return mid, record
 
 
 def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
-                   r_end: float, kept: Optional[dict] = None) -> tuple:
-    """(classify, growth) of route C's shots at RK4 step h to r_end.
+                   r_end: float) -> tuple:
+    """(classify, growth, shot) of route C's shots at RK4 step h to r_end.
 
-    Every shot first runs to SHOOT_R (r_end if that is smaller), or to
-    its event, and its state there is kept in a map of this pair alone:
-    ``growth`` reads it, and ``classify`` resumes it, so the two never
-    integrate the same stretch twice.  ``classify(a, keep=True)`` stores
-    the u of an amplitude not shot before in ``kept[a]``; a pair built
-    without ``kept`` records nothing.
+    ``shot(a, r_stop, record=None, start=None)`` is ``_integrate_shot``
+    at this step.  A shot of ``classify`` or ``growth`` first runs to
+    SHOOT_R (r_end if that is smaller), or to its event, and its state
+    there is saved in a map of this triple alone: ``growth`` reads it,
+    and ``classify`` resumes it, so the two never integrate the same
+    stretch twice.  ``classify(a, record)`` appends to ``record`` the u
+    after every step of an amplitude not shot before.
     """
     kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
     r_R = min(SHOOT_R, r_end)
@@ -809,23 +814,18 @@ def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
     at_R = {}     # amplitude -> (kind, r, u, u') at its event or at r_R
 
     def shot(a, r_stop, record=None, start=None):
-        return _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_stop,
-                               BLOWUP_FACTOR, record, start)
+        return _integrate_shot(a, v_inf, f_scalar, N, lam, h, r_stop, record, start)
 
     def state_at_R(a, record=None):
         if a not in at_R:
             at_R[a] = shot(a, r_R, record)
         return at_R[a]
 
-    def classify(a, keep=False):
-        # keep: record the shot of an amplitude not shot before
-        us = [a] if keep else None
-        kind, r, u_end, v_end = state_at_R(a, us)
+    def classify(a, record=None):
+        kind, r, u_end, v_end = state_at_R(a, record)
         if kind == "decay":
-            kind, r, u_end, v_end = shot(a, r_end, us, (u_end, v_end, r, k_R))
-        if keep:
-            kept[a] = us
-        if kind == "decay" and abs(u_end) > 0.5 * abs(a):
+            kind, r, u_end, v_end = shot(a, r_end, record, (u_end, v_end, r, k_R))
+        if kind == "decay" and u_end > 0.5 * a:
             # the trajectory never left the neighborhood of a rest point
             # of the autonomous flow: the amplitude is too small
             return "turn"
@@ -836,7 +836,7 @@ def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
         _, r, u, v = state_at_R(a)
         return 0.5 * r**m * math.exp(-kappa * r) * (u + (v + m * u / r) / kappa)
 
-    return classify, growth
+    return classify, growth, shot
 
 
 def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
@@ -851,51 +851,36 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     quadrature and descent code paths, and are classified as undershoot
     (the profile turns, or grows past 10 u(0)) or overshoot (it crosses
     zero); the separatrix between them is the monotone decaying ground
-    state.  A scan over u(0) = 1, 2, 1/2, 4, ... finds one amplitude of
-    each class.  Inside that bracket the root of the growing-mode
-    coefficient 1/2 (w + w'/kappa) e^{-kappa r} of w = r^{(N-1)/2} u,
-    kappa = sqrt(V_inf), read at r = SHOOT_R or at the shot's event if
-    that comes first (see below), is found by false position; it changes sign
-    smoothly at the ground state.  The ends of its final bracket are
-    classified next, and when they do not straddle the separatrix, they
-    and classification shots past them narrow the scan bracket, which is
-    halved by classification to opts.shoot_tol (see
-    ``_separatrix_amplitude``).  The reported u(0) is the midpoint of an
-    undershoot/overshoot bracket no wider than opts.shoot_tol whichever
-    way the functional points, unless a classification shot decays: its
-    amplitude is then taken as the separatrix before the bracket is that
-    narrow, and the residual certificates alone decide.
+    state.  The stages of the search, each written once:
 
-    Every shot first runs to SHOOT_R (r_max if that is smaller), or to
-    its event, and its state there is kept: the functional reads it,
-    and a classification resumes it, so the two stages never integrate
-    the same stretch twice.  The recorded profile is one more shot of
-    the reported amplitude, unless the search kept that amplitude's shot.
+    - the scan over u(0) = 1, 2, 1/2, 4, ... (``_scanned_bracket``);
+    - the functional stage: false position on the growing-mode
+      coefficient 1/2 (w + w'/kappa) e^{-kappa r} of w = r^{(N-1)/2} u,
+      kappa = sqrt(V_inf), read at r = SHOOT_R or at the shot's event,
+      which changes sign smoothly at the ground state;
+    - the gate: the classes of that bracket's ends (``_gated_bracket``);
+    - probes and bisection by classification to opts.shoot_tol
+      (``_searched_amplitude``);
+    - the Newton prediction from the gate at the grid step
+      (``_coarse_prediction``), run first when the ODE step is finer
+      than the grid step (k_sub > 1);
+    - the confirmation of a predicted amplitude, given as ``predicted``
+      (positive and finite, else DomainError) or from the grid step
+      (``_confirmed_amplitude``); an unconfirmed one leaves the search
+      to the ODE step alone.
 
-    ``predicted``, when given, is an amplitude expected within
-    opts.shoot_tol/2 of the separatrix.  The midpoint of predicted -/+ d
-    is shot first and kept, then the probe on its far side; they either
-    bracket the separatrix, which skips the scan and the functional
-    stage and makes the kept shot the recorded one, or they do not, and
-    the search runs as without a prediction (see
-    ``_confirmed_amplitude``).  The certificate is the same either way.
-
-    Without ``predicted``, when the ODE step is finer than the grid step
-    (k_sub > 1), the scan and the functional stage first run with shots
-    at the grid step, and the ends of the functional's final bracket are
-    classified there (the gate).  When they straddle that step's
-    separatrix, one shot at the ODE step reads the functional at the
-    bracket's midpoint, and one Newton step with the bracket's secant
-    slope gives the prediction (see ``_coarse_prediction``).  Otherwise,
-    and when the prediction is not confirmed, the search runs at the ODE
-    step alone.  On the README problem this takes 53,150 RK4 steps
-    (10,138 at the grid step) where the search at the ODE step alone
-    takes 96,224.
+    The reported u(0) is the midpoint of an undershoot/overshoot bracket
+    no wider than opts.shoot_tol at the ODE step, unless a
+    classification shot decays: its amplitude is then taken as the
+    separatrix, and the residual certificates alone decide.  The
+    recorded profile is the confirmation's midpoint shot when that is
+    the result, else one more shot of the reported amplitude.
     """
     if v_inf <= 0:
         raise DomainError("shooting requires V_inf > 0")
-    if predicted is not None and not math.isfinite(predicted):
-        raise DomainError(f"predicted amplitude must be finite, got {predicted}")
+    if predicted is not None and not 0.0 < predicted < math.inf:
+        raise DomainError(f"predicted amplitude must be positive and finite, "
+                          f"got {predicted}")
     grid = make_grid(N, 30.0, 4096) if grid is None else grid
     if N != grid.N:
         raise DomainError(f"dimension N = {N} does not match the grid's N = {grid.N}")
@@ -910,29 +895,24 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
                           f"{SHOOT_MAX_STEPS} RK4 steps: n = {grid.n}, "
                           f"h = {grid.h:.6g}, ode_step = {opts.ode_step:.6g}")
     h = grid.h / k_sub
-    r_end, f_scalar, tol = grid.r_max, f.f_scalar, opts.shoot_tol
-    kept = {}     # amplitude -> its recorded u, the kept shot
-    classify, growth = _shot_closures(v_inf, f_scalar, N, lam, h, r_end, kept)
+    r_end, tol = grid.r_max, opts.shoot_tol
+    classify, growth, shot = _shot_closures(v_inf, f.f_scalar, N, lam, h, r_end)
     if predicted is None and k_sub > 1:
-        coarse = _shot_closures(v_inf, f_scalar, N, lam, grid.h, r_end)
+        coarse = _shot_closures(v_inf, f.f_scalar, N, lam, grid.h, r_end)[:2]
         try:
             predicted = _coarse_prediction(*coarse, growth, tol)
         except (BracketNotFoundError, StiffIntegrationError):
             pass        # the search at the ODE step decides
-    a_star = None
+    a_star = us = None
     if predicted is not None:
-        a_star = _confirmed_amplitude(classify, predicted, tol)
-    us = kept.pop(a_star, None)
-    kept.clear()
+        a_star, us = _confirmed_amplitude(classify, predicted, tol)
     if a_star is None:
         a_star = _searched_amplitude(classify, growth, tol)
     if us is None:
         us = [a_star]
-        _integrate_shot(a_star, v_inf, f_scalar, N, lam, h, r_end, BLOWUP_FACTOR, us)
+        shot(a_star, r_end, us)
     full = np.zeros((grid.n - 1) * k_sub + 1)
     full[: len(us)] = us
-    sgn = 1.0 if a_star > 0 else -1.0
-    full *= sgn
     # the trajectory leaves the separatrix at the first upturn/sign flip;
     # everything from there is growing-mode contamination
     dus = np.diff(full)
@@ -941,7 +921,7 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     # back off to where the contamination is ~1e-4 relative, then replace
     # the tail by the measured local exponential decay: a hard zero cut
     # would leave a kink that the residual certificate amplifies by 1/h^2
-    u_event = max(full[max(i_event - 1, 0)], abs(a_star) * 1e-14)
+    u_event = max(full[max(i_event - 1, 0)], a_star * 1e-14)
     floor = 100.0 * u_event
     clean = np.nonzero(full[:i_event] >= floor)[0]
     c = int(clean[-1]) if clean.size else max(i_event - 1, 1)
@@ -952,7 +932,6 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
         rate = math.sqrt(v_inf)
     ext = np.arange(1, full.size - c)
     full[c + 1 :] = full[c] * np.exp(-rate * h * ext)
-    full *= sgn
     vals = full[::k_sub].copy()
     vals[-1] = 0.0
     u_star = RadialFunction(grid, vals)

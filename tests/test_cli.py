@@ -243,8 +243,9 @@ AS_SATURATING = ["nonlinearity.family=saturating", "nonlinearity.p=", "nonlinear
 
 # values that escaped cli.run as a traceback (the first four), that a
 # solve certified as converged with an infinite tolerance (the next two),
-# non-finite model parameters, which NaN-flooded or failed a route, and
-# config entries the builders reject
+# non-finite model parameters, which NaN-flooded or failed a route, config
+# entries the builders reject, and a finite line-search step past
+# STEP_MAX, which flooded numpy warnings (the last two)
 @pytest.mark.parametrize("command, overrides", [
     ("oracle-shoot", ["grid.r_max=inf"]),
     ("solve-limit", ["grid.r_max=1e308"]),
@@ -269,6 +270,8 @@ AS_SATURATING = ["nonlinearity.family=saturating", "nonlinearity.p=", "nonlinear
     ("check-conditions", ["potential.theta=1"]),
     ("check-conditions", [*AS_PERTURBED, "potential.eps=2"]),
     ("check-conditions", [*AS_PERTURBED, "potential.shape=box"]),
+    ("solve", ["solver.step=1e308"]),
+    ("solve-limit", ["solver.step=1e308"]),
 ])
 def test_edge_values_exit_1_as_config_errors(tmp_path, capsys, command, overrides):
     code, err = _run_quietly(tmp_path, capsys, command, overrides)

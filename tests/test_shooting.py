@@ -48,7 +48,7 @@ def _classifier(f, N, lam, grid, opts):
 
     def classify(a):
         kind, _, u_end, _ = solver._integrate_shot(
-            a, 1.0, f.f_scalar, N, lam, h, grid.r_max, solver.BLOWUP_FACTOR)
+            a, 1.0, f.f_scalar, N, lam, h, grid.r_max)
         if kind == "decay" and abs(u_end) > 0.5 * abs(a):
             return "turn"
         return kind
@@ -177,10 +177,8 @@ def test_early_event_is_the_functional_shot(family, N, a):
     # exactly as the same shot run only to SHOOT_R
     f = FAMILIES[family]()
     h = _step(make_grid(N, 30.0, 4096), COARSE)
-    full = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0,
-                                  solver.BLOWUP_FACTOR)
-    short = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, solver.SHOOT_R,
-                                   solver.BLOWUP_FACTOR)
+    full = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0)
+    short = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, solver.SHOOT_R)
     if full[1] <= solver.SHOOT_R:
         assert full == short
     else:
@@ -198,13 +196,11 @@ def test_resumed_shot_is_the_uninterrupted_shot(family, N, a):
     h = _step(make_grid(N, 30.0, 4096), COARSE)
     args = (a, 1.0, f.f_scalar, N, 1.0, h)
     whole, parts = [a], [a]
-    full = solver._integrate_shot(*args, 30.0, solver.BLOWUP_FACTOR, whole)
-    kind, r, u, v = solver._integrate_shot(*args, solver.SHOOT_R,
-                                           solver.BLOWUP_FACTOR, parts)
+    full = solver._integrate_shot(*args, 30.0, whole)
+    kind, r, u, v = solver._integrate_shot(*args, solver.SHOOT_R, parts)
     if kind == "decay":
         k = int(round(solver.SHOOT_R / h))
-        assert solver._integrate_shot(*args, 30.0, solver.BLOWUP_FACTOR, parts,
-                                      (u, v, r, k)) == full
+        assert solver._integrate_shot(*args, 30.0, parts, (u, v, r, k)) == full
     else:
         assert (kind, r, u, v) == full
     assert parts == whole
@@ -236,10 +232,9 @@ def test_shot_scales_with_the_weight(N, frac, lam, a):
     f = power_nonlinearity(p)
     s = lam ** (-1.0 / (f.degree - 1.0))
     h = 1e-2
-    kind, r, u, v = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0,
-                                           solver.BLOWUP_FACTOR)
+    kind, r, u, v = solver._integrate_shot(a, 1.0, f.f_scalar, N, 1.0, h, 30.0)
     kind_s, r_s, u_s, v_s = solver._integrate_shot(s * a, 1.0, f.f_scalar, N, lam,
-                                                   h, 30.0, solver.BLOWUP_FACTOR)
+                                                   h, 30.0)
     assert (kind_s, r_s) == (kind, r)
     assert abs(u_s - s * u) <= 1e-13 * s * a
     assert abs(v_s - s * v) <= 1e-13 * s * a
@@ -290,8 +285,9 @@ def test_wrong_prediction_gives_the_unpredicted_report(miss, shot_counter):
     assert shots["resume"] == ref_shots["resume"]
 
 
-@pytest.mark.parametrize("predicted", [math.nan, math.inf])
+@pytest.mark.parametrize("predicted", [math.nan, math.inf, 0.0, -4.3])
 def test_nonfinite_prediction_is_a_domain_error(predicted):
+    # every amplitude route C shoots is positive
     with pytest.raises(DomainError):
         shoot_oracle(1.0, power_nonlinearity(4.0), 3, predicted=predicted)
 
@@ -341,7 +337,7 @@ def test_rest_point_shot_exits_with_the_full_run_outcome():
 
     h, r_end = 1e-3, 30.0
     trajectory = [1.0]
-    out = solver._integrate_shot(1.0, 1.0, f_scalar, 3, 1.0, h, r_end, 10.0,
+    out = solver._integrate_shot(1.0, 1.0, f_scalar, 3, 1.0, h, r_end,
                                  record=trajectory)
     n_steps = int(round(r_end / h))
     r = 0.0
@@ -366,7 +362,7 @@ def test_bisection_stops_at_adjacent_floats():
 def _banded(lo_decay, hi_decay, calls):
     """A fake classification: turn below [lo_decay, hi_decay], decay on
     it, cross above; every amplitude classified is appended to calls."""
-    def classify(a, keep=False):
+    def classify(a, record=None):
         calls.append(a)
         if a < lo_decay:
             return "turn"
@@ -381,13 +377,17 @@ def test_bisection_takes_a_decaying_midpoint():
     assert a == 1.0 and calls == [1.0]
 
 
+# the scan's shots of any band inside (1, 2): 1 turns and 2 crosses, so
+# the scan bracket is [1, 2] with lower class "turn"
+SCAN = [1.0, 2.0]
+
+
 def test_separatrix_bracket_end_takes_a_decaying_shot():
     # the functional's root is 1.3; the lower end of the false-position
-    # bracket, the first amplitude classified, decays
+    # bracket, the first amplitude classified after the scan, decays
     calls, tol = [], 1e-3
-    a = solver._separatrix_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3,
-                                     1.0, 2.0, "turn", tol)
-    assert calls == [a]
+    a = solver._searched_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3, tol)
+    assert calls == SCAN + [a]
     assert abs(a - 1.3) <= tol
 
 
@@ -403,14 +403,12 @@ def test_separatrix_probe_takes_a_decaying_shot():
     # below the ends: the lower end crosses, and so must the upper one,
     # which is left unshot
     calls = []
-    a = solver._separatrix_amplitude(_banded(1.2997, 1.2998, calls), growth,
-                                     1.0, 2.0, "turn", tol)
-    assert calls == [lo_end, a] and 1.2997 <= a <= 1.2998
+    a = solver._searched_amplitude(_banded(1.2997, 1.2998, calls), growth, tol)
+    assert calls == SCAN + [lo_end, a] and 1.2997 <= a <= 1.2998
     # above the ends: both turn
     calls = []
-    a = solver._separatrix_amplitude(_banded(1.3006, 1.3008, calls), growth,
-                                     1.0, 2.0, "turn", tol)
-    assert calls == [lo_end, hi_end, a] and 1.3006 <= a <= 1.3008
+    a = solver._searched_amplitude(_banded(1.3006, 1.3008, calls), growth, tol)
+    assert calls == SCAN + [lo_end, hi_end, a] and 1.3006 <= a <= 1.3008
 
 
 def test_scan_takes_a_decaying_shot():
@@ -435,9 +433,8 @@ def test_separatrix_bracket_ends_that_straddle_certify():
 
     lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
     # the separatrix 1.3001 lies inside the bracket, ends [1.3, 1.3005]
-    a = solver._separatrix_amplitude(_banded(1.3001, 0.0, calls), growth,
-                                     1.0, 2.0, "turn", tol)
-    assert calls == [lo_end, hi_end]
+    a = solver._searched_amplitude(_banded(1.3001, 0.0, calls), growth, tol)
+    assert calls == SCAN + [lo_end, hi_end]
     assert a == 0.5 * (lo_end + hi_end)
 
 
@@ -453,30 +450,60 @@ def test_separatrix_bracket_ends_on_one_side_are_probed_past(offset):
         return x - 1.3
 
     lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
-    a = solver._separatrix_amplitude(_banded(sep, 0.0, calls), growth,
-                                     1.0, 2.0, "turn", tol)
+    a = solver._searched_amplitude(_banded(sep, 0.0, calls), growth, tol)
     ends = [lo_end, hi_end] if offset > 0 else [lo_end]
-    assert calls[: len(ends)] == ends
-    probes = calls[len(ends):]
+    assert calls[: len(SCAN + ends)] == SCAN + ends
+    probes = calls[len(SCAN + ends):]
     assert probes and all(p > hi_end if offset > 0 else p < lo_end for p in probes)
     assert abs(a - sep) <= tol
+
+
+def test_coarse_gate_reads_a_scan_end_from_the_scan():
+    # the functional's root sits a quarter tolerance above the scan's
+    # lower end 1, so false position's final bracket ends on it; the gate
+    # takes its class from the scan and classifies the upper end alone
+    calls, tol = [], 1e-3
+
+    def growth(x):
+        return x - (1.0 + 0.25 * tol)
+
+    lo_end, hi_end = false_position(growth, 1.0, 2.0, growth(1.0), growth(2.0), tol)
+    assert lo_end == 1.0
+    read = []
+
+    def fine_growth(x):
+        read.append(x)
+        return growth(x)
+
+    a = solver._coarse_prediction(_banded(1.0 + 0.125 * tol, 0.0, calls), growth,
+                                  fine_growth, tol)
+    assert calls == SCAN + [hi_end]
+    # one read of the fine functional, at the ends' midpoint, and one
+    # Newton step on the linear functional lands on its root
+    assert read == [0.5 * (lo_end + hi_end)]
+    assert a == pytest.approx(1.0 + 0.25 * tol, abs=1e-15)
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_confirmation_probe_takes_a_decaying_shot(side):
     # the band is the probe on `side` of the prediction 1.0 alone: the
-    # midpoint 1.0 turns or crosses, and the probe on its far side decays
+    # midpoint 1.0 turns or crosses, and the probe on its far side decays;
+    # the midpoint's recorded shot is not the reported amplitude's
     tol = 1e-6
     d = solver._probe_offset(1.0, tol)
     probe, calls = 1.0 + side * d, []
-    assert solver._confirmed_amplitude(_banded(probe, probe, calls), 1.0, tol) == probe
+    assert solver._confirmed_amplitude(_banded(probe, probe, calls), 1.0, tol) == \
+        (probe, None)
     assert calls == [1.0, probe]
 
 
 def test_confirmation_midpoint_takes_a_decaying_shot():
-    # the midpoint, shot first, decays: one shot confirms the prediction
+    # the midpoint, shot first, decays: one shot confirms the prediction,
+    # and its record (u(0) alone, as the fake classification appends
+    # nothing) is returned with it
     tol, calls = 1e-6, []
-    assert solver._confirmed_amplitude(_banded(1.0, 1.0, calls), 1.0, tol) == 1.0
+    assert solver._confirmed_amplitude(_banded(1.0, 1.0, calls), 1.0, tol) == \
+        (1.0, [1.0])
     assert calls == [1.0]
 
 
@@ -506,8 +533,8 @@ def _coarse_gate(f, N, grid, tol):
     """Whether the ends of the functional's final bracket at the grid
     step straddle the separatrix at that step: shoot_oracle's gate,
     restated from the search's parts."""
-    classify, growth = solver._shot_closures(1.0, f.f_scalar, N, 1.0, grid.h,
-                                             grid.r_max)
+    classify, growth, _ = solver._shot_closures(1.0, f.f_scalar, N, 1.0, grid.h,
+                                                grid.r_max)
     lo, hi, lo_class = solver._scanned_bracket(classify)
     if lo_class == "decay":
         return False
@@ -544,8 +571,8 @@ def test_straddling_coarse_brackets_certify_at_the_ode_step(monkeypatch):
     # of f_scalar evaluations, which doubles the cost of a step
     real, calls = solver._integrate_shot, []
 
-    def logged(a, v_inf, f_scalar, N, lam, h, r_end, blow, record=None, start=None):
-        out = real(a, v_inf, f_scalar, N, lam, h, r_end, blow, record, start)
+    def logged(a, v_inf, f_scalar, N, lam, h, r_end, record=None, start=None):
+        out = real(a, v_inf, f_scalar, N, lam, h, r_end, record, start)
         kind = ("resume" if start is not None
                 else "record" if record is not None else "shot")
         calls.append((kind, a, out[0], h))
@@ -636,7 +663,7 @@ def test_failed_coarse_search_leaves_the_search_to_the_ode_step(p, n, error,
     # shot overflows (p = 8); the search at the ODE step then runs as it
     # does alone, to its report (p = 5) or its own error (p = 8)
     grid, f = make_grid(3, 10.0, n), power_nonlinearity(p)
-    classify, _ = solver._shot_closures(1.0, f.f_scalar, 3, 1.0, grid.h, grid.r_max)
+    classify, *_ = solver._shot_closures(1.0, f.f_scalar, 3, 1.0, grid.h, grid.r_max)
 
     def outcome():
         try:

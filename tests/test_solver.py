@@ -104,7 +104,7 @@ def test_shot_step_nan_is_stiff_error():
     f = power_nonlinearity(1.5)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(StiffIntegrationError):
-            solver._integrate_shot(0.0, 1.0, f.f_scalar, 3, 1.0, 1e-3, 1.0, 10.0)
+            solver._integrate_shot(0.0, 1.0, f.f_scalar, 3, 1.0, 1e-3, 1.0)
 
 
 def test_bl_route(rep_bl, rep_shoot):
@@ -503,6 +503,12 @@ def test_solve_options_validation():
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match=name):
                 SolveOptions(**{name: bad})
+    # the line search never grows a step past STEP_MAX; STEP_MAX itself is
+    # accepted
+    for bad in (solver.STEP_MAX * (1 + 2**-52), 1e308):
+        with pytest.raises(DomainError, match="step"):
+            SolveOptions(step=bad)
+    assert SolveOptions(step=solver.STEP_MAX).step == solver.STEP_MAX
     # the starting bump amp * exp(-(r / width)^2) needs both finite and positive
     for name in ("amp", "width"):
         for bad in (0.0, -1.0, math.nan, math.inf):

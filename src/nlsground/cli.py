@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import inspect
+import itertools
 import json
 import math
 import os
@@ -233,12 +234,30 @@ def _format_value(v) -> str:
 # serialization
 # ----------------------------------------------------------------------
 
+# the JSON token of each non-finite FloatTexts entry
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class FloatTexts(list):
+    """The %.17g text of each value of a float array, rendered once:
+    format_json writes it as a list of numbers and table_csv as a
+    column, so a report and its profile join the same strings.  A value
+    that is not finite reads nan, inf or -inf, as table_csv writes it;
+    format_json writes NaN, Infinity or -Infinity there."""
+
+    def __init__(self, values):
+        vals = np.asarray(values, dtype=float).tolist()
+        # one % over every value, then a split: faster than one % per value
+        super().__init__((("%.17g\n" * len(vals)) % tuple(vals)).splitlines())
+
+
 def format_json(obj) -> str:
     """JSON text with every finite float rendered to 17 significant digits
     and every other float as the token Python's json reads back
     (Infinity, -Infinity, NaN).  Dicts and lists (tuples too) are
     indented by two spaces per level; numpy scalars are written as the
-    Python value they hold.
+    Python value they hold.  A FloatTexts list is written from its
+    texts, as the floats it was rendered from would be.
 
     One recursive pass: each container joins its items' text once.
     (Appending every token to one growing list left the process's
@@ -260,7 +279,9 @@ def format_json(obj) -> str:
             if not x:
                 return "[]"
             inner = pad + "  "
-            items = (",\n" + inner).join([encode(v, inner) for v in x])
+            texts = (map(_JSON_TOKENS.get, x, x) if isinstance(x, FloatTexts)
+                     else [encode(v, inner) for v in x])
+            items = (",\n" + inner).join(texts)
             return "[\n" + inner + items + "\n" + pad + "]"
         if isinstance(x, (bool, np.bool_)):
             return "true" if x else "false"
@@ -287,10 +308,16 @@ def atomic_write(path: str, text: str):
 
 def table_csv(names, *columns) -> str:
     """CSV text: a header line of the column names, then one line per
-    row with every value to 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns))
-    values = zip(*[np.asarray(col, dtype=float).tolist() for col in columns])
-    return "\n".join([",".join(names), *[row % vals for vals in values]]) + "\n"
+    row with every value to 17 significant digits.  A FloatTexts column
+    is joined as it was rendered.
+
+    One % renders every cell, so no list of row strings is built."""
+    row = ",".join(["%s" if isinstance(col, FloatTexts) else "%.17g" for col in columns])
+    cols = [col if isinstance(col, FloatTexts) else np.asarray(col, dtype=float).tolist()
+            for col in columns]
+    rows = min(map(len, cols), default=0)
+    cells = tuple(itertools.chain.from_iterable(zip(*cols)))
+    return ",".join(names) + "\n" + ((row + "\n") * rows) % cells
 
 
 # ----------------------------------------------------------------------
@@ -320,10 +347,13 @@ def _cmd_check_conditions(cfg, out_dir, seed):
 
 def _solve_common(ctx, cfg, out_dir, routine, stem):
     rep = routine(ctx, cfg.build_options())
-    atomic_write(os.path.join(out_dir, f"{stem}_report.json"),
-                 format_json(rep.to_dict()))
+    # the report's u list and the profile's u column join the same texts
+    u = FloatTexts(rep.u_star.values)
+    report = rep.to_dict()
+    report["u"] = u
+    atomic_write(os.path.join(out_dir, f"{stem}_report.json"), format_json(report))
     atomic_write(os.path.join(out_dir, f"{stem}_profile.csv"),
-                 table_csv(("r", "u"), rep.u_star.grid.r, rep.u_star.values))
+                 table_csv(("r", "u"), rep.u_star.grid.r, u))
     print(f"{stem}: converged energy={rep.energy:.10g} u(0)={rep.u_at_zero:.12g} "
           f"poho={rep.pohozaev_residual:.3e} pde={rep.pde_residual:.3e}")
     return 0

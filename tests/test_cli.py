@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsground import cli, errors, solver
-from nlsground.cli import _SCHEMA, RunConfig, format_json, run
+from nlsground.cli import _SCHEMA, FloatTexts, RunConfig, format_json, run, table_csv
 from nlsground.errors import ConfigError
 from nlsground.grid import RadialFunction, make_grid
 from nlsground.solver import SolveReport
@@ -506,6 +506,83 @@ _JSON_TREES = st.recursive(
 @given(obj=_JSON_TREES)
 def test_format_json_matches_two_pass_encoder(obj):
     assert format_json(obj) == _format_json_two_pass(obj)
+
+
+def _table_csv_rows(names, *columns) -> str:
+    """The writer table_csv replaced, kept verbatim as the byte reference:
+    one row % vals per line."""
+    row = ",".join(["%.17g"] * len(columns))
+    values = zip(*[np.asarray(col, dtype=float).tolist() for col in columns])
+    return "\n".join([",".join(names), *[row % vals for vals in values]]) + "\n"
+
+
+# a column as a caller passes it: Python floats, a numpy array, or the
+# rendered texts of a report's profile
+_COLUMN_KINDS = (list, np.asarray, FloatTexts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 3), rows=st.integers(0, 12))
+def test_table_csv_matches_the_row_writer(data, width, rows):
+    floats = st.one_of(_JSON_FLOATS, _JSON_FLOATS.map(np.float64))
+    columns = [data.draw(st.lists(floats, min_size=rows, max_size=rows))
+               for _ in range(width)]
+    kinds = data.draw(st.lists(st.sampled_from(_COLUMN_KINDS),
+                               min_size=width, max_size=width))
+    names = [f"c{k}" for k in range(width)]
+    got = table_csv(names, *[kind(col) for kind, col in zip(kinds, columns)])
+    assert got == _table_csv_rows(names, *columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(_JSON_FLOATS, _JSON_FLOATS.map(np.float64)),
+                       max_size=12))
+def test_format_json_writes_float_texts_as_their_floats(values):
+    obj = {"x": 1.5, "u": FloatTexts(values), "nested": [FloatTexts(values)]}
+    ref = {"x": 1.5, "u": values, "nested": [values]}
+    assert format_json(obj) == _format_json_two_pass(ref)
+
+
+def _csv_column(text: str, name: str) -> list:
+    lines = text.splitlines()
+    k = lines[0].split(",").index(name)
+    return [line.split(",")[k] for line in lines[1:]]
+
+
+def _json_u_tokens(text: str) -> list:
+    """The u list of a report as it stands in the file, one token per
+    entry (format_json writes each on its own line)."""
+    body = text[text.index('"u": [') + len('"u": ['):text.rindex("]")]
+    return [tok.strip().rstrip(",") for tok in body.strip().splitlines()]
+
+
+@pytest.mark.parametrize("command, stem", [("solve", "solve"),
+                                           ("solve-limit", "solve_limit"),
+                                           ("oracle-shoot", "shoot")])
+def test_report_and_profile_carry_the_same_u_text(tmp_path, command, stem):
+    path = tmp_path / "const.ini"
+    path.write_text(CONST_INI.format(n=2048, out=tmp_path / "out"))
+    assert run(command, str(path)) == 0
+    text = (tmp_path / "out" / f"{stem}_report.json").read_text()
+    column = _csv_column((tmp_path / "out" / f"{stem}_profile.csv").read_text(), "u")
+    assert len(column) == 2048
+    assert _json_u_tokens(text) == column
+    assert json.loads(text)["u"] == [float(x) for x in column]
+
+
+def test_non_finite_profile_writes_todays_bytes(tmp_path):
+    # RadialFunction refuses non-finite values; the stub sets them after
+    rep = _solution_report(make_grid(3, 30.0, 16))
+    vals = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, -2.5,
+                     *rep.u_star.values[7:]])
+    object.__setattr__(rep.u_star, "values", vals)
+    cfg = RunConfig.from_ini(CONST_INI.format(n=16, out=tmp_path))
+    assert cli._solve_common(None, cfg, str(tmp_path), lambda ctx, opts: rep, "stub") == 0
+    report = (tmp_path / "stub_report.json").read_bytes()
+    profile = (tmp_path / "stub_profile.csv").read_bytes()
+    assert report == _format_json_two_pass(rep.to_dict()).encode()
+    assert profile == _table_csv_rows(("r", "u"), rep.u_star.grid.r, vals).encode()
+    assert b"NaN" in report and b"-Infinity" in report and b",nan\n" in profile
 
 
 # ----------------------------------------------------------------------

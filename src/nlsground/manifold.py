@@ -5,7 +5,10 @@ dilation-identity functional P.  For u in the admissible set (those with
 int [V_inf u^2 / 2 - lam F(u)] < 0) the fiber t -> I(u(x/t)) has a unique
 maximizer t_u, found here as the unique sign change of t -> P(u_t) on a
 log-t scan and polished by safeguarded false position (Illinois) on
-log t.  One projection computes the quadratures of u once: admissibility,
+log t.  The polish reads the log-ratio g = -log1p(-z) of P, where
+z = P(u_t) / (t^{N-2} A) (_log_ratio): g has the sign of P and is linear
+in log t for a constant potential, so there one step lands on the root.
+One projection computes the quadratures of u once: admissibility,
 the scan and the polish all read the same FiberValues.  The polisher,
 ``false_position``, also serves route C's growing-mode functional.
 
@@ -316,7 +319,8 @@ def project_to_M(ctx: FunctionalContext, u: RadialFunction) -> FiberProjection:
 
     Requires u admissible (checked).  The root is bracketed by a sign
     scan on a log grid over T_BRACKET and polished by safeguarded false
-    position to |d log t| < 1e-12; exactly one sign change is demanded,
+    position on the log-ratio of P to a sign change of P no wider than
+    1e-12 in log t; exactly one sign change is demanded,
     anything else raises.  The quadratures of u are computed once and
     returned as the projection's ``fiber``.
     """
@@ -340,6 +344,11 @@ def _project(fv: FiberValues, t_bracket: tuple):
     single profile is one row.  The first row, in order, that is not
     admissible or whose scan does not change sign exactly once raises its
     error; an inadmissible first row raises before the scan.
+
+    The lockstep polish runs on g = _log_ratio(P(u_t)) in log t, from the
+    scan's values at the bracket ends.  g has the sign of P at every
+    trial, so each step keeps the side P gives it, and the bracket ends
+    at a sign change of P no wider than BISECT_LOG_TOL.
     """
     member, q = (np.atleast_1d(a) for a in fiber_membership(fv))
     if member.size and not member[0]:
@@ -354,16 +363,35 @@ def _project(fv: FiberValues, t_bracket: tuple):
         _raise_sign_changes(int(count[k]), t_bracket)
     i = np.argmax(flips, axis=1)
     rows = np.arange(i.size)
+    N = fv.ctx.grid.N
+    a = 0.5 * (N - 2.0) * np.atleast_1d(fv.grad)
 
-    def p_at(lanes, x):
+    def g_at(lanes, x):
+        t = np.exp(x)
         if lanes.size == rows.size:          # every row open: nothing to copy
-            return fv.pohozaev_at(np.exp(x))
+            return _log_ratio(fv.pohozaev_at(t), t, a, N)
         # rows() copies its rows: take them BLOCK at a time
-        out = np.empty(len(lanes))
+        p = np.empty(len(lanes))
         for b in row_blocks(len(lanes)):
-            out[b] = fv.rows(lanes[b]).pohozaev_at(np.exp(x[b]))
-        return out
+            p[b] = fv.rows(lanes[b]).pohozaev_at(t[b])
+        return _log_ratio(p, t, a[lanes], N)
 
-    lo, hi = false_position_lanes(p_at, np.log(ts[i]), np.log(ts[i + 1]),
-                                  ps[rows, i], ps[rows, i + 1], BISECT_LOG_TOL)
-    return np.exp(0.5 * (lo + hi)), ts[i], ts[i + 1], count
+    t_lo, t_hi = ts[i], ts[i + 1]
+    lo, hi = false_position_lanes(g_at, np.log(t_lo), np.log(t_hi),
+                                  _log_ratio(ps[rows, i], t_lo, a, N),
+                                  _log_ratio(ps[rows, i + 1], t_hi, a, N), BISECT_LOG_TOL)
+    return np.exp(0.5 * (lo + hi)), t_lo, t_hi, count
+
+
+def _log_ratio(p, t, a, N):
+    """The polish coordinate g = -log1p(-z) of P(u_t) = p, where
+    z = p / (t^{N-2} A) and A = (N-2)/2 ||grad u||^2.
+
+    Writing P(u_t) = t^{N-2} (A + t^2 B(t)) with B(t) = D(t)/2 - N lam
+    int F and D(t) the dilation term, g = log A - log(-t^2 B(t)): it has
+    the sign of P, is linear in log t when D is constant and nearly so on
+    a slowly varying potential.  p itself where z >= 1 or A <= 0, and
+    where z rounds to zero, so that the sign of g is always that of p."""
+    z = p / (t ** (N - 2.0) * np.where(a > 0.0, a, np.inf))
+    ok = (z < 1.0) & (z != 0.0)
+    return np.where(ok, -np.log1p(-np.where(ok, z, 0.0)), p)

@@ -1,5 +1,7 @@
 import inspect
+from contextlib import contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from nlsground import (
     solve_limit_BL,
     well_potential,
 )
-from nlsground import solver
+from nlsground import manifold, solver
 
 # measured once with the shooting oracle on the default grid and frozen;
 # the ODE route is independent of the quadrature/descent code paths
@@ -117,6 +119,28 @@ def shot_counter(monkeypatch):
 
     monkeypatch.setattr(solver, "_integrate_shot", counting)
     return counter
+
+
+@contextmanager
+def polish_rounds():
+    """The lockstep polishes of the projections run inside: one list per
+    false_position_lanes call, holding the number of open lanes at each
+    of its rounds (one P(u_t) per open lane)."""
+    real = manifold.false_position_lanes
+    calls = []
+
+    def counting(g, *args):
+        rounds = []
+        calls.append(rounds)
+
+        def counted_g(lanes, xs):
+            rounds.append(len(lanes))
+            return g(lanes, xs)
+
+        return real(counted_g, *args)
+
+    with mock.patch.object(manifold, "false_position_lanes", counting):
+        yield calls
 
 
 @pytest.fixture(scope="session")

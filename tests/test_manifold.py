@@ -42,7 +42,7 @@ from nlsground.manifold import (
     project_rows,
 )
 from nlsground.solver import initial_bump
-from conftest import gaussian_bump, random_bumps
+from conftest import gaussian_bump, polish_rounds, random_bumps
 
 
 def admissible_bumps(ctx, grid, rng, count, width_range=(0.5, 5.0),
@@ -666,9 +666,22 @@ def test_undeclared_bounds_scan_every_point():
     assert np.array_equal(ps, _full_scan(fv, T_BRACKET)[1])
 
 
+def _scalar_log_ratio(fv, t, p):
+    """The polish coordinate at one point: -log1p(-z) with
+    z = P(u_t) / (t^{N-2} A), A = (N-2)/2 ||grad u||^2; P itself where
+    A <= 0, z >= 1 or z rounds to zero."""
+    N = fv.ctx.grid.N
+    a = 0.5 * (N - 2.0) * fv.grad
+    if not a > 0.0:
+        return p
+    z = p / (t ** (N - 2.0) * a)
+    return float(-np.log1p(-z)) if z < 1.0 and z != 0.0 else p
+
+
 def _scalar_projection(fv, t_bracket):
     """One profile projected by the full scan and the scalar polish in
-    log t: (t_u, bracket, sign changes), or (error class, message)."""
+    log t on the log-ratio of P: (t_u, bracket, sign changes), or (error
+    class, message)."""
     member, q = fiber_membership(fv)
     if not member:
         return NotInLambdaError, (f"u is not admissible (q = {q:.6g} >= 0); "
@@ -682,9 +695,14 @@ def _scalar_projection(fv, t_bracket):
                                           "the bracket; refine the grid instead of "
                                           "picking a root")
     i = int(flips[0])
-    lo, hi = false_position(lambda x: float(fv.pohozaev_at(np.exp(x))[0]),
-                            np.log(ts[i]), np.log(ts[i + 1]), ps[i], ps[i + 1],
-                            BISECT_LOG_TOL)
+
+    def g(x):
+        t = np.exp(x)
+        return _scalar_log_ratio(fv, t, float(fv.pohozaev_at(t)[0]))
+
+    lo, hi = false_position(g, np.log(ts[i]), np.log(ts[i + 1]),
+                            _scalar_log_ratio(fv, ts[i], ps[i]),
+                            _scalar_log_ratio(fv, ts[i + 1], ps[i + 1]), BISECT_LOG_TOL)
     return float(np.exp(0.5 * (lo + hi))), (float(ts[i]), float(ts[i + 1])), int(flips.size)
 
 
@@ -716,4 +734,48 @@ def test_readme_projection_evaluates_few_points(ctx_well):
     # the README config's start: the full scan alone is SCAN_POINTS points
     u = initial_bump(ctx_well, 2.0, 1.5)
     points = _counted_projection(ctx_well, u)[2]
-    assert points <= 20
+    assert points <= 8
+
+
+def test_log_ratio_has_the_sign_of_p_and_falls_back_to_p():
+    N = 3
+    t = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0])
+    a = np.array([1.0, 1.0, 1.0, 1e300, 0.0, -1.0, 1.0])
+    p = np.array([0.5, -3.0, 2.0, 1e-300, -1.0, 1.0, 0.0])
+    g = manifold._log_ratio(p, t, a, N)
+    assert np.array_equal(np.sign(g), np.sign(p))
+    assert g[0] == np.log(2.0) and g[1] == -np.log(4.0)
+    # z >= 1, z rounding to zero, A = 0 and A < 0 read P itself
+    assert np.array_equal(g[2:6], p[2:6])
+
+
+def test_log_ratio_is_linear_in_log_t_for_a_constant_dilation_term():
+    # P(u_t) = t^{N-2} (A + t^2 B) with B constant: g = log(A / -B) - 2 log t
+    N, A, B = 5, 2.0, -3.0
+    t = np.geomspace(0.1, 10.0, 9)
+    g = manifold._log_ratio(t ** (N - 2.0) * (A + t**2 * B), t, np.full(9, A), N)
+    np.testing.assert_allclose(g, np.log(A / -B) - 2.0 * np.log(t), rtol=0, atol=1e-14)
+
+
+def test_readme_constant_potential_projection_polishes_in_two_points(ctx_auto):
+    # the log-ratio of P is linear in log t on V = 1: the first false
+    # position step lands on the root, the second closes the bracket
+    with polish_rounds() as calls:
+        project_to_M(ctx_auto, initial_bump(ctx_auto, 2.0, 1.5))
+    assert len(calls) == 1 and len(calls[0]) <= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from((power_nonlinearity(4.0), saturating_nonlinearity(3.0))),
+       parts=st.lists(_BUMP_PART, min_size=1, max_size=3))
+def test_constant_potential_polish_takes_at_most_three_points(f, parts):
+    ctx = FunctionalContext(_POLISH_GRID, constant_potential(1.0), f)
+    r = _POLISH_GRID.r
+    vals = sum(10.0**a * np.exp(-(((r - c) / w) ** 2)) for a, w, c in parts)
+    vals[-1] = 0.0
+    with polish_rounds() as calls:
+        try:
+            project_to_M(ctx, RadialFunction(_POLISH_GRID, vals))
+        except _OUTCOMES:
+            return
+    assert len(calls) == 1 and len(calls[0]) <= 3

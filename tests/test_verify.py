@@ -30,7 +30,16 @@ from nlsground import (
 from nlsground import verify
 from nlsground.grid import BLOCK, dilate
 from nlsground.manifold import fiber_membership, project_rows
-from conftest import random_bumps
+from conftest import polish_rounds, random_bumps
+
+
+def test_readme_stack_polish_takes_five_rounds(ctx_well, rep_fiber_well):
+    # verify --solution on the README config, seed 5: the admissible bumps
+    # are polished in lockstep on the log-ratio of P (8 rounds on P itself)
+    with polish_rounds() as calls:
+        run_suite(ctx_well, rep_fiber_well, seed=5)
+    stacks = [rounds for rounds in calls if rounds[0] > 1]
+    assert len(stacks) == 1 and len(stacks[0]) <= 5
 
 
 def test_suite_with_solution_passes(ctx_auto, rep_fiber):

@@ -9,7 +9,6 @@ inequality verification suites.
 from .errors import (
     BracketNotFoundError,
     ConfigError,
-    ConstraintInfeasibleError,
     ConvergenceError,
     DomainError,
     LeftLambdaError,

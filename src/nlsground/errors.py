@@ -58,13 +58,6 @@ class LeftLambdaError(ConvergenceError):
     """A descent step exited the admissible set and rescue rescaling failed."""
 
 
-class ConstraintInfeasibleError(NlsgroundError):
-    """No ladder bump has C > 0, where C is route B's constraint
-    int [lam F(w) - (V_inf/2) w^2] (F3 failure)."""
-
-    exit_code, label = 2, "non-convergence"
-
-
 class BracketNotFoundError(NlsgroundError):
     """Shooting could not bracket the separatrix amplitude."""
 

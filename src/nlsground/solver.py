@@ -11,6 +11,7 @@ and certifies the strict level gap used for compactness.
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import (
     BracketNotFoundError,
-    ConstraintInfeasibleError,
     ConvergenceError,
     DomainError,
     LeftLambdaError,
@@ -83,9 +83,9 @@ class SolveOptions:
     shoot_tol: float = 1e-10
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
-        if not self.max_iters >= 1:
-            raise DomainError("max_iters must be >= 1")
+        # each test is written so that NaN fails it; range() needs an int
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise DomainError("max_iters must be an integer >= 1")
         # an infinite step never shrinks below STEP_MIN, and an infinite
         # tolerance certifies anything
         for name in ("step", "ode_step", "shoot_tol", "grad_tol", "poho_tol",
@@ -125,7 +125,7 @@ SHOOT_WIDEN = 8.0
 # most RK4 steps, (n - 1) * ceil(h / ode_step), of one route C shot: 32x
 # the README grid's 32,760, ~2 s of stepping and an 8 MB recording
 SHOOT_MAX_STEPS = 2**20
-# initial_bump and route B's starting profile double the amplitude at most
+# initial_bump, the start of routes A and B, doubles the amplitude at most
 # this often
 BUMP_DOUBLINGS = 60
 
@@ -222,17 +222,13 @@ class SweepReport(Report):
 # shared machinery
 # ----------------------------------------------------------------------
 
-def _bump_ladder(grid: RadialGrid, amp: float, width: float):
-    """Gaussian bumps a exp(-r^2/width^2) for a = amp 2^k, k < BUMP_DOUBLINGS."""
+def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunction:
+    """Gaussian bump a exp(-r^2/width^2) with a = amp 2^k for the least
+    k < BUMP_DOUBLINGS that puts it in the admissible set; the start of
+    routes A and B.  NotInLambdaError when no such k exists."""
     for k in range(BUMP_DOUBLINGS):
         a = amp * 2.0**k
-        yield RadialFunction.sampled(grid, lambda r: a * np.exp(-(r / width) ** 2))
-
-
-def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunction:
-    """Gaussian bump A exp(-r^2/width^2), amplitude doubled until it
-    enters the admissible set."""
-    for u in _bump_ladder(ctx.grid, amp, width):
+        u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
         member, _ = lambda_membership(ctx, u)
         if member:
             return u
@@ -342,6 +338,25 @@ def _rel_residual(res: RadialFunction, u: RadialFunction) -> float:
     return math.sqrt(max(l2_norm_sq(res), 0.0) / max(l2_norm_sq(u), 1e-300))
 
 
+def _line_search(x: np.ndarray, d: np.ndarray, s: float, trial):
+    """Backtracking step of routes A and B from x along -d.
+
+    Tries v = x - s d, 0 on the Dirichlet node, shrinking s by
+    STEP_SHRINK until ``trial(v)`` accepts, or s falls below STEP_MIN.
+    ``trial`` returns the route's new state, or None to reject v.
+    Returns (state, step for the next search): an accepted step grows by
+    STEP_GROW, capped at STEP_MAX; state is None when the search stalled.
+    """
+    while s >= STEP_MIN:
+        v = x - s * d
+        v[-1] = 0.0
+        state = trial(v)
+        if state is not None:
+            return state, min(s * STEP_GROW, STEP_MAX)
+        s *= STEP_SHRINK
+    return None, s
+
+
 def _finish(fv: FiberValues, w: RadialFunction, t: float, route: str,
             iterations: int, tols, why: str) -> SolveReport:
     """Certify fv.u = w(x/t) and build the route's report; ConvergenceError
@@ -400,6 +415,21 @@ def solve_fiber_descent(ctx: FunctionalContext,
     psolve = _h1_preconditioner(ctx.grid)
     u = project_to_M(ctx, initial_bump(ctx, opts.amp, opts.width)).projected
     level = fiber_values(ctx, u).energy()
+    left_lambda = False
+
+    def trial(v: np.ndarray):
+        # project, then compare fiber levels; left_lambda records whether
+        # the last trial left the admissible set
+        nonlocal left_lambda
+        try:
+            proj = project_to_M(ctx, RadialFunction(ctx.grid, v))
+        except NotInLambdaError:
+            left_lambda = True
+            return None
+        left_lambda = False
+        new_level = float(proj.fiber.energy_at(proj.t_u)[0])
+        return (proj.projected, new_level) if new_level < level else None
+
     s = opts.step
     iters = 0
     for iters in range(1, opts.max_iters + 1):
@@ -407,33 +437,13 @@ def solve_fiber_descent(ctx: FunctionalContext,
         rel_pde = _rel_residual(res, u)
         if rel_pde <= grad_tol:
             break
-        d = psolve(res.values)
-        accepted = False
-        left_lambda = False
-        while s >= STEP_MIN:
-            trial = u.values - s * d
-            trial[-1] = 0.0
-            v = RadialFunction(ctx.grid, trial)
-            try:
-                proj = project_to_M(ctx, v)
-                left_lambda = False
-            except NotInLambdaError:
-                left_lambda = True
-                s *= STEP_SHRINK
-                continue
-            new_level = float(proj.fiber.energy_at(proj.t_u)[0])
-            if new_level < level:
-                u = proj.projected
-                level = new_level
-                accepted = True
-                s = min(s * STEP_GROW, STEP_MAX)
-                break
-            s *= STEP_SHRINK
-        if not accepted:
+        step, s = _line_search(u.values, psolve(res.values), s, trial)
+        if step is None:
             if left_lambda:
                 raise LeftLambdaError(
                     "descent left the admissible set and no shorter step recovers it")
             break  # line search stalled at the discretization floor
+        u, level = step
 
     # polish: the last materialized iterate carries interpolation noise
     # proportional to its dilation offset; reprojecting at t ~ 1 contracts
@@ -461,8 +471,12 @@ def solve_limit_BL(ctx: FunctionalContext,
     C(w) = int [lam F(w) - (V_inf/2) w^2] = 1.  Under dilation that is the
     same as minimizing the scale-free quotient
     J(w) = ||grad w||^2 / C(w)^q, q = (N-2)/N, over C(w) > 0, which needs
-    no constraint restored.  Smoothed gradient steps on J are taken with
-    backtracking, each trial rescaled to the starting bump's mass int w^2:
+    no constraint restored.  The start is route A's initial_bump: on a
+    constant potential, C is minus lambda_membership's admissibility
+    functional, so an admissible bump has C > 0 (NotInLambdaError when no
+    bump of the ladder is admissible).
+    Smoothed gradient steps on J are taken with the shared backtracking
+    line search, each trial rescaled to the starting bump's mass int w^2:
     dilation leaves J invariant in the continuum but the grid tilts it
     slightly, and an unpinned descent drifts along the dilation orbit,
     which the fixed-mass slice meets once.  A trial is accepted when
@@ -482,19 +496,22 @@ def solve_limit_BL(ctx: FunctionalContext,
         return float(ctx.lam * (wts @ np.asarray(ctx.f.F(v), dtype=float))
                      - 0.5 * ctx.V.v_inf * (wts @ v**2))
 
-    for cand in _bump_ladder(grid, opts.amp, opts.width):
-        C = constraint(cand.values)
-        if C > 0.0:
-            w = cand.values
-            break
-    else:
-        raise ConstraintInfeasibleError(
-            "no ladder bump has C > 0 "
-            "(one-point superquadraticity appears to fail)")
-
+    w = initial_bump(ctx, opts.amp, opts.width).values
+    C = constraint(w)
     mass = float(wts @ w**2)
     G = grad_seminorm_sq(RadialFunction(grid, w))
     J = G / C**q
+
+    def trial(v: np.ndarray):
+        # the mass pin, C > 0 (NaN fails) and J must fall
+        v *= math.sqrt(mass / float(wts @ v**2))
+        C_new = constraint(v)
+        if not C_new > 0.0:
+            return None
+        G_new = grad_seminorm_sq(RadialFunction(grid, v))
+        J_new = G_new / C_new**q
+        return (v, G_new, C_new, J_new) if J_new < J else None
+
     s = opts.step
     iters = 0
     kkt = math.inf
@@ -511,24 +528,10 @@ def solve_limit_BL(ctx: FunctionalContext,
                         / max(float(wts @ gL**2), 1e-300))
         if kkt <= BL_KKT_TOL:
             break
-        d = psolve(d_raw)
-        accepted = False
-        while s >= STEP_MIN:
-            trial = w - s * d
-            trial[-1] = 0.0
-            trial *= math.sqrt(mass / float(wts @ trial**2))
-            C_new = constraint(trial)
-            if C_new > 0.0:     # NaN fails
-                G_new = grad_seminorm_sq(RadialFunction(grid, trial))
-                J_new = G_new / C_new**q
-                if J_new < J:
-                    w, G, C, J = trial, G_new, C_new, J_new
-                    accepted = True
-                    s = min(s * STEP_GROW, STEP_MAX)
-                    break
-            s *= STEP_SHRINK
-        if not accepted:
+        step, s = _line_search(w, psolve(d_raw), s, trial)
+        if step is None:
             break
+        w, G, C, J = step
 
     w_hat = RadialFunction(grid, w)
     t_hat = math.sqrt((N - 2.0) * G / (2.0 * N * C))
@@ -876,8 +879,11 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     recorded profile is the confirmation's midpoint shot when that is
     the result, else one more shot of the reported amplitude.
     """
-    if v_inf <= 0:
-        raise DomainError("shooting requires V_inf > 0")
+    # each test is written so that NaN fails it
+    if not 0.0 < v_inf < math.inf:
+        raise DomainError(f"shooting requires 0 < V_inf < inf, got {v_inf}")
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
     if predicted is not None and not 0.0 < predicted < math.inf:
         raise DomainError(f"predicted amplitude must be positive and finite, "
                           f"got {predicted}")

@@ -599,7 +599,6 @@ EXIT_CONTRACT = {
     "BracketNotFoundError": (2, "non-convergence"),
     "StiffIntegrationError": (2, "non-convergence"),
     "SingularSystemError": (2, "non-convergence"),
-    "ConstraintInfeasibleError": (2, "non-convergence"),
     "NotInLambdaError": (2, "non-convergence"),
     "NoSignChangeError": (2, "non-convergence"),
     "MultipleSignChangesError": (2, "non-convergence"),

@@ -52,6 +52,11 @@ def test_v1v2_well_and_violator():
     assert rep.witness["r"] < 0.01  # violation is worst at the origin
 
 
+def test_v1v2_rejects_empty_radii():
+    with pytest.raises(DomainError, match="empty sample set"):
+        check_V1V2(constant_potential(1.0), [])
+
+
 def test_theta_v4_well_family():
     # analytic supremum of 2 r^2 (r V') / (N-2)^2 is 4b (r -> infinity);
     # on the sampled range it is 4b (r_max^2/(1+r_max^2))^2

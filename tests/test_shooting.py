@@ -285,6 +285,17 @@ def test_wrong_prediction_gives_the_unpredicted_report(miss, shot_counter):
     assert shots["resume"] == ref_shots["resume"]
 
 
+@pytest.mark.parametrize("v_inf, lam", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+    (1.0, math.nan), (1.0, -0.5), (1.0, 1.5),
+])
+def test_bad_argument_is_a_domain_error_before_any_shot(v_inf, lam, shot_counter):
+    # NaN fails each entry check; no shot is fired for a bad argument
+    with pytest.raises(DomainError):
+        shoot_oracle(v_inf, power_nonlinearity(4.0), 3, lam=lam)
+    assert shot_counter.calls == []
+
+
 @pytest.mark.parametrize("predicted", [math.nan, math.inf, 0.0, -4.3])
 def test_nonfinite_prediction_is_a_domain_error(predicted):
     # every amplitude route C shoots is positive

@@ -11,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from nlsground import (
     BracketNotFoundError,
-    ConstraintInfeasibleError,
     ConvergenceError,
     DomainError,
     FunctionalContext,
+    NotInLambdaError,
     PositivityBallError,
     PotentialSpec,
     PreconditionError,
@@ -121,10 +121,22 @@ def test_bl_requires_constant_potential(grid4096, f_cubic):
 
 
 def test_bl_infeasible_constraint(grid4096):
+    # route B starts from initial_bump: no bump of the ladder has C > 0
     ctx = FunctionalContext(grid4096, constant_potential(1.0),
                             saturating_nonlinearity(0.5))
-    with pytest.raises(ConstraintInfeasibleError):
+    with pytest.raises(NotInLambdaError):
         solve_limit_BL(ctx)
+
+
+def test_bl_stops_at_kkt_tol(ctx_auto, monkeypatch):
+    # the starting bump's KKT residual is 0.373; above it, route B stops
+    # before its first line search
+    monkeypatch.setattr(solver, "BL_KKT_TOL", 0.5)
+    monkeypatch.setattr(solver, "_line_search",
+                        lambda *args: pytest.fail("line search after the KKT stop"))
+    with pytest.raises(ConvergenceError, match="after 1 iterations at kkt 3.7") as info:
+        solve_limit_BL(ctx_auto)
+    assert info.value.report.iterations == 1
 
 
 # ----------------------------------------------------------------------
@@ -494,9 +506,11 @@ def test_sweep_rejects_constant_potential(ctx_auto):
 
 
 def test_solve_options_validation():
-    for bad in (0, math.nan):
-        with pytest.raises(DomainError):
+    # range() needs an integer: 2.5 and inf would end in a bare TypeError
+    for bad in (0, -3, math.nan, 2.5, 3.0, math.inf):
+        with pytest.raises(DomainError, match="max_iters"):
             SolveOptions(max_iters=bad)
+    assert SolveOptions(max_iters=np.int64(3)).max_iters == 3
     # inf too: an infinite step never shrinks, and an infinite tolerance
     # certifies anything
     for name in ("step", "ode_step", "shoot_tol", "grad_tol", "poho_tol"):

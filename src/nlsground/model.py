@@ -13,6 +13,7 @@ witness but cannot certify globally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -124,6 +125,16 @@ class NonlinearitySpec:
     where f gives nan), so a shot sees the f that a 0-d array gets.  An
     array may differ by an ulp where numpy's SIMD loops round otherwise;
     the power family agrees on arrays too at p = 2.5, 3 and 4.
+
+    An ``f_scalar`` may carry a ``scalar_form`` (expr, consts): expr is
+    f as a Python expression in ``t`` over the names in the dict consts
+    (abs is the builtin), and f_scalar is ``lambda t: expr`` over them.
+    Route C's RK4 loop is then compiled with expr written into its
+    stages, so it must give f_scalar's floats; a constant must not be
+    named as a variable of that loop (``solver._SHOT_LOOP``).  The
+    built-in factories state their expressions with ``_scalar_form``;
+    without one (power at other exponents, a hand-built spec, a
+    wrapper) the loop calls f_scalar.
 
     ``degree`` declares the proven fact that f is homogeneous:
     f(c s) = c^degree f(s) for every c > 0 and every s, so
@@ -288,6 +299,22 @@ def perturbed_potential(v_inf: float, eps: float, shape: str = "lorentzian",
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _form_closure(expr: str, names: str):
+    """``lambda names: lambda t: expr``, compiled once per process, so a
+    factory call costs a closure, not a compile (~4 against ~35 us)."""
+    return eval(f"lambda {names}: lambda t: {expr}", {})
+
+
+def _scalar_form(expr: str, **consts) -> Callable[[float], float]:
+    """f on one float, compiled from ``expr``, an expression in ``t`` over
+    the names in ``consts``; it carries (expr, consts) as its
+    ``scalar_form``, which route C's RK4 stages write inline."""
+    f_scalar = _form_closure(expr, ", ".join(consts))(**consts)
+    f_scalar.scalar_form = (expr, consts)
+    return f_scalar
+
+
 def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
     """Pure power f(t) = coeff |t|^{p-2} t (subcritical when 2 < p < 2N/(N-2))."""
     _require_finite(p=p, coeff=coeff)
@@ -301,20 +328,14 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
     # then give the same floats, and a shot's RK4 stage calls no libm pow
     if q == 2.0:
         mag = np.square
-
-        def f_scalar(t):
-            return coeff * (t * t) * t
+        f_scalar = _scalar_form("coeff * (t * t) * t", coeff=coeff)
     elif q == 0.5:
         def mag(t):
             return np.sqrt(np.abs(t))
-
-        def f_scalar(t):
-            return coeff * math.sqrt(abs(t)) * t
+        f_scalar = _scalar_form("coeff * sqrt(abs(t)) * t", coeff=coeff, sqrt=math.sqrt)
     elif q == 1.0:
         mag = np.abs
-
-        def f_scalar(t):
-            return coeff * abs(t) * t
+        f_scalar = _scalar_form("coeff * abs(t) * t", coeff=coeff)
     else:
         def mag(t):
             return np.abs(t) ** q
@@ -364,11 +385,8 @@ def saturating_nonlinearity(c: float) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         return 0.5 * c * (t**2 - np.log1p(t**2))
 
-    def f_scalar(t):
-        return c * (t * t * t) / (1.0 + t * t)
-
     return NonlinearitySpec(family="saturating", params={"c": c}, f=f, F=F,
-                            f_scalar=f_scalar)
+                            f_scalar=_scalar_form("c * (t * t * t) / (1.0 + t * t)", c=c))
 
 
 def zero_nonlinearity() -> NonlinearitySpec:
@@ -377,7 +395,7 @@ def zero_nonlinearity() -> NonlinearitySpec:
         params={},
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         F=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        f_scalar=lambda t: 0.0,
+        f_scalar=_scalar_form("0.0"),
     )
 
 

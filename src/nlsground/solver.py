@@ -10,6 +10,7 @@ and certifies the strict level gap used for compactness.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import typing
@@ -544,6 +545,86 @@ def solve_limit_BL(ctx: FunctionalContext,
 # route C: shooting oracle
 # ----------------------------------------------------------------------
 
+# The one RK4 loop of route C, as the text of a kernel that _shot_kernel
+# compiles per scalar form of f: {f} is f at the stage value t of u, either
+# the form's expression in t over its constants (extra parameters
+# {consts}) or the call f_scalar(t).
+_SHOT_LOOP = """
+def kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start{consts}):
+    n_steps = int(round(r_end / h))
+    u, v, r, k_start = (a, 0.0, 0.0, 0) if start is None else start
+    thresh = BLOWUP_FACTOR * a
+    # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
+    # the four stages; at r = 0 the symmetric limit gives (V_inf u - lam f(u))/N.
+    # Only the first stage of the first step sits at r = 0.  (N-1)/r at
+    # stage 4 is (N-1)/r at the next step's stage 1, and stages 2 and 3
+    # share (N-1)/(r + h/2).
+    hh = 0.5 * h
+    h6 = h / 6.0
+    n1 = N - 1.0
+    n1_r = n1 / r if r != 0.0 else 0.0
+
+    for k in range(k_start, n_steps):
+        k1u = v
+        t = u
+        fu = v_inf * t - lam * ({f})
+        if r == 0.0:
+            k1v = fu / N
+        elif fu == 0.0 and v == 0.0:
+            # rest point, already past the event checks: every further
+            # step leaves (u, v) as it is
+            for _ in range(k, n_steps):
+                r += h
+            if record is not None:
+                record.extend([u] * (n_steps - k))
+            return "decay", r, u, v
+        else:
+            k1v = fu - n1_r * v
+        n1_rh = n1 / (r + hh)
+        k2u = v + hh * k1v
+        t = u + hh * k1u
+        fu = v_inf * t - lam * ({f})
+        k2v = fu - n1_rh * k2u
+        k3u = v + hh * k2v
+        t = u + hh * k2u
+        fu = v_inf * t - lam * ({f})
+        k3v = fu - n1_rh * k3u
+        r2 = r + h
+        n1_r = n1 / r2
+        k4u = v + h * k3v
+        t = u + h * k3u
+        fu = v_inf * t - lam * ({f})
+        k4v = fu - n1_r * k4u
+        u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        r = r2
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise StiffIntegrationError(
+                f"shooting integration produced non-finite values at r={{r:.3g}}")
+        if record is not None:
+            record.append(u)
+        if u <= 0.0:          # crossed through zero
+            return "cross", r, u, v
+        if v > 0.0 or u > thresh:
+            return "turn", r, u, v
+    return "decay", r, u, v
+"""
+
+# the form of an f_scalar that carries none: the loop calls it
+_CALL_FORM = ("f_scalar(t)", {})
+
+
+@functools.lru_cache(maxsize=None)
+def _shot_kernel(expr: str, names: tuple) -> typing.Callable:
+    """The RK4 loop with f written as expr, an expression in t over the
+    constants named in names, compiled at its first use and kept for the
+    process; the constants' values are arguments of each call."""
+    src = _SHOT_LOOP.format(f=expr, consts="".join(f", {name}" for name in names))
+    scope = {}
+    exec(compile(src, f"<route C kernel: {expr}>", "exec"), globals(), scope)
+    return scope["kernel"]
+
+
 def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
                     h: float, r_end: float,
                     record: Optional[list] = None, start: Optional[tuple] = None):
@@ -566,59 +647,15 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     A state with u' = 0 and u'' = 0 exactly is a fixed point of the
     discrete step at every r, so a shot that reaches one returns its
     "decay" at once, with the r the remaining steps would accumulate.
-    """
-    n_steps = int(round(r_end / h))
-    u, v, r, k_start = (a, 0.0, 0.0, 0) if start is None else start
-    thresh = BLOWUP_FACTOR * a
-    # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
-    # the four stages; at r = 0 the symmetric limit gives (V_inf u - lam f(u))/N.
-    # Only the first stage of the first step sits at r = 0.
-    hh = 0.5 * h
-    h6 = h / 6.0
-    n1 = N - 1.0
 
-    for k in range(k_start, n_steps):
-        k1u = v
-        fu = v_inf * u - lam * f_scalar(u)
-        if r == 0.0:
-            k1v = fu / N
-        elif fu == 0.0 and v == 0.0:
-            # rest point, already past the event checks: every further
-            # step leaves (u, v) as it is
-            for _ in range(k, n_steps):
-                r += h
-            if record is not None:
-                record.extend([u] * (n_steps - k))
-            return "decay", r, u, v
-        else:
-            k1v = fu - n1 / r * v
-        rh = r + hh
-        k2u = v + hh * k1v
-        uu = u + hh * k1u
-        fu = v_inf * uu - lam * f_scalar(uu)
-        k2v = fu - n1 / rh * k2u
-        k3u = v + hh * k2v
-        uu = u + hh * k2u
-        fu = v_inf * uu - lam * f_scalar(uu)
-        k3v = fu - n1 / rh * k3u
-        r2 = r + h
-        k4u = v + h * k3v
-        uu = u + h * k3u
-        fu = v_inf * uu - lam * f_scalar(uu)
-        k4v = fu - n1 / r2 * k4u
-        u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        r = r2
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise StiffIntegrationError(
-                f"shooting integration produced non-finite values at r={r:.3g}")
-        if record is not None:
-            record.append(u)
-        if u <= 0.0:          # crossed through zero
-            return "cross", r, u, v
-        if v > 0.0 or u > thresh:
-            return "turn", r, u, v
-    return "decay", r, u, v
+    The loop is _SHOT_LOOP.  When f_scalar carries a ``scalar_form``
+    (expr, consts), its kernel writes expr into the four stages, so a
+    step makes no Python call of f; otherwise its kernel calls
+    f_scalar.  Both give the same floats, step for step.
+    """
+    expr, consts = getattr(f_scalar, "scalar_form", _CALL_FORM)
+    return _shot_kernel(expr, tuple(consts))(a, v_inf, f_scalar, N, lam, h, r_end,
+                                             record, start, **consts)
 
 
 def _bisect_classes(classify, lo: float, hi: float, lo_class: str,

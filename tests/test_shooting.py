@@ -23,6 +23,7 @@ from nlsground import (
     power_nonlinearity,
     saturating_nonlinearity,
     shoot_oracle,
+    zero_nonlinearity,
 )
 from nlsground import solver
 from nlsground.cli import format_json
@@ -751,3 +752,146 @@ def test_tiny_ode_step_is_rejected_at_once(ode_step):
         shoot_oracle(1.0, power_nonlinearity(4.0), 3, grid=grid,
                      opts=SolveOptions(ode_step=ode_step))
     assert time.perf_counter() - t0 < 2.0
+
+
+# ----------------------------------------------------------------------
+# route C's kernels: the scalar form written into the stages, or called
+# ----------------------------------------------------------------------
+
+# every scalar form a factory states, at constants other than 1
+INLINED = {
+    "power p=2.5": lambda: power_nonlinearity(2.5, 1.7),
+    "power p=3": lambda: power_nonlinearity(3.0, 0.6),
+    "power p=4": lambda: power_nonlinearity(4.0, 2.5),
+    "saturating c=3": lambda: saturating_nonlinearity(3.0),
+    "saturating c=4": lambda: saturating_nonlinearity(4.0),
+    "saturating c=8": lambda: saturating_nonlinearity(8.0),
+    "zero": zero_nonlinearity,
+}
+
+
+def _kernel_runs(f_scalar, args, record=False, start=None):
+    """{form: (outcome, r, u, v) and the record, or the error's class and
+    message} of one _integrate_shot call (args up to r_end) with f_scalar
+    and with a wrapper of it that carries no scalar form, which runs the
+    kernel that calls f."""
+    runs = {}
+    for form, f in (("own", f_scalar), ("called", lambda t: f_scalar(t))):
+        trajectory = [args[0]] if record else None
+        try:
+            out = solver._integrate_shot(args[0], args[1], f, *args[2:],
+                                         trajectory, start)
+        except StiffIntegrationError as exc:
+            out = (type(exc), str(exc))
+        runs[form] = (out, trajectory)
+    return runs
+
+
+def _resting_at_R(f_scalar, N, h):
+    """An amplitude whose shot at step h reaches SHOOT_R without an
+    event: the search's scan, then halving on the class at SHOOT_R.
+    None where every scanned shot turns (f = 0, or a supercritical
+    power)."""
+    def at_R(a):
+        return solver._integrate_shot(a, 1.0, f_scalar, N, 1.0, h, solver.SHOOT_R)[0]
+    try:
+        lo, hi, lo_class = solver._scanned_bracket(at_R)
+    except BracketNotFoundError:
+        return None
+    return solver._bisect_classes(at_R, lo, hi, lo_class, 0.0)
+
+
+@pytest.mark.parametrize("step", ["grid", "ode"])
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("family", sorted(INLINED))
+def test_inlined_kernel_is_the_called_kernel(family, N, step):
+    # the stages that write f's expression end, and record, float for
+    # float as the stages that call f_scalar: plain, recorded and resumed
+    f_scalar = INLINED[family]().f_scalar
+    assert f_scalar.scalar_form[0] != solver._CALL_FORM[0]
+    grid = make_grid(N, 30.0, 2048)
+    h = grid.h if step == "grid" else _step(grid, COARSE)      # 2 steps a node
+    amplitudes, start = [0.5, 2.0], None
+    a_R = _resting_at_R(f_scalar, N, h)
+    if a_R is not None:
+        amplitudes.append(a_R)
+        to_R = _kernel_runs(f_scalar, (a_R, 1.0, N, 1.0, h, solver.SHOOT_R), True)
+        assert to_R["own"] == to_R["called"]
+        (kind, r, u, v), _ = to_R["own"]
+        assert kind == "decay"
+        start = (u, v, r, int(round(solver.SHOOT_R / h)))
+    for a in amplitudes:
+        for record in (False, True):
+            runs = _kernel_runs(f_scalar, (a, 1.0, N, 1.0, h, grid.r_max), record)
+            assert runs["own"] == runs["called"], (a, record)
+            if a == a_R:
+                resumed = _kernel_runs(f_scalar, (a, 1.0, N, 1.0, h, grid.r_max),
+                                       record, start)
+                assert resumed["own"] == resumed["called"], record
+                assert resumed["own"][0] == runs["own"][0]
+
+
+def test_call_form_runs_power_at_other_exponents():
+    # |t|^1.5 has no scalar form: its own f_scalar is called at each stage
+    f = power_nonlinearity(3.5, 1.3)
+    assert not hasattr(f.f_scalar, "scalar_form")
+    h = _step(make_grid(3, 30.0, 2048), COARSE)
+    for a in (0.5, 2.0, 3.0):
+        for record in (False, True):
+            runs = _kernel_runs(f.f_scalar, (a, 1.0, 3, 1.0, h, 30.0), record)
+            assert runs["own"] == runs["called"]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_kernels_stop_at_the_rest_point_alike(N):
+    # u = 1 on u - u^3: both kernels take the rest-point exit, recorded
+    # or not, from r = 0 or resumed at rest
+    f_scalar = power_nonlinearity(4.0).f_scalar
+    h, r_end = 1e-3, 30.0
+    n_steps = int(round(r_end / h))
+    r = 0.0
+    for _ in range(n_steps):
+        r += h
+    _, r_5, u_5, v_5 = solver._integrate_shot(1.0, 1.0, f_scalar, N, 1.0, h, 5 * h)
+    for start in (None, (u_5, v_5, r_5, 5)):
+        for record in (False, True):
+            runs = _kernel_runs(f_scalar, (1.0, 1.0, N, 1.0, h, r_end), record, start)
+            assert runs["own"] == runs["called"]
+            assert runs["own"][0] == ("decay", r, 1.0, 0.0)
+
+
+def test_kernels_take_the_blowup_turn_alike():
+    # a step of 1/2 on V_inf = 25 overshoots past 10 u(0) while u' < 0
+    f_scalar = power_nonlinearity(4.0, 2.5).f_scalar
+    runs = _kernel_runs(f_scalar, (5.0, 25.0, 3, 1.0, 0.5, 30.0), True)
+    assert runs["own"] == runs["called"]
+    kind, _, u, v = runs["own"][0]
+    assert kind == "turn" and u > solver.BLOWUP_FACTOR * 5.0 and v < 0.0
+
+
+@pytest.mark.parametrize("p, a", [(1.5, 0.0), (4.0, 1e110)])
+def test_kernels_raise_the_same_stiff_error(p, a):
+    # f(0) is nan for p < 2 (called); (t * t) * t overflows at 1e110 (inlined)
+    f_scalar = power_nonlinearity(p).f_scalar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        runs = _kernel_runs(f_scalar, (a, 1.0, 3, 1.0, 1e-3, 1.0), True)
+    assert runs["own"] == runs["called"]
+    assert runs["own"][0] == (StiffIntegrationError, "shooting integration "
+                              "produced non-finite values at r=0.001")
+
+
+def test_readme_search_runs_the_inlined_kernel(grid4096, monkeypatch):
+    # the benchmark's shots: power p = 4's own f_scalar writes its
+    # expression into the stages, and no shot runs the kernel that calls f
+    f = power_nonlinearity(4.0)
+    real, forms = solver._shot_kernel, []
+
+    def logged(expr, names):
+        forms.append((expr, names))
+        return real(expr, names)
+
+    monkeypatch.setattr(solver, "_shot_kernel", logged)
+    shoot_oracle(1.0, f, 3, grid=grid4096)
+    assert forms and set(forms) == {("coeff * (t * t) * t", ("coeff",))}
+    assert f.f_scalar.scalar_form == ("coeff * (t * t) * t", {"coeff": 1.0})
+    assert real(*forms[0]) is not real(solver._CALL_FORM[0], ())

@@ -131,7 +131,9 @@ class NonlinearitySpec:
     (abs is the builtin), and f_scalar is ``lambda t: expr`` over them.
     Route C's RK4 loop is then compiled with expr written into its
     stages, so it must give f_scalar's floats; a constant must not be
-    named as a variable of that loop (``solver._SHOT_LOOP``).  The
+    named as a variable of that loop (``solver._SHOT_LOOP``).  A
+    constant that leads expr's product (``coeff * ...``) and equals the
+    float 1.0 is left out of the stages, as 1.0 * y is y.  The
     built-in factories state their expressions with ``_scalar_form``;
     without one (power at other exponents, a hand-built spec, a
     wrapper) the loop calls f_scalar.
@@ -545,7 +547,10 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     f2_ok = small <= F_DECAY_MARGIN and large <= F_DECAY_MARGIN
 
     s = np.geomspace(1e-3, 1e3, 512)
-    gap = np.asarray(f.F(s), dtype=float) - 0.5 * v_inf * s**2
+    # an F that overflows on the scan (a huge coeff) reads inf there, a
+    # witness as good as any; (F2)'s large-t ratio fails such an f
+    with np.errstate(over="ignore"):
+        gap = np.asarray(f.F(s), dtype=float) - 0.5 * v_inf * s**2
     hits = np.nonzero(gap > 0.0)[0]
     f3_ok = hits.size > 0
     j = int(hits[0]) if f3_ok else int(np.argmax(gap / (1.0 + s**2)))

@@ -226,10 +226,12 @@ class SweepReport(Report):
 def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunction:
     """Gaussian bump a exp(-r^2/width^2) with a = amp 2^k for the least
     k < BUMP_DOUBLINGS that puts it in the admissible set; the start of
-    routes A and B.  NotInLambdaError when no such k exists."""
+    routes A and B.  NotInLambdaError when no such k exists.  Where
+    (r/width)^2 overflows (a tiny width) the bump is exp(-inf) = 0."""
     for k in range(BUMP_DOUBLINGS):
         a = amp * 2.0**k
-        u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
+        with np.errstate(over="ignore"):
+            u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
         member, _ = lambda_membership(ctx, u)
         if member:
             return u
@@ -546,14 +548,17 @@ def solve_limit_BL(ctx: FunctionalContext,
 # ----------------------------------------------------------------------
 
 # The one RK4 loop of route C, as the text of a kernel that _shot_kernel
-# compiles per scalar form of f: {f} is f at the stage value t of u, either
-# the form's expression in t over its constants (extra parameters
-# {consts}) or the call f_scalar(t).
+# compiles per scalar form of f and per unit fold: {stage} is
+# V_inf t - lam f(t) at the stage value t of u, with f either the form's
+# expression in t over its constants (extra parameters {consts}) or the
+# call f_scalar(t), and with each factor that is exactly 1.0 left out.
 _SHOT_LOOP = """
 def kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start{consts}):
     n_steps = int(round(r_end / h))
     u, v, r, k_start = (a, 0.0, 0.0, 0) if start is None else start
     thresh = BLOWUP_FACTOR * a
+    isfinite = math.isfinite
+    append = None if record is None else record.append
     # acceleration a(r, u, v) = V_inf u - lam f(u) - (N-1)/r v, inlined into
     # the four stages; at r = 0 the symmetric limit gives (V_inf u - lam f(u))/N.
     # Only the first stage of the first step sits at r = 0.  (N-1)/r at
@@ -567,7 +572,7 @@ def kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start{consts}):
     for k in range(k_start, n_steps):
         k1u = v
         t = u
-        fu = v_inf * t - lam * ({f})
+        fu = {stage}
         if r == 0.0:
             k1v = fu / N
         elif fu == 0.0 and v == 0.0:
@@ -583,26 +588,26 @@ def kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start{consts}):
         n1_rh = n1 / (r + hh)
         k2u = v + hh * k1v
         t = u + hh * k1u
-        fu = v_inf * t - lam * ({f})
+        fu = {stage}
         k2v = fu - n1_rh * k2u
         k3u = v + hh * k2v
         t = u + hh * k2u
-        fu = v_inf * t - lam * ({f})
+        fu = {stage}
         k3v = fu - n1_rh * k3u
         r2 = r + h
         n1_r = n1 / r2
         k4u = v + h * k3v
         t = u + h * k3u
-        fu = v_inf * t - lam * ({f})
+        fu = {stage}
         k4v = fu - n1_r * k4u
         u = u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         r = r2
-        if not (math.isfinite(u) and math.isfinite(v)):
+        if not (isfinite(u) and isfinite(v)):
             raise StiffIntegrationError(
                 f"shooting integration produced non-finite values at r={{r:.3g}}")
-        if record is not None:
-            record.append(u)
+        if append is not None:
+            append(u)
         if u <= 0.0:          # crossed through zero
             return "cross", r, u, v
         if v > 0.0 or u > thresh:
@@ -614,14 +619,30 @@ def kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start{consts}):
 _CALL_FORM = ("f_scalar(t)", {})
 
 
+def _unit_folds(expr: str, consts: dict, v_inf: float, lam: float) -> tuple:
+    """The names among v_inf, lam and the leading constant of expr (the
+    first factor of its left-to-right product, as coeff leads
+    ``coeff * (t * t) * t``) whose value is the float 1.0.  Their factors
+    can be left out of the stage: 1.0 * y is y for every float y, +-0,
+    +-inf and NaN included."""
+    lead, times, _ = expr.partition(" * ")
+    factors = (("v_inf", v_inf), ("lam", lam), (lead, consts.get(lead) if times else None))
+    return tuple(name for name, x in factors if type(x) is float and x == 1.0)
+
+
 @functools.lru_cache(maxsize=None)
-def _shot_kernel(expr: str, names: tuple) -> typing.Callable:
+def _shot_kernel(expr: str, names: tuple, folds: tuple) -> typing.Callable:
     """The RK4 loop with f written as expr, an expression in t over the
-    constants named in names, compiled at its first use and kept for the
+    constants named in names, and without the unit factors named in
+    folds (``_unit_folds``), compiled at its first use and kept for the
     process; the constants' values are arguments of each call."""
-    src = _SHOT_LOOP.format(f=expr, consts="".join(f", {name}" for name in names))
+    lead, _, rest = expr.partition(" * ")
+    f = rest if lead in folds else expr
+    stage = (("t" if "v_inf" in folds else "v_inf * t")
+             + (f" - ({f})" if "lam" in folds else f" - lam * ({f})"))
+    src = _SHOT_LOOP.format(stage=stage, consts="".join(f", {name}" for name in names))
     scope = {}
-    exec(compile(src, f"<route C kernel: {expr}>", "exec"), globals(), scope)
+    exec(compile(src, f"<route C kernel: {stage}>", "exec"), globals(), scope)
     return scope["kernel"]
 
 
@@ -651,11 +672,15 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     The loop is _SHOT_LOOP.  When f_scalar carries a ``scalar_form``
     (expr, consts), its kernel writes expr into the four stages, so a
     step makes no Python call of f; otherwise its kernel calls
-    f_scalar.  Both give the same floats, step for step.
+    f_scalar.  A factor V_inf or lam equal to the float 1.0, and such a
+    leading constant of expr, is left out of the stages (``_unit_folds``),
+    so the README problem's stages compute t - ((t * t) * t).  Every
+    kernel gives the same floats, step for step, events and errors
+    included.
     """
     expr, consts = getattr(f_scalar, "scalar_form", _CALL_FORM)
-    return _shot_kernel(expr, tuple(consts))(a, v_inf, f_scalar, N, lam, h, r_end,
-                                             record, start, **consts)
+    kernel = _shot_kernel(expr, tuple(consts), _unit_folds(expr, consts, v_inf, lam))
+    return kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start, **consts)
 
 
 def _bisect_classes(classify, lo: float, hi: float, lo_class: str,

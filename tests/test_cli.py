@@ -307,6 +307,14 @@ def _run_quietly(tmp_path, capsys, command, overrides, solution=None):
     # around the limit 1
     ("sweep-lambda", ["grid.r_max=5", "potential.alpha=0.5"], None, 3,
      "verification failure: potential fails nonnegativity/domination checks"),
+    # (r / width)^2 overflows at every r > 0: each bump of the ladder is
+    # 0 off the origin
+    *[(command, ["solver.width=1e-300"], None, 2,
+       "non-convergence: no admissible amplitude found for the initial bump")
+      for command in ("solve", "solve-limit", "project")],
+    # F overflows on (F3)'s scan, and (F2)'s large-t ratio fails f
+    ("check-conditions", ["nonlinearity.coeff=1e300"], None, 3, ""),
+    ("solve", ["nonlinearity.coeff=1e300"], None, 3, ""),
 ])
 def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, label):
     got, err = _run_quietly(tmp_path, capsys, command, overrides, solution)

@@ -28,7 +28,7 @@ from nlsground import (
     well_potential,
     zero_nonlinearity,
 )
-from nlsground.model import NONLINEARITY_FACTORIES
+from nlsground.model import F_DECAY_MARGIN, NONLINEARITY_FACTORIES
 
 
 def test_constant_potential_passes_everything():
@@ -158,6 +158,17 @@ def test_check_f_saturating_fails_superquadraticity():
     # decay parts are fine; only the one-point condition fails
     assert rep.witness["small_t_ratio"] < 1e-2
     assert rep.witness["large_t_ratio"] < 1e-2
+
+
+def test_check_f_huge_coeff_fails_without_warning():
+    # F = 1e300 s^4 / 4 overflows on (F3)'s scan to s = 1e3 and reads inf
+    # there; (F2)'s large-t ratio is what fails f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_F(power_nonlinearity(4.0, 1e300), 1.0, 3)
+    assert not rep.passed
+    assert rep.witness["large_t_ratio"] > F_DECAY_MARGIN
+    assert rep.witness["s0"] is not None
 
 
 def test_check_f_growth_refutes_only_nan():

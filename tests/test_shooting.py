@@ -771,29 +771,41 @@ INLINED = {
 
 
 def _kernel_runs(f_scalar, args, record=False, start=None):
-    """{form: (outcome, r, u, v) and the record, or the error's class and
-    message} of one _integrate_shot call (args up to r_end) with f_scalar
-    and with a wrapper of it that carries no scalar form, which runs the
-    kernel that calls f."""
+    """{kernel: (outcome, r, u, v) and the record, or the error's class
+    and message} of one shot (args up to r_end) by three kernels:
+    _integrate_shot's with f_scalar ("own") and with a wrapper of it that
+    carries no scalar form ("called"), which fold their unit factors, and
+    the kernel of f_scalar's own form with nothing folded ("unfolded")."""
+    expr, consts = getattr(f_scalar, "scalar_form", solver._CALL_FORM)
+    unfolded = solver._shot_kernel(expr, tuple(consts), ())
+
+    def shoot_unfolded(*shot_args):
+        return unfolded(*shot_args, **consts)
+
     runs = {}
-    for form, f in (("own", f_scalar), ("called", lambda t: f_scalar(t))):
+    for kernel, shoot, f in (("own", solver._integrate_shot, f_scalar),
+                             ("called", solver._integrate_shot, lambda t: f_scalar(t)),
+                             ("unfolded", shoot_unfolded, f_scalar)):
         trajectory = [args[0]] if record else None
         try:
-            out = solver._integrate_shot(args[0], args[1], f, *args[2:],
-                                         trajectory, start)
+            out = shoot(args[0], args[1], f, *args[2:], trajectory, start)
         except StiffIntegrationError as exc:
             out = (type(exc), str(exc))
-        runs[form] = (out, trajectory)
+        runs[kernel] = (out, trajectory)
     return runs
 
 
-def _resting_at_R(f_scalar, N, h):
+def _agree(runs):
+    return runs["own"] == runs["called"] == runs["unfolded"]
+
+
+def _resting_at_R(f_scalar, v_inf, N, lam, h):
     """An amplitude whose shot at step h reaches SHOOT_R without an
     event: the search's scan, then halving on the class at SHOOT_R.
     None where every scanned shot turns (f = 0, or a supercritical
     power)."""
     def at_R(a):
-        return solver._integrate_shot(a, 1.0, f_scalar, N, 1.0, h, solver.SHOOT_R)[0]
+        return solver._integrate_shot(a, v_inf, f_scalar, N, lam, h, solver.SHOOT_R)[0]
     try:
         lo, hi, lo_class = solver._scanned_bracket(at_R)
     except BracketNotFoundError:
@@ -801,34 +813,83 @@ def _resting_at_R(f_scalar, N, h):
     return solver._bisect_classes(at_R, lo, hi, lo_class, 0.0)
 
 
-@pytest.mark.parametrize("step", ["grid", "ode"])
-@pytest.mark.parametrize("N", [3, 4, 5])
-@pytest.mark.parametrize("family", sorted(INLINED))
-def test_inlined_kernel_is_the_called_kernel(family, N, step):
-    # the stages that write f's expression end, and record, float for
-    # float as the stages that call f_scalar: plain, recorded and resumed
-    f_scalar = INLINED[family]().f_scalar
-    assert f_scalar.scalar_form[0] != solver._CALL_FORM[0]
-    grid = make_grid(N, 30.0, 2048)
-    h = grid.h if step == "grid" else _step(grid, COARSE)      # 2 steps a node
+def _assert_kernels_agree(f_scalar, v_inf, N, lam, n, step):
+    """The three kernels of _kernel_runs end, and record, float for float
+    at amplitudes 0.5, 2 and one whose shot reaches SHOOT_R, plain,
+    recorded and resumed from SHOOT_R, on a grid of n nodes to r = 30 at
+    its step or at COARSE's ODE step (2 RK4 steps a node at n = 2048, 3
+    at n = 1024)."""
+    grid = make_grid(N, 30.0, n)
+    h = grid.h if step == "grid" else _step(grid, COARSE)
     amplitudes, start = [0.5, 2.0], None
-    a_R = _resting_at_R(f_scalar, N, h)
+    a_R = _resting_at_R(f_scalar, v_inf, N, lam, h)
     if a_R is not None:
         amplitudes.append(a_R)
-        to_R = _kernel_runs(f_scalar, (a_R, 1.0, N, 1.0, h, solver.SHOOT_R), True)
-        assert to_R["own"] == to_R["called"]
+        to_R = _kernel_runs(f_scalar, (a_R, v_inf, N, lam, h, solver.SHOOT_R), True)
+        assert _agree(to_R)
         (kind, r, u, v), _ = to_R["own"]
         assert kind == "decay"
         start = (u, v, r, int(round(solver.SHOOT_R / h)))
     for a in amplitudes:
         for record in (False, True):
-            runs = _kernel_runs(f_scalar, (a, 1.0, N, 1.0, h, grid.r_max), record)
-            assert runs["own"] == runs["called"], (a, record)
+            runs = _kernel_runs(f_scalar, (a, v_inf, N, lam, h, grid.r_max), record)
+            assert _agree(runs), (a, record)
             if a == a_R:
-                resumed = _kernel_runs(f_scalar, (a, 1.0, N, 1.0, h, grid.r_max),
+                resumed = _kernel_runs(f_scalar, (a, v_inf, N, lam, h, grid.r_max),
                                        record, start)
-                assert resumed["own"] == resumed["called"], record
+                assert _agree(resumed), record
                 assert resumed["own"][0] == runs["own"][0]
+
+
+@pytest.mark.parametrize("step", ["grid", "ode"])
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("family", sorted(INLINED))
+def test_inlined_kernel_is_the_called_kernel(family, N, step):
+    # the stages that write f's expression end, and record, float for
+    # float as the stages that call f_scalar and as the stages that
+    # keep the unit factors V_inf = lam = 1: plain, recorded and resumed
+    f_scalar = INLINED[family]().f_scalar
+    assert f_scalar.scalar_form[0] != solver._CALL_FORM[0]
+    _assert_kernels_agree(f_scalar, 1.0, N, 1.0, 2048, step)
+
+
+# the forms whose leading constant is 1.0, which the stages leave out,
+# next to INLINED's, which they keep
+FOLDED = {
+    **INLINED,
+    "power p=2.5 coeff=1": lambda: power_nonlinearity(2.5),
+    "power p=3 coeff=1": lambda: power_nonlinearity(3.0),
+    "power p=4 coeff=1": lambda: power_nonlinearity(4.0),
+    "saturating c=1": lambda: saturating_nonlinearity(1.0),
+}
+
+
+@pytest.mark.parametrize("v_inf, lam", [(1.0, 1.0), (1.0, 0.9), (0.2, 1.0), (0.2, 0.9)])
+@pytest.mark.parametrize("N, step", [(3, "grid"), (4, "ode"), (5, "grid"), (3, "ode")])
+@pytest.mark.parametrize("family", sorted(FOLDED))
+def test_folded_kernels_are_the_unfolded_kernel(family, N, step, v_inf, lam):
+    # each kernel that leaves out a factor V_inf, lam or leading constant
+    # equal to 1.0 gives the floats of the kernel that keeps them all
+    _assert_kernels_agree(FOLDED[family]().f_scalar, v_inf, N, lam, 1024, step)
+
+
+def test_only_a_leading_unit_constant_folds():
+    # 1.0000000000000002 is not 1.0, a 1.0 that does not lead the product
+    # is kept, and so is a unit that is no float
+    cube = "coeff * (t * t) * t"
+    assert solver._unit_folds(cube, {"coeff": 1.0}, 1.0, 1.0) == ("v_inf", "lam", "coeff")
+    assert solver._unit_folds(cube, {"coeff": 1.0000000000000002}, 0.2, 0.9) == ()
+    assert solver._unit_folds("(t * t) * t * coeff", {"coeff": 1.0}, 0.2, 1.0) == ("lam",)
+    assert solver._unit_folds("t * coeff", {"coeff": 1.0}, 1.0, 0.9) == ("v_inf",)
+    assert solver._unit_folds("coeff", {"coeff": 1.0}, 0.2, 0.9) == ()
+    assert solver._unit_folds(cube, {"coeff": np.float64(1.0)}, 1, 0.9) == ()
+    assert solver._unit_folds(*solver._CALL_FORM, 1.0, 1.0) == ("v_inf", "lam")
+    # the constant next to 1.0 is kept, and its floats are its own
+    near = power_nonlinearity(4.0, 1.0000000000000002).f_scalar
+    runs = _kernel_runs(near, (2.0, 1.0, 3, 1.0, 1e-2, 30.0), True)
+    assert _agree(runs)
+    assert runs["own"] != _kernel_runs(power_nonlinearity(4.0).f_scalar,
+                                       (2.0, 1.0, 3, 1.0, 1e-2, 30.0), True)["own"]
 
 
 def test_call_form_runs_power_at_other_exponents():
@@ -839,7 +900,7 @@ def test_call_form_runs_power_at_other_exponents():
     for a in (0.5, 2.0, 3.0):
         for record in (False, True):
             runs = _kernel_runs(f.f_scalar, (a, 1.0, 3, 1.0, h, 30.0), record)
-            assert runs["own"] == runs["called"]
+            assert _agree(runs)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -856,7 +917,7 @@ def test_kernels_stop_at_the_rest_point_alike(N):
     for start in (None, (u_5, v_5, r_5, 5)):
         for record in (False, True):
             runs = _kernel_runs(f_scalar, (1.0, 1.0, N, 1.0, h, r_end), record, start)
-            assert runs["own"] == runs["called"]
+            assert _agree(runs)
             assert runs["own"][0] == ("decay", r, 1.0, 0.0)
 
 
@@ -864,7 +925,7 @@ def test_kernels_take_the_blowup_turn_alike():
     # a step of 1/2 on V_inf = 25 overshoots past 10 u(0) while u' < 0
     f_scalar = power_nonlinearity(4.0, 2.5).f_scalar
     runs = _kernel_runs(f_scalar, (5.0, 25.0, 3, 1.0, 0.5, 30.0), True)
-    assert runs["own"] == runs["called"]
+    assert _agree(runs)
     kind, _, u, v = runs["own"][0]
     assert kind == "turn" and u > solver.BLOWUP_FACTOR * 5.0 and v < 0.0
 
@@ -875,23 +936,31 @@ def test_kernels_raise_the_same_stiff_error(p, a):
     f_scalar = power_nonlinearity(p).f_scalar
     with np.errstate(divide="ignore", invalid="ignore"):
         runs = _kernel_runs(f_scalar, (a, 1.0, 3, 1.0, 1e-3, 1.0), True)
-    assert runs["own"] == runs["called"]
+    assert _agree(runs)
     assert runs["own"][0] == (StiffIntegrationError, "shooting integration "
                               "produced non-finite values at r=0.001")
 
 
 def test_readme_search_runs_the_inlined_kernel(grid4096, monkeypatch):
     # the benchmark's shots: power p = 4's own f_scalar writes its
-    # expression into the stages, and no shot runs the kernel that calls f
-    f = power_nonlinearity(4.0)
-    real, forms = solver._shot_kernel, []
+    # expression into the stages without its unit factors V_inf, lam and
+    # coeff, and no shot runs the kernel that calls f; at coeff = 2.5 the
+    # stages keep coeff
+    real, keys = solver._shot_kernel, []
 
-    def logged(expr, names):
-        forms.append((expr, names))
-        return real(expr, names)
+    def logged(expr, names, folds):
+        keys.append((expr, names, folds))
+        return real(expr, names, folds)
 
     monkeypatch.setattr(solver, "_shot_kernel", logged)
+    cube = ("coeff * (t * t) * t", ("coeff",))
+    f = power_nonlinearity(4.0)
+    assert f.f_scalar.scalar_form == (cube[0], {"coeff": 1.0})
     shoot_oracle(1.0, f, 3, grid=grid4096)
-    assert forms and set(forms) == {("coeff * (t * t) * t", ("coeff",))}
-    assert f.f_scalar.scalar_form == ("coeff * (t * t) * t", {"coeff": 1.0})
-    assert real(*forms[0]) is not real(solver._CALL_FORM[0], ())
+    assert keys and set(keys) == {(*cube, ("v_inf", "lam", "coeff"))}
+    keys.clear()
+    shoot_oracle(1.0, power_nonlinearity(4.0, 2.5), 3, grid=grid4096)
+    assert keys and set(keys) == {(*cube, ("v_inf", "lam"))}
+    folded = real(*cube, ("v_inf", "lam", "coeff"))
+    assert folded is not real(*cube, ("v_inf", "lam"))
+    assert folded is not real(solver._CALL_FORM[0], (), ("v_inf", "lam"))

@@ -520,6 +520,10 @@ def estimate_theta_V3(V: PotentialSpec, N: int,
     return max(0.0, sup)
 
 
+# an f or F that overflows on the samples (a huge coeff or p) reads inf
+# or NaN there: an (F3) witness as good as any, and (F2)'s large-t ratio
+# or the antiderivative check fails such an f
+@np.errstate(over="ignore", invalid="ignore")
 def check_F(f: NonlinearitySpec, v_inf: float, N: int,
             samples: Optional[np.ndarray] = None) -> ConditionReport:
     """Growth, small/large-t decay, and one-point superquadraticity.
@@ -547,10 +551,7 @@ def check_F(f: NonlinearitySpec, v_inf: float, N: int,
     f2_ok = small <= F_DECAY_MARGIN and large <= F_DECAY_MARGIN
 
     s = np.geomspace(1e-3, 1e3, 512)
-    # an F that overflows on the scan (a huge coeff) reads inf there, a
-    # witness as good as any; (F2)'s large-t ratio fails such an f
-    with np.errstate(over="ignore"):
-        gap = np.asarray(f.F(s), dtype=float) - 0.5 * v_inf * s**2
+    gap = np.asarray(f.F(s), dtype=float) - 0.5 * v_inf * s**2
     hits = np.nonzero(gap > 0.0)[0]
     f3_ok = hits.size > 0
     j = int(hits[0]) if f3_ok else int(np.argmax(gap / (1.0 + s**2)))

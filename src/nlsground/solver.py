@@ -683,18 +683,25 @@ def _integrate_shot(a: float, v_inf: float, f_scalar, N: int, lam: float,
     return kernel(a, v_inf, f_scalar, N, lam, h, r_end, record, start, **consts)
 
 
+class _Separatrix(Exception):
+    """Raised by route C's ``classify`` at a shot that decays: amplitude
+    ``a`` is taken as the separatrix, and ``record`` is the list its
+    shot recorded into, or None.  ``shoot_oracle`` catches it."""
+
+    def __init__(self, a: float, record: Optional[list]):
+        super().__init__(a)
+        self.a, self.record = a, record
+
+
 def _bisect_classes(classify, lo: float, hi: float, lo_class: str,
                     tol: float) -> float:
     """Halve [lo, hi] by classification to width <= tol and return its
-    midpoint; a "decay" shot is taken as the separatrix itself."""
+    midpoint."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        c = classify(mid)
-        if c == "decay":
-            return mid
-        if c == lo_class:
+        if classify(mid) == lo_class:
             lo = mid
         else:
             hi = mid
@@ -711,28 +718,24 @@ def _probe_offset(a: float, tol: float) -> float:
 def _scanned_bracket(classify) -> tuple:
     """Scan over u(0) = 1, 2, 1/2, 4, 1/4, ... for one amplitude of each
     class: (lo, hi, class of lo) between the largest turn and the smallest
-    cross seen, or (a, a, "decay") at the first shot that decays."""
+    cross seen."""
     a_lo = a_hi = None   # lo: turn side, hi: cross side
-    seen = {}
     for k in range(61):
         step = (k + 1) // 2
         cand = (2.0**step if k % 2 == 1 else 2.0**-step) if k else 1.0
         c = classify(cand)
-        seen[cand] = c
         if c == "turn" and (a_lo is None or cand > a_lo):
             a_lo = cand
         if c == "cross" and (a_hi is None or cand < a_hi):
             a_hi = cand
-        if c == "decay":
-            return cand, cand, c
         if a_lo is not None and a_hi is not None:
             break
     if a_lo is None or a_hi is None:
+        # every shot of the scan is of the last one's class
         raise BracketNotFoundError(
             "no amplitude bracket separating undershoot from overshoot; "
-            f"behaviors seen: {sorted(set(seen.values()))}")
-    lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-    return lo, hi, seen[lo]
+            f"behaviors seen: {[c]}")
+    return (a_lo, a_hi, "turn") if a_lo < a_hi else (a_hi, a_lo, "cross")
 
 
 def _gated_bracket(classify, growth, tol: float) -> tuple:
@@ -748,13 +751,10 @@ def _gated_bracket(classify, growth, tol: float) -> tuple:
     returned as [lo, hi].  Otherwise both lie on one side, and [lo, hi]
     is the scan bracket narrowed to that side: classes are monotone in
     the amplitude, so after a lower end not of ``lo_class`` the upper
-    end is not shot.  A shot that decays returns (a, a, "decay", ends).
-    ``ends`` is None when the scan decays or ``growth`` has no sign
+    end is not shot.  ``ends`` is None when ``growth`` has no sign
     change on the scan bracket.
     """
     lo, hi, lo_class = _scanned_bracket(classify)
-    if lo_class == "decay":
-        return lo, hi, lo_class, None
     g_lo, g_hi = growth(lo), growth(hi)
     if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
         return lo, hi, lo_class, None
@@ -762,10 +762,7 @@ def _gated_bracket(classify, growth, tol: float) -> tuple:
     # the scan classified its bracket's ends already
     known = {lo: lo_class, hi: "cross" if lo_class == "turn" else "turn"}
     for x in ends:
-        c = known[x] if x in known else classify(x)
-        if c == "decay":
-            return x, x, c, ends
-        if c != lo_class:
+        if (known[x] if x in known else classify(x)) != lo_class:
             hi = x
             break
         lo = x
@@ -782,12 +779,9 @@ def _searched_amplitude(classify, growth, tol: float) -> float:
     lands across.  The result is the midpoint of that bracket halved by
     classification to width <= tol, so the functional only decides how
     many shots the certificate costs.  Without a sign change of
-    ``growth`` the scan bracket is halved by classification.  A shot
-    that decays is taken as the separatrix itself.
+    ``growth`` the scan bracket is halved by classification.
     """
     lo, hi, lo_class, ends = _gated_bracket(classify, growth, tol)
-    if lo_class == "decay":
-        return lo
     if ends is None:
         return _bisect_classes(classify, lo, hi, lo_class, tol)
     a_g = 0.5 * (ends[0] + ends[1])
@@ -799,8 +793,6 @@ def _searched_amplitude(classify, growth, tol: float) -> float:
     x = a_g + side * d
     while lo < x < hi:
         c = classify(x)
-        if c == "decay":
-            return x
         if c == lo_class:
             lo = x
         else:
@@ -832,33 +824,26 @@ def _coarse_prediction(classify, growth, fine_growth, tol: float) -> Optional[fl
     return a_pred if math.isfinite(a_pred) and a_pred > 0.0 else None
 
 
-def _confirmed_amplitude(classify, predicted: float, tol: float) -> tuple:
-    """(separatrix amplitude next to a predicted one, its recorded shot
-    or None), or (None, None).
+def _confirmed_amplitude(classify, predicted: float,
+                         tol: float) -> Optional[tuple]:
+    """(separatrix amplitude next to a predicted one, its recorded shot),
+    or None.
 
     Classifies the midpoint of predicted -/+ d (d as the probes of
     ``_searched_amplitude`` use), recording its shot, and then the probe
     on the far side of the midpoint's class: predicted + d after a turn,
     predicted - d after a cross.  A turn and a cross bracket the
-    separatrix no wider than tol/2, and the midpoint is the result.  A
-    "decay" shot is taken as the separatrix itself.  Two shots of one
-    class confirm nothing, and the caller searches as if no prediction
-    had been made.
+    separatrix no wider than tol/2, and the midpoint is the result.  Two
+    shots of one class confirm nothing: None, and the caller searches as
+    if no prediction had been made.
     """
     d = _probe_offset(predicted, tol)
     lo, hi = predicted - d, predicted + d
     mid = 0.5 * (lo + hi)
     record = [mid]
     c_mid = classify(mid, record)
-    if c_mid == "decay":
-        return mid, record
-    far = hi if c_mid == "turn" else lo
-    c_far = classify(far)
-    if c_far == "decay":
-        return far, None
-    if {c_mid, c_far} != {"turn", "cross"}:
-        return None, None
-    return mid, record
+    c_far = classify(hi if c_mid == "turn" else lo)
+    return (mid, record) if c_mid != c_far else None
 
 
 def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
@@ -871,7 +856,9 @@ def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
     there is saved in a map of this triple alone: ``growth`` reads it,
     and ``classify`` resumes it, so the two never integrate the same
     stretch twice.  ``classify(a, record)`` appends to ``record`` the u
-    after every step of an amplitude not shot before.
+    after every step of an amplitude not shot before, and returns "turn"
+    or "cross"; at a shot that decays it raises ``_Separatrix(a,
+    record)``, so no stage of the search tests for a third class.
     """
     kappa, m = math.sqrt(v_inf), 0.5 * (N - 1)
     r_R = min(SHOOT_R, r_end)
@@ -890,11 +877,13 @@ def _shot_closures(v_inf: float, f_scalar, N: int, lam: float, h: float,
         kind, r, u_end, v_end = state_at_R(a, record)
         if kind == "decay":
             kind, r, u_end, v_end = shot(a, r_end, record, (u_end, v_end, r, k_R))
-        if kind == "decay" and u_end > 0.5 * a:
+        if kind != "decay":
+            return kind
+        if u_end > 0.5 * a:
             # the trajectory never left the neighborhood of a rest point
             # of the autonomous flow: the amplitude is too small
             return "turn"
-        return kind
+        raise _Separatrix(a, record)
 
     def growth(a):
         # w = r^m u and w' = r^m (u' + m u / r)
@@ -936,10 +925,14 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
 
     The reported u(0) is the midpoint of an undershoot/overshoot bracket
     no wider than opts.shoot_tol at the ODE step, unless a
-    classification shot decays: its amplitude is then taken as the
-    separatrix, and the residual certificates alone decide.  The
-    recorded profile is the confirmation's midpoint shot when that is
-    the result, else one more shot of the reported amplitude.
+    classification shot decays, neither turning nor crossing by r_max
+    after leaving the neighbourhood of u(0).  Such a shot ends the
+    search at whatever stage fires it (``classify`` raises
+    ``_Separatrix``): at the ODE step its amplitude is taken as the
+    separatrix, and the residual certificates alone decide; at the grid
+    step it leaves the search to the ODE step.  The recorded profile is
+    the confirmation's midpoint shot when that is the result, else one
+    more shot of the reported amplitude.
     """
     # each test is written so that NaN fails it
     if not 0.0 < v_inf < math.inf:
@@ -969,13 +962,15 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
         coarse = _shot_closures(v_inf, f.f_scalar, N, lam, grid.h, r_end)[:2]
         try:
             predicted = _coarse_prediction(*coarse, growth, tol)
-        except (BracketNotFoundError, StiffIntegrationError):
+        except (BracketNotFoundError, StiffIntegrationError, _Separatrix):
             pass        # the search at the ODE step decides
-    a_star = us = None
-    if predicted is not None:
-        a_star, us = _confirmed_amplitude(classify, predicted, tol)
-    if a_star is None:
-        a_star = _searched_amplitude(classify, growth, tol)
+    try:
+        found = None
+        if predicted is not None:
+            found = _confirmed_amplitude(classify, predicted, tol)
+        a_star, us = found or (_searched_amplitude(classify, growth, tol), None)
+    except _Separatrix as sep:
+        a_star, us = sep.a, sep.record
     if us is None:
         us = [a_star]
         shot(a_star, r_end, us)

@@ -315,6 +315,13 @@ def _run_quietly(tmp_path, capsys, command, overrides, solution=None):
     # F overflows on (F3)'s scan, and (F2)'s large-t ratio fails f
     ("check-conditions", ["nonlinearity.coeff=1e300"], None, 3, ""),
     ("solve", ["nonlinearity.coeff=1e300"], None, 3, ""),
+    # f and F overflow on check_F's samples, to inf and NaN, and the
+    # check fails them
+    *[(command, [override], None, 3, label)
+      for override in ("nonlinearity.p=1e308", "nonlinearity.coeff=1e308")
+      for command, label in (
+          ("check-conditions", ""), ("solve", ""),
+          ("verify", "verification failure: hypothesis checks failed"))],
 ])
 def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, label):
     got, err = _run_quietly(tmp_path, capsys, command, overrides, solution)

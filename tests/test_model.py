@@ -171,6 +171,18 @@ def test_check_f_huge_coeff_fails_without_warning():
     assert rep.witness["s0"] is not None
 
 
+@pytest.mark.parametrize("p, coeff", [(1e308, 1.0), (4.0, 1e308)])
+def test_check_f_overflowing_samples_fail_without_warning(p, coeff):
+    # f overflows to inf past |t| = 1, and F - cum reads inf - inf = NaN:
+    # (F2)'s large-t ratio and the antiderivative check fail f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_F(power_nonlinearity(p, coeff), 1.0, 3)
+    assert not rep.passed
+    assert rep.witness["large_t_ratio"] == math.inf
+    assert math.isnan(rep.witness["antiderivative_err"])
+
+
 def test_check_f_growth_refutes_only_nan():
     # C0_fit bounds every sample by construction: (F1) fails on a NaN of
     # f and on nothing else.  NaN on 10 < |t| < 50 reaches no other part

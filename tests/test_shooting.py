@@ -5,6 +5,7 @@ stage: the same bracket scan, then bisection by classification alone.
 """
 
 import math
+import re
 import time
 from collections import Counter
 
@@ -372,21 +373,55 @@ def test_bisection_stops_at_adjacent_floats():
 
 
 def _banded(lo_decay, hi_decay, calls):
-    """A fake classification: turn below [lo_decay, hi_decay], decay on
-    it, cross above; every amplitude classified is appended to calls."""
+    """A fake classification: turn below [lo_decay, hi_decay], cross
+    above, and on it a shot that decays, which raises as route C's
+    classify does; every amplitude classified is appended to calls."""
     def classify(a, record=None):
         calls.append(a)
         if a < lo_decay:
             return "turn"
-        return "decay" if a <= hi_decay else "cross"
+        if a <= hi_decay:
+            raise solver._Separatrix(a, record)
+        return "cross"
 
     return classify
 
 
+def _separatrix(stage, *args):
+    """(amplitude, record) of the decaying shot that ends stage(*args)."""
+    with pytest.raises(solver._Separatrix) as raised:
+        stage(*args)
+    return raised.value.a, raised.value.record
+
+
 def test_bisection_takes_a_decaying_midpoint():
     calls = []
-    a = solver._bisect_classes(_banded(0.9, 1.1, calls), 0.0, 2.0, "turn", 1e-10)
-    assert a == 1.0 and calls == [1.0]
+    assert _separatrix(solver._bisect_classes, _banded(0.9, 1.1, calls),
+                       0.0, 2.0, "turn", 1e-10) == (1.0, None)
+    assert calls == [1.0]
+
+
+@pytest.mark.parametrize("c", ["turn", "cross"])
+def test_scan_of_one_class_names_it(c):
+    # every one of the scan's 61 shots turns, or every one crosses
+    calls = []
+
+    def classify(a):
+        calls.append(a)
+        return c
+
+    with pytest.raises(BracketNotFoundError, match=re.escape(f"behaviors seen: ['{c}']")):
+        solver._scanned_bracket(classify)
+    assert len(calls) == 61
+
+
+def test_scan_bracket_takes_its_lower_class_from_the_order():
+    # turn below 3: 1 and 2 turn and 4 crosses; cross below 3 (a reversed
+    # flow): 1, 2 and 1/2 cross and 4 turns
+    assert solver._scanned_bracket(lambda a: "turn" if a < 3.0 else "cross") == \
+        (2.0, 4.0, "turn")
+    assert solver._scanned_bracket(lambda a: "cross" if a < 3.0 else "turn") == \
+        (0.5, 4.0, "cross")
 
 
 # the scan's shots of any band inside (1, 2): 1 turns and 2 crosses, so
@@ -398,8 +433,9 @@ def test_separatrix_bracket_end_takes_a_decaying_shot():
     # the functional's root is 1.3; the lower end of the false-position
     # bracket, the first amplitude classified after the scan, decays
     calls, tol = [], 1e-3
-    a = solver._searched_amplitude(_banded(1.2, 1.4, calls), lambda x: x - 1.3, tol)
-    assert calls == SCAN + [a]
+    a, record = _separatrix(solver._searched_amplitude, _banded(1.2, 1.4, calls),
+                            lambda x: x - 1.3, tol)
+    assert calls == SCAN + [a] and record is None
     assert abs(a - 1.3) <= tol
 
 
@@ -415,12 +451,16 @@ def test_separatrix_probe_takes_a_decaying_shot():
     # below the ends: the lower end crosses, and so must the upper one,
     # which is left unshot
     calls = []
-    a = solver._searched_amplitude(_banded(1.2997, 1.2998, calls), growth, tol)
+    a, record = _separatrix(solver._searched_amplitude,
+                            _banded(1.2997, 1.2998, calls), growth, tol)
     assert calls == SCAN + [lo_end, a] and 1.2997 <= a <= 1.2998
+    assert record is None
     # above the ends: both turn
     calls = []
-    a = solver._searched_amplitude(_banded(1.3006, 1.3008, calls), growth, tol)
+    a, record = _separatrix(solver._searched_amplitude,
+                            _banded(1.3006, 1.3008, calls), growth, tol)
     assert calls == SCAN + [lo_end, hi_end, a] and 1.3006 <= a <= 1.3008
+    assert record is None
 
 
 def test_scan_takes_a_decaying_shot():
@@ -431,8 +471,9 @@ def test_scan_takes_a_decaying_shot():
     def growth(a):
         raise AssertionError("the scan's decay ends the search")
 
-    a = solver._searched_amplitude(_banded(1.5, 3.0, calls), growth, 1e-10)
-    assert a == 2.0 and calls == [1.0, 2.0]
+    assert _separatrix(solver._searched_amplitude, _banded(1.5, 3.0, calls),
+                       growth, 1e-10) == (2.0, None)
+    assert calls == [1.0, 2.0]
 
 
 def test_separatrix_bracket_ends_that_straddle_certify():
@@ -504,8 +545,8 @@ def test_confirmation_probe_takes_a_decaying_shot(side):
     tol = 1e-6
     d = solver._probe_offset(1.0, tol)
     probe, calls = 1.0 + side * d, []
-    assert solver._confirmed_amplitude(_banded(probe, probe, calls), 1.0, tol) == \
-        (probe, None)
+    assert _separatrix(solver._confirmed_amplitude, _banded(probe, probe, calls),
+                       1.0, tol) == (probe, None)
     assert calls == [1.0, probe]
 
 
@@ -514,8 +555,8 @@ def test_confirmation_midpoint_takes_a_decaying_shot():
     # and its record (u(0) alone, as the fake classification appends
     # nothing) is returned with it
     tol, calls = 1e-6, []
-    assert solver._confirmed_amplitude(_banded(1.0, 1.0, calls), 1.0, tol) == \
-        (1.0, [1.0])
+    assert _separatrix(solver._confirmed_amplitude, _banded(1.0, 1.0, calls),
+                       1.0, tol) == (1.0, [1.0])
     assert calls == [1.0]
 
 
@@ -548,8 +589,6 @@ def _coarse_gate(f, N, grid, tol):
     classify, growth, _ = solver._shot_closures(1.0, f.f_scalar, N, 1.0, grid.h,
                                                 grid.r_max)
     lo, hi, lo_class = solver._scanned_bracket(classify)
-    if lo_class == "decay":
-        return False
     g_lo, g_hi = growth(lo), growth(hi)
     if not g_lo * g_hi < 0.0:
         return False
@@ -665,6 +704,34 @@ def test_non_straddling_search_is_the_ode_step_search(shot_counter, monkeypatch)
     # the report of the search at the ODE step alone, float for float
     assert rep.u_at_zero == 1.9397387394038188
     assert rep.energy == 8.451084049218316
+
+
+def test_decaying_grid_step_shot_leaves_the_search_to_the_ode_step(shot_counter,
+                                                                  monkeypatch):
+    # the gate's lower end at the grid step, made to fade to 0 by r_max,
+    # decays: the search at the grid step ends there without a
+    # prediction, and the search at the ODE step runs shot for shot as
+    # it does alone, to the same report; the decay never reaches the caller
+    f, grid = power_nonlinearity(4.0), make_grid(3, 30.0, 4096)
+    counted = solver._integrate_shot
+
+    def fading(a, v_inf, f_scalar, N, lam, h, r_end, record=None, start=None):
+        out = counted(a, v_inf, f_scalar, N, lam, h, r_end, record, start)
+        if h == grid.h and start is not None and a != 1.0:
+            return "decay", r_end, 0.0, 0.0
+        return out
+
+    monkeypatch.setattr(solver, "_integrate_shot", fading)
+    rep = shoot_oracle(1.0, f, 3, grid=grid)
+    coarse, fine = _calls_by_level(shot_counter.calls, grid.h)
+    # the scan's rest point u(0) = 1 and the gate's lower end are resumed;
+    # the upper end is never shot
+    assert [kind for kind, *_ in coarse].count("resume") == 2
+    shot_counter.calls.clear()
+    monkeypatch.setattr(solver, "_coarse_prediction", lambda *args: None)
+    alone = shoot_oracle(1.0, f, 3, grid=grid)
+    assert shot_counter.calls == fine
+    assert format_json(rep.to_dict()) == format_json(alone.to_dict())
 
 
 @pytest.mark.parametrize("p, n, error", [(5.0, 64, BracketNotFoundError),
@@ -801,16 +868,21 @@ def _agree(runs):
 
 def _resting_at_R(f_scalar, v_inf, N, lam, h):
     """An amplitude whose shot at step h reaches SHOOT_R without an
-    event: the search's scan, then halving on the class at SHOOT_R.
-    None where every scanned shot turns (f = 0, or a supercritical
-    power)."""
+    event: the search's scan, then halving on the class at SHOOT_R, up
+    to the first shot that reaches it.  None where every scanned shot
+    turns (f = 0, or a supercritical power)."""
     def at_R(a):
-        return solver._integrate_shot(a, v_inf, f_scalar, N, lam, h, solver.SHOOT_R)[0]
+        kind = solver._integrate_shot(a, v_inf, f_scalar, N, lam, h, solver.SHOOT_R)[0]
+        if kind == "decay":
+            raise solver._Separatrix(a, None)
+        return kind
     try:
         lo, hi, lo_class = solver._scanned_bracket(at_R)
+        return solver._bisect_classes(at_R, lo, hi, lo_class, 0.0)
     except BracketNotFoundError:
         return None
-    return solver._bisect_classes(at_R, lo, hi, lo_class, 0.0)
+    except solver._Separatrix as resting:
+        return resting.a
 
 
 def _assert_kernels_agree(f_scalar, v_inf, N, lam, n, step):

@@ -347,8 +347,10 @@ def power_nonlinearity(p: float = 4.0, coeff: float = 1.0) -> NonlinearitySpec:
                 return coeff * abs(t) ** q * t
             except (ZeroDivisionError, OverflowError):
                 # float ** raises where numpy returns inf (0 ** q for p < 2,
-                # overflow); the vectorised form gives the IEEE result
-                return float(f(t))
+                # overflow); the vectorised form gives the IEEE result,
+                # whose inf or NaN the shot reports as StiffIntegrationError
+                with np.errstate(all="ignore"):
+                    return float(f(t))
 
     def f(t):
         t = np.asarray(t, dtype=float)

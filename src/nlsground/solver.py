@@ -116,6 +116,8 @@ STEP_GROW = 1.3
 PRECOND_BETA = 1.0
 # relative KKT residual at which route B stops
 BL_KKT_TOL = 1e-7
+# relative change of J that route B's trials cannot tell from rounding
+BL_J_ROUNDING = 8.0 * np.finfo(float).eps
 # a shot whose |u| exceeds this multiple of |u(0)| counts as an undershoot
 BLOWUP_FACTOR = 10.0
 # radius at which route C reads the growing-mode coefficient of a shot
@@ -123,6 +125,10 @@ SHOOT_R = 12.0
 # factor by which route C's certifying probes step away from that
 # coefficient's root while they still land on one side
 SHOOT_WIDEN = 8.0
+# fewest ODE steps per step of route C's coarse level: the README grid's
+# ratio, whose one Newton step lands within shoot_tol of the separatrix
+# (ratio 16 misses on the README cubic, ratio 30 in 4 of 7 cases at n = 1024)
+SHOOT_COARSE_RATIO = 8
 # most RK4 steps, (n - 1) * ceil(h / ode_step), of one route C shot: 32x
 # the README grid's 32,760, ~2 s of stepping and an 8 MB recording
 SHOOT_MAX_STEPS = 2**20
@@ -227,12 +233,15 @@ def initial_bump(ctx: FunctionalContext, amp: float, width: float) -> RadialFunc
     """Gaussian bump a exp(-r^2/width^2) with a = amp 2^k for the least
     k < BUMP_DOUBLINGS that puts it in the admissible set; the start of
     routes A and B.  NotInLambdaError when no such k exists.  Where
-    (r/width)^2 overflows (a tiny width) the bump is exp(-inf) = 0."""
+    (r/width)^2 overflows (a tiny width) the bump is exp(-inf) = 0.
+    Where F overflows on a bump (p = 1e308), its admissibility integral
+    is NaN and the bump is not admissible, without a warning."""
     for k in range(BUMP_DOUBLINGS):
         a = amp * 2.0**k
         with np.errstate(over="ignore"):
             u = RadialFunction.sampled(ctx.grid, lambda r: a * np.exp(-(r / width) ** 2))
-        member, _ = lambda_membership(ctx, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            member, _ = lambda_membership(ctx, u)
         if member:
             return u
     raise NotInLambdaError(
@@ -341,16 +350,19 @@ def _rel_residual(res: RadialFunction, u: RadialFunction) -> float:
     return math.sqrt(max(l2_norm_sq(res), 0.0) / max(l2_norm_sq(u), 1e-300))
 
 
-def _line_search(x: np.ndarray, d: np.ndarray, s: float, trial):
+def _line_search(x: np.ndarray, d: np.ndarray, s: float, trial,
+                 s_floor: float = 0.0):
     """Backtracking step of routes A and B from x along -d.
 
     Tries v = x - s d, 0 on the Dirichlet node, shrinking s by
-    STEP_SHRINK until ``trial(v)`` accepts, or s falls below STEP_MIN.
-    ``trial`` returns the route's new state, or None to reject v.
-    Returns (state, step for the next search): an accepted step grows by
-    STEP_GROW, capped at STEP_MAX; state is None when the search stalled.
+    STEP_SHRINK until ``trial(v)`` accepts, or s falls below STEP_MIN or
+    below the caller's ``s_floor``, whichever is larger.  ``trial``
+    returns the route's new state, or None to reject v.  Returns (state,
+    step for the next search): an accepted step grows by STEP_GROW,
+    capped at STEP_MAX; state is None when the search stalled.
     """
-    while s >= STEP_MIN:
+    s_min = max(STEP_MIN, s_floor)
+    while s >= s_min:
         v = x - s * d
         v[-1] = 0.0
         state = trial(v)
@@ -531,7 +543,12 @@ def solve_limit_BL(ctx: FunctionalContext,
                         / max(float(wts @ gL**2), 1e-300))
         if kkt <= BL_KKT_TOL:
             break
-        step, s = _line_search(w, psolve(d_raw), s, trial)
+        p = psolve(d_raw)
+        # J's derivative along -p: a step below s_floor lowers J by less
+        # than BL_J_ROUNDING J, so the search stops there
+        slope = float(wts @ (d_raw * p)) / C**q
+        s_floor = BL_J_ROUNDING * J / slope if slope > 0.0 else 0.0
+        step, s = _line_search(w, p, s, trial, s_floor)
         if step is None:
             break
         w, G, C, J = step
@@ -915,11 +932,12 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     - the gate: the classes of that bracket's ends (``_gated_bracket``);
     - probes and bisection by classification to opts.shoot_tol
       (``_searched_amplitude``);
-    - the Newton prediction from the gate at the grid step
+    - the Newton prediction from the gate at the coarse step, the grid
+      step or SHOOT_COARSE_RATIO ODE steps, whichever is coarser
       (``_coarse_prediction``), run first when the ODE step is finer
       than the grid step (k_sub > 1);
     - the confirmation of a predicted amplitude, given as ``predicted``
-      (positive and finite, else DomainError) or from the grid step
+      (positive and finite, else DomainError) or from the coarse step
       (``_confirmed_amplitude``); an unconfirmed one leaves the search
       to the ODE step alone.
 
@@ -929,10 +947,10 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     after leaving the neighbourhood of u(0).  Such a shot ends the
     search at whatever stage fires it (``classify`` raises
     ``_Separatrix``): at the ODE step its amplitude is taken as the
-    separatrix, and the residual certificates alone decide; at the grid
-    step it leaves the search to the ODE step.  The recorded profile is
-    the confirmation's midpoint shot when that is the result, else one
-    more shot of the reported amplitude.
+    separatrix, and the residual certificates alone decide; at the
+    coarse step it leaves the search to the ODE step.  The recorded
+    profile is the confirmation's midpoint shot when that is the result,
+    else one more shot of the reported amplitude.
     """
     # each test is written so that NaN fails it
     if not 0.0 < v_inf < math.inf:
@@ -959,7 +977,10 @@ def shoot_oracle(v_inf: float, f, N: int, lam: float = 1.0,
     r_end, tol = grid.r_max, opts.shoot_tol
     classify, growth, shot = _shot_closures(v_inf, f.f_scalar, N, lam, h, r_end)
     if predicted is None and k_sub > 1:
-        coarse = _shot_closures(v_inf, f.f_scalar, N, lam, grid.h, r_end)[:2]
+        # a coarse shot records nothing, so its step need not divide the
+        # grid spacing
+        h_coarse = max(grid.h, SHOOT_COARSE_RATIO * h)
+        coarse = _shot_closures(v_inf, f.f_scalar, N, lam, h_coarse, r_end)[:2]
         try:
             predicted = _coarse_prediction(*coarse, growth, tol)
         except (BracketNotFoundError, StiffIntegrationError, _Separatrix):

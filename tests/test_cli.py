@@ -322,6 +322,19 @@ def _run_quietly(tmp_path, capsys, command, overrides, solution=None):
       for command, label in (
           ("check-conditions", ""), ("solve", ""),
           ("verify", "verification failure: hypothesis checks failed"))],
+    # F overflows on every bump of the starting ladder, and f on the
+    # first RK4 stage of the first shot
+    *[(command, [override], None, 2, label)
+      for override in ("nonlinearity.p=1e308", "nonlinearity.coeff=1e308")
+      for command, label in (
+          ("solve-limit", "non-convergence: no admissible amplitude found for the "
+                          "initial bump"),
+          ("project", "non-convergence: no admissible amplitude found for the "
+                      "initial bump"),
+          ("oracle-shoot", "non-convergence: shooting integration produced "
+                           "non-finite values"),
+          ("sweep-lambda", "non-convergence: shooting integration produced "
+                           "non-finite values"))],
 ])
 def test_documented_exits(tmp_path, capsys, command, overrides, solution, code, label):
     got, err = _run_quietly(tmp_path, capsys, command, overrides, solution)

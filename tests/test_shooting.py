@@ -171,6 +171,23 @@ def test_readme_search_integrations(grid4096, f_cubic, rep_shoot, shot_counter):
     assert shots["steps"] <= 53_150
 
 
+def test_fine_grid_coarse_level_takes_8_ode_steps(grid8192, f_cubic, rep_shoot_8192,
+                                                  shot_counter):
+    # n = 8192 has 4 ODE steps per grid step: the coarse level steps at
+    # 8 ODE steps, the README grid's ratio, and its prediction confirms
+    a_star, shots = counted_search(f_cubic, 3, 1.0, grid8192, SolveOptions(),
+                                   shot_counter)
+    assert a_star == rep_shoot_8192.u_at_zero
+    h = _step(grid8192, SolveOptions())
+    coarse = [c for c in shot_counter.calls if c[3] != h]
+    assert coarse and {step for *_, step in coarse} == {8 * h}
+    # no scan at the ODE step: u(0) = 1 is shot at the coarse step alone
+    assert all(a != 1.0 for _, a, _, step in shot_counter.calls if step == h)
+    assert shots["record"] == 1
+    # 66,263 with the coarse level at the grid step
+    assert shots["steps"] <= 52_719
+
+
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), N=st.sampled_from([3, 4, 5]),
        a=st.floats(0.2, 40.0))
@@ -212,8 +229,9 @@ def test_frozen_cubic_reports(rep_shoot, rep_shoot_8192):
     # route C's u(0) and level on the README cubic, float for float
     assert rep_shoot.u_at_zero == 4.337387679987567
     assert rep_shoot.energy == 18.897185211661185
-    assert rep_shoot_8192.u_at_zero == 4.337387679985891
-    assert rep_shoot_8192.energy == 18.897234783546136
+    # n = 8192, whose coarse level steps at 8 ODE steps (two grid steps)
+    assert rep_shoot_8192.u_at_zero == 4.337387679989581
+    assert rep_shoot_8192.energy == 18.897234783554477
 
 
 # ----------------------------------------------------------------------

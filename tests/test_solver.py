@@ -270,6 +270,64 @@ def test_bl_route_mass_pin_stops_the_dilation_drift(grid4096):
     assert rep.iterations <= 100
 
 
+_BL_FAMILIES = {
+    "p4": lambda: power_nonlinearity(4.0),
+    "p3": lambda: power_nonlinearity(3.0),
+    "p2.5": lambda: power_nonlinearity(2.5),
+    "sat4": lambda: saturating_nonlinearity(4.0),
+    "sat8": lambda: saturating_nonlinearity(8.0),
+}
+# (n, family, N): (line-search trials, level) of route B on V_inf = 1.
+# The trials are this route's budget: its searches stop where a step
+# would lower J by less than BL_J_ROUNDING J, and searching down to
+# STEP_MIN took 1,218 trials in all.  The levels are those of that
+# deeper search, which the floor must keep to 1e-14 relative
+_BL_FLOOR_CASES = {
+    (2048, "p4", 3): (37, 18.896987972137783),
+    (2048, "p3", 4): (41, 204.44579484804513),
+    (2048, "p3", 5): (44, 719.468112666887),
+    (2048, "p2.5", 3): (44, 81.46188024944894),
+    (2048, "sat4", 3): (36, 13.71915576218164),
+    (2048, "sat8", 4): (33, 17.157188661290007),
+    (4096, "p4", 3): (35, 18.89718585676236),
+    (4096, "p3", 4): (38, 204.43265899112333),
+    (4096, "p3", 5): (44, 719.1550596444943),
+    (4096, "p2.5", 3): (45, 81.46258778370884),
+    (4096, "sat4", 3): (32, 13.719523073851882),
+    (4096, "sat8", 4): (35, 17.156771984153124),
+    # the benchmark's const config: 70 trials without the floor
+    (8192, "p4", 3): (34, 18.897234943327373),
+    (8192, "p3", 4): (38, 204.42950755502153),
+    (8192, "p3", 5): (45, 719.0765341859092),
+    (8192, "p2.5", 3): (46, 81.46276540082766),
+    (8192, "sat4", 3): (31, 13.719614816278018),
+    (8192, "sat8", 4): (31, 17.15666888084752),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BL_FLOOR_CASES),
+                         ids=lambda c: f"n{c[0]}-{c[1]}-N{c[2]}")
+def test_bl_line_search_floor_keeps_the_certified_level(case, monkeypatch):
+    n, family, N = case
+    budget, level = _BL_FLOOR_CASES[case]
+    real, trials = solver._line_search, [0]
+
+    def counting(x, d, s, trial, *floor):
+        def counted(v):
+            trials[0] += 1
+            return trial(v)
+
+        return real(x, d, s, counted, *floor)
+
+    monkeypatch.setattr(solver, "_line_search", counting)
+    grid = make_grid(N, 30.0, n)
+    rep = solve_limit_BL(FunctionalContext(grid, constant_potential(1.0),
+                                           _BL_FAMILIES[family]()))
+    assert rep.converged
+    assert trials[0] <= budget
+    assert abs(rep.energy - level) <= 1e-14 * level
+
+
 def test_fiber_descent_route(rep_fiber, rep_shoot, rep_bl):
     assert rep_fiber.converged
     assert rep_fiber.pohozaev_residual <= rep_fiber.poho_tol
